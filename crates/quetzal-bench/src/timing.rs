@@ -99,7 +99,7 @@ impl std::fmt::Display for Measurement {
 }
 
 /// Measures `f` without printing: calibrates a batch size so one batch
-/// takes at least [`MIN_SAMPLE`], then times [`SAMPLES`] batches.
+/// takes at least `MIN_SAMPLE`, then times [`SAMPLES`] batches.
 pub fn measure<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {
     let mut iters = 1u64;
     loop {

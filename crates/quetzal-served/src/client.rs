@@ -124,6 +124,9 @@ impl Client<TcpStream> {
     /// Returns the connection error.
     pub fn connect(addr: &str) -> Result<Client<TcpStream>, ClientError> {
         let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
+        // Frames are written as prefix then payload: without this, Nagle
+        // holds the payload until the daemon's delayed ACK (~40 ms).
+        stream.set_nodelay(true).map_err(WireError::Io)?;
         Ok(Client { stream })
     }
 }

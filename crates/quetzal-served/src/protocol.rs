@@ -119,7 +119,7 @@ pub enum Response {
         item: usize,
         /// Failure kind: `sim`, `panic`, or `rejected`.
         cause: &'static str,
-        /// Human-readable detail (typed [`SimError`] display, panic
+        /// Human-readable detail (typed [`SimError`](quetzal::SimError) display, panic
         /// payload, or the static verifier's summary).
         message: String,
     },

@@ -1,46 +1,38 @@
 //! Compiled functional execution tier (no timing model).
 //!
 //! The cycle-level engine interprets one instruction at a time and
-//! streams it through the out-of-order timing model. This module is the
-//! *second*, independent engine: it lifts each basic block of the
-//! recovered CFG ([`quetzal_isa::cfg`]) into **flat step tables** —
-//! contiguous arrays of `(pc, Instruction)` records dispatched by a
-//! direct match, with no per-step heap allocation — and chains blocks
+//! streams it through the out-of-order timing model. This tier instead
+//! lifts each basic block of the recovered CFG ([`quetzal_isa::cfg`])
+//! into **flat step tables** — contiguous arrays of `(pc, Instruction)`
+//! records with no per-step heap allocation — and chains blocks
 //! connected by unconditional control flow into **superblocks**
 //! dispatched with a single lookup. Compiled programs are cached by id
-//! *and by instruction-stream content* alongside the predecode tables
-//! (see [`CompiledCache`]), so steady-state execution touches no
-//! decoder at all — even when a driver stages a fresh `Program` per
-//! sequence pair, identical code compiles exactly once.
+//! *and by instruction-stream content* alongside the predecode tables,
+//! so steady-state execution touches no decoder at all — even when a
+//! driver stages a fresh `Program` per sequence pair, identical code
+//! compiles exactly once.
 //!
-//! The tier is architecturally exact: it produces bit-identical
-//! register, memory and QBUFFER state to the interpreter, enforces the
-//! same instruction budget with the same error-ordering semantics
-//! ([`SimError::InstLimit`] before [`SimError::DecodeError`] when the
-//! budget expires exactly at an out-of-program target), and surfaces
-//! the identical typed [`SimError`] taxonomy — everything except the
-//! clock, which it does not model ([`SimError::CycleLimit`] cannot
-//! occur here). `tests/functional_equiv.rs` and the fault-injection
-//! sweep pin this equivalence differentially against the cycle-level
-//! core.
-//!
-//! Lane loops reuse the interpreter's shared ALU routines
-//! ([`vector_alu`], [`scalar_alu`]), so per-lane arithmetic cannot
-//! drift between the engines; what the differential oracle therefore
-//! independently exercises is decode, dispatch, control flow, predication,
-//! budget accounting and the memory/QBUFFER access paths.
+//! Each step executes through the interpreter's shared `step` with the
+//! timing hooks compiled out, so the two engines have one
+//! implementation of instruction semantics. What this module owns is
+//! dispatch: superblock formation, control flow, and budget accounting
+//! with the interpreter's error ordering ([`SimError::InstLimit`] before
+//! [`SimError::DecodeError`] when the budget expires exactly at an
+//! out-of-program target). The tier surfaces the identical typed
+//! [`SimError`] taxonomy — everything except the clock, which it does
+//! not model ([`SimError::CycleLimit`] cannot occur here).
+//! `tests/functional_equiv.rs` and the fault-injection sweep pin that
+//! dispatch differentially against the cycle-level core; semantics are
+//! pinned by the oracles listed in [`crate::interp`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::interp::{active_lane_pairs, scalar_alu, vector_alu, SimError};
+use crate::interp::{step, SimError};
 use crate::predecode::Predecode;
-use crate::state::{truncate, ArchState};
-use quetzal_accel::count_alu::qzcount_vector;
+use crate::state::ArchState;
 use quetzal_isa::cfg::Cfg;
-use quetzal_isa::{
-    BranchCond, ElemSize, InstClass, Instruction, Program, RedOp, XReg, LANES_64, VLEN_BYTES,
-};
+use quetzal_isa::{BranchCond, InstClass, Instruction, Program, XReg};
 
 /// Which execution engine [`Core::run`](crate::Core::run) drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -187,20 +179,20 @@ pub(crate) fn compile(program: &Program, pre: &Predecode) -> CompiledProgram {
                             fall: target(pc + 1),
                         }
                     }
-                    Instruction::Jump { target: t } => {
-                        debug_assert!(uop.class == InstClass::Branch && !uop.is_cond_branch);
-                        steps.push(Step {
-                            pc: pc as u32,
-                            inst,
-                        });
-                        Terminator::Goto(target(t))
-                    }
                     _ => {
+                        // A trailing jump executes as a counted step,
+                        // then transfers to its target.
                         steps.push(Step {
                             pc: pc as u32,
                             inst,
                         });
-                        Terminator::Goto(target(pc + 1))
+                        Terminator::Goto(target(match inst {
+                            Instruction::Jump { target: t } => {
+                                debug_assert!(!uop.is_cond_branch);
+                                t
+                            }
+                            _ => pc + 1,
+                        }))
                     }
                 };
             }
@@ -234,7 +226,7 @@ fn dispatch(t: Target, remaining: u64, budget: u64) -> Result<usize, SimError> {
 
 /// Runs a compiled program against `state` under the same instruction
 /// budget the interpreter enforces. Returns the executed instruction
-/// count (halt included), exactly as [`crate::interp::execute`] does.
+/// count (halt included), exactly as a timed run retires.
 ///
 /// Budget accounting is superblock-granular on the fast path: when the
 /// whole chain fits in the remaining budget it is debited up front —
@@ -259,562 +251,52 @@ pub(crate) fn run_compiled(
     let mut block = 0usize;
     loop {
         let sb = &cp.blocks[block];
-        block = if remaining >= sb.insts {
+        if remaining >= sb.insts {
             remaining -= sb.insts;
-            for step in &sb.steps {
-                exec_step(step.pc as usize, step.inst, state)?;
-            }
-            match sb.term {
-                Terminator::Halt => return Ok(budget - remaining),
-                Terminator::Goto(t) => dispatch(t, remaining, budget)?,
-                Terminator::Branch {
-                    cond,
-                    rn,
-                    rm,
-                    taken,
-                    fall,
-                } => {
-                    let t = if cond.eval(state.x(rn) as i64, state.x(rm) as i64) {
-                        taken
-                    } else {
-                        fall
-                    };
-                    dispatch(t, remaining, budget)?
-                }
+            for s in &sb.steps {
+                step(s.pc as usize, s.inst, state, &mut ())?;
             }
         } else {
             // The budget expires somewhere in this chain: mirror the
             // interpreter's check-fetch-execute order per instruction.
-            for step in &sb.steps {
+            for s in &sb.steps {
                 if remaining == 0 {
                     return Err(SimError::InstLimit { budget });
                 }
                 remaining -= 1;
-                exec_step(step.pc as usize, step.inst, state)?;
+                step(s.pc as usize, s.inst, state, &mut ())?;
             }
-            match sb.term {
-                Terminator::Goto(t) => dispatch(t, remaining, budget)?,
-                Terminator::Halt => {
-                    if remaining == 0 {
-                        return Err(SimError::InstLimit { budget });
-                    }
-                    remaining -= 1;
-                    return Ok(budget - remaining);
+            if !matches!(sb.term, Terminator::Goto(_)) {
+                if remaining == 0 {
+                    return Err(SimError::InstLimit { budget });
                 }
-                Terminator::Branch {
-                    cond,
-                    rn,
-                    rm,
-                    taken,
-                    fall,
-                } => {
-                    if remaining == 0 {
-                        return Err(SimError::InstLimit { budget });
-                    }
-                    remaining -= 1;
-                    let t = if cond.eval(state.x(rn) as i64, state.x(rm) as i64) {
-                        taken
-                    } else {
-                        fall
-                    };
-                    dispatch(t, remaining, budget)?
+                remaining -= 1;
+            }
+        }
+        let t = match sb.term {
+            Terminator::Halt => return Ok(budget - remaining),
+            Terminator::Goto(t) => t,
+            Terminator::Branch {
+                cond,
+                rn,
+                rm,
+                taken,
+                fall,
+            } => {
+                if cond.eval(state.x(rn) as i64, state.x(rm) as i64) {
+                    taken
+                } else {
+                    fall
                 }
             }
         };
+        block = dispatch(t, remaining, budget)?;
     }
 }
 
-/// Executes one compiled step against `state`. Semantics mirror the
-/// interpreter's match in [`crate::interp`] arm for arm (shared ALU
-/// helpers included); the sink-only fields (`d.mem`, `d.taken`,
-/// `d.qz_latency`) have no functional analogue and are simply absent.
-/// `pc` is the step's program counter, used only for fault attribution.
-#[allow(clippy::too_many_lines)]
-#[inline]
-fn exec_step(pc: usize, inst: Instruction, s: &mut ArchState) -> Result<(), SimError> {
-    match inst {
-        Instruction::MovImm { rd, imm } => {
-            s.set_x(rd, imm as u64);
-            Ok(())
-        }
-        Instruction::AluRR { op, rd, rn, rm } => {
-            let v = scalar_alu(op, s.x(rn), s.x(rm));
-            s.set_x(rd, v);
-            Ok(())
-        }
-        Instruction::AluRI { op, rd, rn, imm } => {
-            let v = scalar_alu(op, s.x(rn), imm as u64);
-            s.set_x(rd, v);
-            Ok(())
-        }
-        Instruction::Load {
-            rd,
-            rn,
-            offset,
-            size,
-        } => {
-            let addr = s.x(rn).wrapping_add_signed(offset);
-            let v = s.mem.read_le(addr, size.bytes());
-            s.set_x(rd, v);
-            Ok(())
-        }
-        Instruction::Store {
-            rs,
-            rn,
-            offset,
-            size,
-        } => {
-            let addr = s.x(rn).wrapping_add_signed(offset);
-            if s.mem.try_write_le(addr, s.x(rs), size.bytes()).is_err() {
-                return Err(SimError::MemoryFault { addr, pc });
-            }
-            Ok(())
-        }
-        Instruction::Jump { .. } => {
-            // Counted no-op: the superblock chain or `Goto` terminator
-            // already encodes the transfer.
-            Ok(())
-        }
-        Instruction::Halt | Instruction::Branch { .. } => {
-            // Structurally unreachable: `compile` turns these into
-            // superblock terminators. Surface a typed fault (never a
-            // panic) if a compiler bug ever emits one as a step.
-            debug_assert!(false, "terminator compiled as a step at pc {pc}");
-            Err(SimError::DecodeError { pc })
-        }
-
-        Instruction::Dup { vd, rn, esize } => {
-            let lanes = esize.lanes();
-            let v = s.x(rn);
-            for i in 0..lanes {
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::DupImm { vd, imm, esize } => {
-            let lanes = esize.lanes();
-            for i in 0..lanes {
-                s.set_v_elem(vd, i, esize, imm as u64);
-            }
-            Ok(())
-        }
-        Instruction::Index {
-            vd,
-            rn,
-            step: stride,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let start = s.x(rn) as i64;
-            for i in 0..lanes {
-                let v = start.wrapping_add(stride.wrapping_mul(i as i64));
-                s.set_v_elem(vd, i, esize, truncate(v, esize));
-            }
-            Ok(())
-        }
-        Instruction::VAluVV {
-            op,
-            vd,
-            vn,
-            vm,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let a = s.v_elem_i64(vn, i, esize);
-                    let b = s.v_elem_i64(vm, i, esize);
-                    s.set_v_elem(vd, i, esize, vector_alu(op, a, b, esize));
-                }
-            }
-            Ok(())
-        }
-        Instruction::VAluVI {
-            op,
-            vd,
-            vn,
-            imm,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let a = s.v_elem_i64(vn, i, esize);
-                    s.set_v_elem(vd, i, esize, vector_alu(op, a, imm, esize));
-                }
-            }
-            Ok(())
-        }
-        Instruction::VCmpVV {
-            cond,
-            pd,
-            vn,
-            vm,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let mut p = 0u64;
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let a = s.v_elem_i64(vn, i, esize);
-                    let b = s.v_elem_i64(vm, i, esize);
-                    if cond.eval(a, b) {
-                        p |= 1 << (i * esize.bytes());
-                    }
-                }
-            }
-            s.set_p(pd, p);
-            Ok(())
-        }
-        Instruction::VCmpVI {
-            cond,
-            pd,
-            vn,
-            imm,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let mut p = 0u64;
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let a = s.v_elem_i64(vn, i, esize);
-                    if cond.eval(a, imm) {
-                        p |= 1 << (i * esize.bytes());
-                    }
-                }
-            }
-            s.set_p(pd, p);
-            Ok(())
-        }
-        Instruction::VSel {
-            vd,
-            pg,
-            vn,
-            vm,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            for i in 0..lanes {
-                let v = if s.lane_active(pg, i, esize) {
-                    s.v_elem(vn, i, esize)
-                } else {
-                    s.v_elem(vm, i, esize)
-                };
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::VLoad { vd, rn, pg, esize } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                let v = if s.lane_active(pg, i, esize) {
-                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                    s.mem.read_le(addr, esize.bytes())
-                } else {
-                    0
-                };
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::VLoadN {
-            vd,
-            rn,
-            pg,
-            esize,
-            msize,
-        } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                let v = if s.lane_active(pg, i, esize) {
-                    let addr = base.wrapping_add((i * msize.bytes()) as u64);
-                    s.mem.read_le(addr, msize.bytes())
-                } else {
-                    0
-                };
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::VStore { vs, rn, pg, esize } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let v = s.v_elem(vs, i, esize);
-                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                    if s.mem.try_write_le(addr, v, esize.bytes()).is_err() {
-                        return Err(SimError::MemoryFault { addr, pc });
-                    }
-                }
-            }
-            Ok(())
-        }
-        Instruction::VGather {
-            vd,
-            rn,
-            idx,
-            pg,
-            esize,
-            msize,
-            scale,
-        } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let off = s.v_elem_i64(idx, i, esize);
-                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                    let v = s.mem.read_le(addr, msize.bytes());
-                    s.set_v_elem(vd, i, esize, v);
-                } else {
-                    s.set_v_elem(vd, i, esize, 0);
-                }
-            }
-            Ok(())
-        }
-        Instruction::VScatter {
-            vs,
-            rn,
-            idx,
-            pg,
-            esize,
-            msize,
-            scale,
-        } => {
-            let lanes = esize.lanes();
-            let base = s.x(rn);
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let off = s.v_elem_i64(idx, i, esize);
-                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                    if s.mem
-                        .try_write_le(addr, s.v_elem(vs, i, esize), msize.bytes())
-                        .is_err()
-                    {
-                        return Err(SimError::MemoryFault { addr, pc });
-                    }
-                }
-            }
-            Ok(())
-        }
-        Instruction::VReduce {
-            op,
-            rd,
-            vn,
-            pg,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let empty = match op {
-                RedOp::Add => 0,
-                RedOp::Min => i64::MAX,
-                RedOp::Max => i64::MIN,
-            };
-            let mut acc: Option<i64> = None;
-            for i in 0..lanes {
-                if s.lane_active(pg, i, esize) {
-                    let v = s.v_elem_i64(vn, i, esize);
-                    acc = Some(match (acc, op) {
-                        (None, _) => v,
-                        (Some(a), RedOp::Add) => a.wrapping_add(v),
-                        (Some(a), RedOp::Min) => a.min(v),
-                        (Some(a), RedOp::Max) => a.max(v),
-                    });
-                }
-            }
-            s.set_x(rd, acc.unwrap_or(empty) as u64);
-            Ok(())
-        }
-        Instruction::VExtract {
-            rd,
-            vn,
-            lane,
-            esize,
-        } => {
-            if lane as usize >= esize.lanes() {
-                // The fault is decidable from instruction fields alone.
-                return Err(SimError::InvalidRegister { index: lane, pc });
-            }
-            let v = s.v_elem(vn, lane as usize, esize);
-            s.set_x(rd, v);
-            Ok(())
-        }
-        Instruction::VInsert {
-            vd,
-            rn,
-            lane,
-            esize,
-        } => {
-            if lane as usize >= esize.lanes() {
-                return Err(SimError::InvalidRegister { index: lane, pc });
-            }
-            let v = s.x(rn);
-            s.set_v_elem(vd, lane as usize, esize, v);
-            Ok(())
-        }
-        Instruction::VSlideDown {
-            vd,
-            vn,
-            amount,
-            esize,
-        } => {
-            let lanes = esize.lanes();
-            let mut buf = [0u64; VLEN_BYTES];
-            let tmp = &mut buf[..lanes];
-            for (i, item) in tmp.iter_mut().enumerate() {
-                let src = i + amount as usize;
-                *item = if src < lanes {
-                    s.v_elem(vn, src, esize)
-                } else {
-                    0
-                };
-            }
-            for (i, &v) in tmp.iter().enumerate() {
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-        Instruction::VSlide1Up { vd, vn, rn, esize } => {
-            let lanes = esize.lanes();
-            let mut buf = [0u64; VLEN_BYTES];
-            let tmp = &mut buf[..lanes];
-            tmp[0] = s.x(rn);
-            for (i, item) in tmp.iter_mut().enumerate().skip(1) {
-                *item = s.v_elem(vn, i - 1, esize);
-            }
-            for (i, &v) in tmp.iter().enumerate() {
-                s.set_v_elem(vd, i, esize, v);
-            }
-            Ok(())
-        }
-
-        Instruction::PTrue { pd, esize } => {
-            let word = ArchState::pred_first_n(esize.lanes(), esize);
-            s.set_p(pd, word);
-            Ok(())
-        }
-        Instruction::PWhileLt { pd, rn, esize } => {
-            let lanes = esize.lanes();
-            let n = s.x(rn) as i64;
-            let n = n.clamp(0, lanes as i64) as usize;
-            s.set_p(pd, ArchState::pred_first_n(n, esize));
-            Ok(())
-        }
-        Instruction::PFalse { pd } => {
-            s.set_p(pd, 0);
-            Ok(())
-        }
-        Instruction::PAnd { pd, pn, pm } => {
-            s.set_p(pd, s.p(pn) & s.p(pm));
-            Ok(())
-        }
-        Instruction::POr { pd, pn, pm } => {
-            s.set_p(pd, s.p(pn) | s.p(pm));
-            Ok(())
-        }
-        Instruction::PBic { pd, pn, pm } => {
-            s.set_p(pd, s.p(pn) & !s.p(pm));
-            Ok(())
-        }
-        Instruction::PCount { rd, pn, esize } => {
-            let c = s.pred_count(pn, esize);
-            s.set_x(rd, c);
-            Ok(())
-        }
-
-        Instruction::QzConf { eb0, eb1, esiz } => {
-            let esiz_v = s.x(esiz);
-            if !s.qz.conf(s.x(eb0), s.x(eb1), esiz_v) {
-                return Err(SimError::InvalidQzConf { esiz: esiz_v, pc });
-            }
-            Ok(())
-        }
-        Instruction::QzEncode { sel, val, idx } => {
-            let chars = *s.v(val);
-            let at = s.x(idx);
-            match s.qz.encode(sel.index(), &chars, at) {
-                Ok(_) => Ok(()),
-                Err(_) => Err(SimError::QBufferIndexOutOfRange { idx: at, pc }),
-            }
-        }
-        Instruction::QzStore { val, idx, sel, pg } => {
-            let mut buf = [(0u64, 0u64); LANES_64];
-            let lanes = active_lane_pairs(s, pg, idx, val, &mut buf);
-            s.qz.store(sel.index(), lanes);
-            Ok(())
-        }
-        Instruction::QzUpdate {
-            op,
-            val,
-            idx,
-            sel,
-            pg,
-        } => {
-            let mut buf = [(0u64, 0u64); LANES_64];
-            let lanes = active_lane_pairs(s, pg, idx, val, &mut buf);
-            s.qz.update(sel.index(), op, lanes);
-            Ok(())
-        }
-        Instruction::QzLoad { vd, idx, sel, pg } => {
-            let mask = s.mask64(pg);
-            let idxs = s.v_lanes64(idx);
-            let (vals, _) = s.qz.load(sel.index(), &idxs, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                s.set_v_elem(vd, i, ElemSize::B64, v);
-            }
-            Ok(())
-        }
-        Instruction::QzMhm {
-            op,
-            vd,
-            idx0,
-            idx1,
-            pg,
-        } => {
-            let mask = s.mask64(pg);
-            let i0 = s.v_lanes64(idx0);
-            let i1 = s.v_lanes64(idx1);
-            let (vals, _) = s.qz.mhm(op, &i0, &i1, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                s.set_v_elem(vd, i, ElemSize::B64, v);
-            }
-            Ok(())
-        }
-        Instruction::QzMm {
-            op,
-            vd,
-            val,
-            idx,
-            sel,
-            pg,
-        } => {
-            let mask = s.mask64(pg);
-            let vv = s.v_lanes64(val);
-            let ii = s.v_lanes64(idx);
-            let (vals, _) = s.qz.mm(op, sel.index(), &vv, &ii, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                s.set_v_elem(vd, i, ElemSize::B64, v);
-            }
-            Ok(())
-        }
-        Instruction::QzCount { vd, vn, vm } => {
-            let a = s.v_lanes64(vn);
-            let b = s.v_lanes64(vm);
-            let counts = qzcount_vector(&a, &b, s.qz.esize);
-            for (i, &c) in counts.iter().enumerate() {
-                s.set_v_elem(vd, i, ElemSize::B64, c);
-            }
-            Ok(())
-        }
-    }
-}
+/// One content-index entry: the instruction stream (collision guard)
+/// and its compiled form.
+type ContentEntry = (Arc<[Instruction]>, Arc<CompiledProgram>);
 
 /// Per-core cache of compiled programs — the functional analogue of
 /// [`crate::predecode::DecodeCache`], with the same wholesale-flush
@@ -829,10 +311,6 @@ fn exec_step(pc: usize, inst: Instruction, s: &mut ArchState) -> Result<(), SimE
 /// kernels*, so steady-state batch execution stops recompiling at all.
 /// Hash collisions are guarded by full instruction-stream equality, so
 /// a collision costs a compare, never a wrong program.
-/// One content-index entry: the instruction stream (collision guard)
-/// and its compiled form.
-type ContentEntry = (Arc<[Instruction]>, Arc<CompiledProgram>);
-
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledCache {
     by_id: HashMap<u64, Arc<CompiledProgram>>,
@@ -875,22 +353,37 @@ impl CompiledCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interp::execute;
-    use crate::ooo::NullSink;
-    use quetzal_accel::QzConfig;
+    use crate::{Core, CoreConfig};
     use quetzal_isa::*;
 
     fn compile_program(p: &Program) -> CompiledProgram {
         compile(p, &Predecode::of(p))
     }
 
+    /// Runs `p` on a cold cycle-level [`Core`] under `budget` and
+    /// `page_budget`, returning the retired count (or error) and the
+    /// core's final state.
+    fn run_cycle(
+        p: &Program,
+        budget: u64,
+        page_budget: Option<usize>,
+    ) -> (Result<u64, SimError>, Core) {
+        let mut core = Core::new(CoreConfig::a64fx_like());
+        core.set_budget(budget);
+        if let Some(pages) = page_budget {
+            core.state_mut().mem.set_page_budget(pages);
+        }
+        let r = core.run(p).map(|s| s.instructions);
+        (r, core)
+    }
+
     /// Runs `p` through both engines from identical cold states and
     /// asserts the full results — executed counts or errors, plus an
     /// architectural digest — are bit-equal.
     fn assert_engines_agree(p: &Program, budget: u64) {
-        let mut si = ArchState::new(QzConfig::QZ_8P);
-        let mut sc = ArchState::new(QzConfig::QZ_8P);
-        let ri = execute(&mut si, p, &mut NullSink, budget);
+        let (ri, core) = run_cycle(p, budget, None);
+        let si = core.state();
+        let mut sc = ArchState::new(CoreConfig::a64fx_like().qz);
         let rc = run_compiled(&compile_program(p), &mut sc, budget);
         assert_eq!(ri, rc, "engines disagree at budget {budget}");
         for i in 0..32 {
@@ -931,7 +424,7 @@ mod tests {
         // Sweeping the budget over the whole run length pins the exact
         // InstLimit boundary semantics, including the halt edge case.
         let p = loop_program();
-        let mut s = ArchState::new(QzConfig::QZ_8P);
+        let mut s = ArchState::new(CoreConfig::a64fx_like().qz);
         let total = run_compiled(&compile_program(&p), &mut s, u64::MAX).unwrap();
         for budget in 0..=total + 1 {
             assert_engines_agree(&p, budget);
@@ -1030,11 +523,9 @@ mod tests {
         b.halt();
         let p = b.build().unwrap();
 
-        let mut si = ArchState::new(QzConfig::QZ_8P);
-        let mut sc = ArchState::new(QzConfig::QZ_8P);
-        si.mem.set_page_budget(8);
+        let (ri, _) = run_cycle(&p, u64::MAX, Some(8));
+        let mut sc = ArchState::new(CoreConfig::a64fx_like().qz);
         sc.mem.set_page_budget(8);
-        let ri = execute(&mut si, &p, &mut NullSink, u64::MAX);
         let rc = run_compiled(&compile_program(&p), &mut sc, u64::MAX);
         assert!(matches!(ri, Err(SimError::MemoryFault { .. })));
         assert_eq!(ri, rc);

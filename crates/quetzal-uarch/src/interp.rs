@@ -1,23 +1,31 @@
-//! Functional interpreter and the [`Core`] facade.
+//! Instruction semantics, the cycle-level interpreter loop, and the
+//! [`Core`] facade.
 //!
-//! The interpreter executes programs against [`ArchState`] with exact
-//! ISA semantics (it *is* the functional model — vector instructions
-//! really compute) and streams one [`DynInst`] per executed instruction
-//! into an [`ExecSink`]. Paired with [`OooTiming`] this yields an
-//! execution-driven, cycle-level simulation; paired with [`NullSink`]
-//! it is a fast functional emulator
-//! used by correctness tests.
+//! `step` is the single implementation of the ISA's data semantics
+//! (vector instructions really compute), shared by both engines. The
+//! cycle-level loop fetches each instruction, resolves control flow,
+//! executes the rest through `step` and retires one [`DynInst`] per
+//! instruction into [`OooTiming`], yielding an execution-driven,
+//! cycle-level simulation. The compiled functional tier
+//! ([`crate::functional`]) drives the same `step` with its timing
+//! hooks compiled out.
+//!
+//! Because the engines share `step`, the differential suites between
+//! them check decode, dispatch, control flow and budget accounting, not
+//! semantics. Semantics are checked against independent oracles: the
+//! Rust restatements in this module's seeded `proptests`, the 116k-pair
+//! host-DP sweep in `tests/properties.rs`, and `tests/accelerator.rs`.
 
 use crate::config::CoreConfig;
 use crate::functional::{CompiledCache, ExecMode};
-use crate::ooo::{DynInst, ExecSink, OooTiming};
-use crate::predecode::{DecodeCache, MicroOp, Predecode};
+use crate::ooo::{DynInst, OooTiming};
+use crate::predecode::{DecodeCache, Predecode};
 use crate::probe::{NullProbe, Probe};
 use crate::state::{truncate, ArchState};
 use crate::stats::RunStats;
 use quetzal_accel::count_alu::{qzcount_vector, COUNT_ALU_LATENCY};
 use quetzal_isa::{
-    ElemSize, Instruction, PReg, Program, RedOp, SAluOp, VAluOp, VReg, LANES_64, VLEN_BYTES,
+    ElemSize, Instruction, PReg, Program, RedOp, VAluOp, VReg, LANES_64, VLEN_BYTES,
 };
 
 /// Errors raised during simulation.
@@ -120,13 +128,7 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-pub(crate) fn scalar_alu(op: SAluOp, a: u64, b: u64) -> u64 {
-    // Single shared semantics: `quetzal-verify`'s constant propagation
-    // folds through the same routine the interpreter executes.
-    op.eval(a, b)
-}
-
-pub(crate) fn vector_alu(op: VAluOp, a: i64, b: i64, esize: ElemSize) -> u64 {
+fn vector_alu(op: VAluOp, a: i64, b: i64, esize: ElemSize) -> u64 {
     let r = match op {
         VAluOp::Add => a.wrapping_add(b),
         VAluOp::Sub => a.wrapping_sub(b),
@@ -137,23 +139,15 @@ pub(crate) fn vector_alu(op: VAluOp, a: i64, b: i64, esize: ElemSize) -> u64 {
         VAluOp::Smin => a.min(b),
         VAluOp::Smax => a.max(b),
         VAluOp::Shl => ((a as u64).wrapping_shl(b as u32 & 63)) as i64,
-        VAluOp::Shr => ((a as u64) & mask_of(esize)).wrapping_shr(b as u32 & 63) as i64,
+        VAluOp::Shr => truncate(a, esize).wrapping_shr(b as u32 & 63) as i64,
     };
     truncate(r, esize)
-}
-
-fn mask_of(esize: ElemSize) -> u64 {
-    if esize.bits() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << esize.bits()) - 1
-    }
 }
 
 /// Packs the active `(index, value)` lane pairs of a predicated QBUFFER
 /// write into caller-provided stack scratch, returning the live prefix
 /// (replaces a per-instruction `Vec` allocation on the hot path).
-pub(crate) fn active_lane_pairs<'a>(
+fn active_lane_pairs<'a>(
     state: &ArchState,
     pg: PReg,
     idx: VReg,
@@ -173,86 +167,55 @@ pub(crate) fn active_lane_pairs<'a>(
     &buf[..n]
 }
 
-/// Executes `program` on `state`, streaming retired instructions into
-/// `sink`. Predecodes the program locally (no cache) and delegates to
-/// [`execute_predecoded`]. Returns the number of executed instructions.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the instruction budget is exhausted or an
-/// invalid `qzconf` is executed.
-pub fn execute(
-    state: &mut ArchState,
-    program: &Program,
-    sink: &mut impl ExecSink,
-    budget: u64,
-) -> Result<u64, SimError> {
-    let pre = Predecode::of(program);
-    execute_predecoded(state, program, &pre, sink, budget)
+/// Per-instruction facts the timing model needs beyond architectural
+/// state: the demand memory accesses an instruction made and the
+/// latency its QUETZAL operation reported. [`step`] reports them here;
+/// [`DynInst`] records them for [`OooTiming::retire`], and `()` discards
+/// them, so the functional tier compiles the hooks out.
+pub(crate) trait Effects {
+    /// One demand access of `bytes` bytes at `addr`. Unit-stride vector
+    /// accesses report one range; gather/scatter report one access per
+    /// active lane, in lane order.
+    fn mem(&mut self, addr: u64, bytes: u32);
+    /// The functionally determined latency of a QUETZAL operation.
+    fn qz_latency(&mut self, lat: u64);
 }
 
-/// Reference (seed-path) executor: decodes each instruction's
-/// [`MicroOp`] afresh at retire time instead of reading the predecoded
-/// table. Timing-equivalent to [`execute_predecoded`] by construction —
-/// kept so the golden timing-neutrality test can assert the equivalence
-/// on real workloads, and as the oracle for decode-cache bugs (a stale
-/// or misindexed table diverges from this path immediately).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the instruction budget is exhausted or an
-/// invalid `qzconf` is executed.
-pub fn execute_reference(
-    state: &mut ArchState,
-    program: &Program,
-    sink: &mut impl ExecSink,
-    budget: u64,
-) -> Result<u64, SimError> {
-    let mut d = DynInst::default();
-    execute_impl(state, program, sink, budget, &mut d, |_pc, inst| {
-        MicroOp::decode(inst)
-    })
+impl Effects for DynInst {
+    #[inline]
+    fn mem(&mut self, addr: u64, bytes: u32) {
+        self.mem.push((addr, bytes));
+    }
+
+    #[inline]
+    fn qz_latency(&mut self, lat: u64) {
+        self.qz_latency = lat;
+    }
 }
 
-/// Executes `program` with a prebuilt [`Predecode`] table (the hot
-/// path: the table is computed once per program and cached by
-/// [`Core`]).
-///
-/// # Panics
-///
-/// Panics if `pre` was built from a different (shorter) program.
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the instruction budget is exhausted or an
-/// invalid `qzconf` is executed.
-pub fn execute_predecoded(
+impl Effects for () {
+    #[inline]
+    fn mem(&mut self, _addr: u64, _bytes: u32) {}
+
+    #[inline]
+    fn qz_latency(&mut self, _lat: u64) {}
+}
+
+/// The cycle engine's interpreter loop: fetch, resolve control flow,
+/// execute everything else through [`step`], and retire each
+/// instruction into the timing model with its predecoded
+/// [`MicroOp`](crate::predecode::MicroOp). `d` is caller-provided
+/// scratch: its `mem` buffer is reused across every dynamic instruction
+/// (and, via [`Core`], across runs), so the loop allocates nothing per
+/// instruction.
+fn run_timed<P: Probe>(
     state: &mut ArchState,
     program: &Program,
     pre: &Predecode,
-    sink: &mut impl ExecSink,
-    budget: u64,
-) -> Result<u64, SimError> {
-    assert_eq!(pre.len(), program.len(), "predecode table mismatch");
-    let mut d = DynInst::default();
-    execute_impl(state, program, sink, budget, &mut d, |pc, _inst| {
-        *pre.op(pc)
-    })
-}
-
-/// The interpreter loop, generic over where each instruction's
-/// [`MicroOp`] record comes from (predecoded table or per-retire
-/// decode). `d` is caller-provided scratch: its `mem` buffer is reused
-/// across every dynamic instruction (and, via [`Core`], across runs),
-/// so the loop allocates nothing per instruction.
-fn execute_impl(
-    state: &mut ArchState,
-    program: &Program,
-    sink: &mut impl ExecSink,
+    timing: &mut OooTiming<P>,
     budget: u64,
     d: &mut DynInst,
-    mut uop_of: impl FnMut(usize, &Instruction) -> MicroOp,
-) -> Result<u64, SimError> {
+) -> Result<(), SimError> {
     let mut pc = 0usize;
     let mut executed = 0u64;
 
@@ -270,51 +233,14 @@ fn execute_impl(
         let mut next_pc = pc + 1;
 
         match inst {
-            Instruction::MovImm { rd, imm } => state.set_x(rd, imm as u64),
-            Instruction::AluRR { op, rd, rn, rm } => {
-                let v = scalar_alu(op, state.x(rn), state.x(rm));
-                state.set_x(rd, v);
-            }
-            Instruction::AluRI { op, rd, rn, imm } => {
-                let v = scalar_alu(op, state.x(rn), imm as u64);
-                state.set_x(rd, v);
-            }
-            Instruction::Load {
-                rd,
-                rn,
-                offset,
-                size,
-            } => {
-                let addr = state.x(rn).wrapping_add_signed(offset);
-                let v = state.mem.read_le(addr, size.bytes());
-                state.set_x(rd, v);
-                d.mem.push((addr, size.bytes() as u32));
-            }
-            Instruction::Store {
-                rs,
-                rn,
-                offset,
-                size,
-            } => {
-                let addr = state.x(rn).wrapping_add_signed(offset);
-                if state
-                    .mem
-                    .try_write_le(addr, state.x(rs), size.bytes())
-                    .is_err()
-                {
-                    return Err(SimError::MemoryFault { addr, pc });
-                }
-                d.mem.push((addr, size.bytes() as u32));
-            }
             Instruction::Branch {
                 cond,
                 rn,
                 rm,
                 target,
             } => {
-                let taken = cond.eval(state.x(rn) as i64, state.x(rm) as i64);
-                d.taken = taken;
-                if taken {
+                d.taken = cond.eval(state.x(rn) as i64, state.x(rm) as i64);
+                if d.taken {
                     next_pc = target;
                 }
             }
@@ -323,407 +249,474 @@ fn execute_impl(
                 next_pc = target;
             }
             Instruction::Halt => {
-                sink.retire(&uop_of(pc, &inst), d);
-                return Ok(executed);
+                timing.retire(pre.op(pc), d);
+                return Ok(());
             }
-
-            Instruction::Dup { vd, rn, esize } => {
-                let v = state.x(rn);
-                for i in 0..esize.lanes() {
-                    state.set_v_elem(vd, i, esize, v);
-                }
-            }
-            Instruction::DupImm { vd, imm, esize } => {
-                for i in 0..esize.lanes() {
-                    state.set_v_elem(vd, i, esize, imm as u64);
-                }
-            }
-            Instruction::Index {
-                vd,
-                rn,
-                step,
-                esize,
-            } => {
-                let start = state.x(rn) as i64;
-                for i in 0..esize.lanes() {
-                    let v = start.wrapping_add(step.wrapping_mul(i as i64));
-                    state.set_v_elem(vd, i, esize, truncate(v, esize));
-                }
-            }
-            Instruction::VAluVV {
-                op,
-                vd,
-                vn,
-                vm,
-                pg,
-                esize,
-            } => {
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let a = state.v_elem_i64(vn, i, esize);
-                        let b = state.v_elem_i64(vm, i, esize);
-                        state.set_v_elem(vd, i, esize, vector_alu(op, a, b, esize));
-                    }
-                }
-            }
-            Instruction::VAluVI {
-                op,
-                vd,
-                vn,
-                imm,
-                pg,
-                esize,
-            } => {
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let a = state.v_elem_i64(vn, i, esize);
-                        state.set_v_elem(vd, i, esize, vector_alu(op, a, imm, esize));
-                    }
-                }
-            }
-            Instruction::VCmpVV {
-                cond,
-                pd,
-                vn,
-                vm,
-                pg,
-                esize,
-            } => {
-                let mut p = 0u64;
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let a = state.v_elem_i64(vn, i, esize);
-                        let b = state.v_elem_i64(vm, i, esize);
-                        if cond.eval(a, b) {
-                            p |= 1 << (i * esize.bytes());
-                        }
-                    }
-                }
-                state.set_p(pd, p);
-            }
-            Instruction::VCmpVI {
-                cond,
-                pd,
-                vn,
-                imm,
-                pg,
-                esize,
-            } => {
-                let mut p = 0u64;
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let a = state.v_elem_i64(vn, i, esize);
-                        if cond.eval(a, imm) {
-                            p |= 1 << (i * esize.bytes());
-                        }
-                    }
-                }
-                state.set_p(pd, p);
-            }
-            Instruction::VSel {
-                vd,
-                pg,
-                vn,
-                vm,
-                esize,
-            } => {
-                for i in 0..esize.lanes() {
-                    let v = if state.lane_active(pg, i, esize) {
-                        state.v_elem(vn, i, esize)
-                    } else {
-                        state.v_elem(vm, i, esize)
-                    };
-                    state.set_v_elem(vd, i, esize, v);
-                }
-            }
-            Instruction::VLoad { vd, rn, pg, esize } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    let v = if state.lane_active(pg, i, esize) {
-                        let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                        state.mem.read_le(addr, esize.bytes())
-                    } else {
-                        0
-                    };
-                    state.set_v_elem(vd, i, esize, v);
-                }
-                d.mem.push((base, VLEN_BYTES as u32));
-            }
-            Instruction::VLoadN {
-                vd,
-                rn,
-                pg,
-                esize,
-                msize,
-            } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    let v = if state.lane_active(pg, i, esize) {
-                        let addr = base.wrapping_add((i * msize.bytes()) as u64);
-                        state.mem.read_le(addr, msize.bytes())
-                    } else {
-                        0
-                    };
-                    state.set_v_elem(vd, i, esize, v);
-                }
-                d.mem.push((base, (esize.lanes() * msize.bytes()) as u32));
-            }
-            Instruction::VStore { vs, rn, pg, esize } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let v = state.v_elem(vs, i, esize);
-                        let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                        if state.mem.try_write_le(addr, v, esize.bytes()).is_err() {
-                            return Err(SimError::MemoryFault { addr, pc });
-                        }
-                    }
-                }
-                d.mem.push((base, VLEN_BYTES as u32));
-            }
-            Instruction::VGather {
-                vd,
-                rn,
-                idx,
-                pg,
-                esize,
-                msize,
-                scale,
-            } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let off = state.v_elem_i64(idx, i, esize);
-                        let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                        let v = state.mem.read_le(addr, msize.bytes());
-                        state.set_v_elem(vd, i, esize, v);
-                        d.mem.push((addr, msize.bytes() as u32));
-                    } else {
-                        state.set_v_elem(vd, i, esize, 0);
-                    }
-                }
-            }
-            Instruction::VScatter {
-                vs,
-                rn,
-                idx,
-                pg,
-                esize,
-                msize,
-                scale,
-            } => {
-                let base = state.x(rn);
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let off = state.v_elem_i64(idx, i, esize);
-                        let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                        if state
-                            .mem
-                            .try_write_le(addr, state.v_elem(vs, i, esize), msize.bytes())
-                            .is_err()
-                        {
-                            return Err(SimError::MemoryFault { addr, pc });
-                        }
-                        d.mem.push((addr, msize.bytes() as u32));
-                    }
-                }
-            }
-            Instruction::VReduce {
-                op,
-                rd,
-                vn,
-                pg,
-                esize,
-            } => {
-                let mut acc: Option<i64> = None;
-                for i in 0..esize.lanes() {
-                    if state.lane_active(pg, i, esize) {
-                        let v = state.v_elem_i64(vn, i, esize);
-                        acc = Some(match (acc, op) {
-                            (None, _) => v,
-                            (Some(a), RedOp::Add) => a.wrapping_add(v),
-                            (Some(a), RedOp::Min) => a.min(v),
-                            (Some(a), RedOp::Max) => a.max(v),
-                        });
-                    }
-                }
-                let empty = match op {
-                    RedOp::Add => 0,
-                    RedOp::Min => i64::MAX,
-                    RedOp::Max => i64::MIN,
-                };
-                state.set_x(rd, acc.unwrap_or(empty) as u64);
-            }
-            Instruction::VExtract {
-                rd,
-                vn,
-                lane,
-                esize,
-            } => {
-                if lane as usize >= esize.lanes() {
-                    return Err(SimError::InvalidRegister { index: lane, pc });
-                }
-                let v = state.v_elem(vn, lane as usize, esize);
-                state.set_x(rd, v);
-            }
-            Instruction::VInsert {
-                vd,
-                rn,
-                lane,
-                esize,
-            } => {
-                if lane as usize >= esize.lanes() {
-                    return Err(SimError::InvalidRegister { index: lane, pc });
-                }
-                let v = state.x(rn);
-                state.set_v_elem(vd, lane as usize, esize, v);
-            }
-            Instruction::VSlideDown {
-                vd,
-                vn,
-                amount,
-                esize,
-            } => {
-                // Stack scratch: at most VLEN_BYTES lanes (B8 elements),
-                // so a fixed array replaces the per-instruction Vec.
-                let lanes = esize.lanes();
-                let mut buf = [0u64; VLEN_BYTES];
-                let tmp = &mut buf[..lanes];
-                for (i, item) in tmp.iter_mut().enumerate() {
-                    let src = i + amount as usize;
-                    *item = if src < lanes {
-                        state.v_elem(vn, src, esize)
-                    } else {
-                        0
-                    };
-                }
-                for (i, &v) in tmp.iter().enumerate() {
-                    state.set_v_elem(vd, i, esize, v);
-                }
-            }
-            Instruction::VSlide1Up { vd, vn, rn, esize } => {
-                let lanes = esize.lanes();
-                let mut buf = [0u64; VLEN_BYTES];
-                let tmp = &mut buf[..lanes];
-                tmp[0] = state.x(rn);
-                for (i, item) in tmp.iter_mut().enumerate().skip(1) {
-                    *item = state.v_elem(vn, i - 1, esize);
-                }
-                for (i, &v) in tmp.iter().enumerate() {
-                    state.set_v_elem(vd, i, esize, v);
-                }
-            }
-
-            Instruction::PTrue { pd, esize } => {
-                state.set_p(pd, ArchState::pred_first_n(esize.lanes(), esize));
-            }
-            Instruction::PWhileLt { pd, rn, esize } => {
-                let n = state.x(rn) as i64;
-                let n = n.clamp(0, esize.lanes() as i64) as usize;
-                state.set_p(pd, ArchState::pred_first_n(n, esize));
-            }
-            Instruction::PFalse { pd } => state.set_p(pd, 0),
-            Instruction::PAnd { pd, pn, pm } => state.set_p(pd, state.p(pn) & state.p(pm)),
-            Instruction::POr { pd, pn, pm } => state.set_p(pd, state.p(pn) | state.p(pm)),
-            Instruction::PBic { pd, pn, pm } => state.set_p(pd, state.p(pn) & !state.p(pm)),
-            Instruction::PCount { rd, pn, esize } => {
-                let c = state.pred_count(pn, esize);
-                state.set_x(rd, c);
-            }
-
-            Instruction::QzConf { eb0, eb1, esiz } => {
-                let esiz_v = state.x(esiz);
-                if !state.qz.conf(state.x(eb0), state.x(eb1), esiz_v) {
-                    return Err(SimError::InvalidQzConf { esiz: esiz_v, pc });
-                }
-                d.qz_latency = 1;
-            }
-            Instruction::QzEncode { sel, val, idx } => {
-                let chars = *state.v(val);
-                let at = state.x(idx);
-                match state.qz.encode(sel.index(), &chars, at) {
-                    Ok(lat) => d.qz_latency = lat,
-                    Err(_) => return Err(SimError::QBufferIndexOutOfRange { idx: at, pc }),
-                }
-            }
-            Instruction::QzStore { val, idx, sel, pg } => {
-                let mut buf = [(0u64, 0u64); LANES_64];
-                let lanes = active_lane_pairs(state, pg, idx, val, &mut buf);
-                d.qz_latency = state.qz.store(sel.index(), lanes);
-            }
-            Instruction::QzUpdate {
-                op,
-                val,
-                idx,
-                sel,
-                pg,
-            } => {
-                let mut buf = [(0u64, 0u64); LANES_64];
-                let lanes = active_lane_pairs(state, pg, idx, val, &mut buf);
-                d.qz_latency = state.qz.update(sel.index(), op, lanes);
-            }
-            Instruction::QzLoad { vd, idx, sel, pg } => {
-                let mask = state.mask64(pg);
-                let idxs = state.v_lanes64(idx);
-                let (vals, lat) = state.qz.load(sel.index(), &idxs, &mask);
-                for (i, &v) in vals.iter().enumerate() {
-                    state.set_v_elem(vd, i, ElemSize::B64, v);
-                }
-                d.qz_latency = lat;
-            }
-            Instruction::QzMhm {
-                op,
-                vd,
-                idx0,
-                idx1,
-                pg,
-            } => {
-                let mask = state.mask64(pg);
-                let i0 = state.v_lanes64(idx0);
-                let i1 = state.v_lanes64(idx1);
-                let (vals, lat) = state.qz.mhm(op, &i0, &i1, &mask);
-                for (i, &v) in vals.iter().enumerate() {
-                    state.set_v_elem(vd, i, ElemSize::B64, v);
-                }
-                d.qz_latency = lat;
-            }
-            Instruction::QzMm {
-                op,
-                vd,
-                val,
-                idx,
-                sel,
-                pg,
-            } => {
-                let mask = state.mask64(pg);
-                let vv = state.v_lanes64(val);
-                let ii = state.v_lanes64(idx);
-                let (vals, lat) = state.qz.mm(op, sel.index(), &vv, &ii, &mask);
-                for (i, &v) in vals.iter().enumerate() {
-                    state.set_v_elem(vd, i, ElemSize::B64, v);
-                }
-                d.qz_latency = lat;
-            }
-            Instruction::QzCount { vd, vn, vm } => {
-                let a = state.v_lanes64(vn);
-                let b = state.v_lanes64(vm);
-                let counts = qzcount_vector(&a, &b, state.qz.esize);
-                for (i, &c) in counts.iter().enumerate() {
-                    state.set_v_elem(vd, i, ElemSize::B64, c);
-                }
-                d.qz_latency = COUNT_ALU_LATENCY;
-            }
+            _ => step(pc, inst, state, d)?,
         }
 
-        sink.retire(&uop_of(pc, &inst), d);
-        // Timing-side watchdog: the sink reports when its clock passed
+        timing.retire(pre.op(pc), d);
+        // Timing-side watchdog: the engine reports when its clock passed
         // the configured cycle budget (see [`SimError::CycleLimit`]).
         // Checked after retire so the clock reflects this instruction.
-        if let Some(cycles) = sink.cycle_budget_exceeded() {
+        if let Some(cycles) = timing.cycle_budget_exceeded() {
             return Err(SimError::CycleLimit { budget: cycles });
         }
         pc = next_pc;
     }
+}
+
+/// Executes one instruction's data semantics against `state` — the
+/// single implementation both engines share. `pc` is used only for
+/// fault attribution. Memory accesses and QUETZAL latencies are reported
+/// to `fx` where they occur: the cycle engine passes its [`DynInst`]
+/// record, the functional tier passes `()`.
+///
+/// Control flow stays with each engine's loop: `Jump` is a counted
+/// no-op here, and `Branch`/`Halt` must be resolved by the caller.
+/// Always inlined: each engine's hot loop dispatches the match
+/// directly, with no call per instruction.
+#[allow(clippy::too_many_lines)]
+#[inline(always)]
+pub(crate) fn step(
+    pc: usize,
+    inst: Instruction,
+    state: &mut ArchState,
+    fx: &mut impl Effects,
+) -> Result<(), SimError> {
+    match inst {
+        Instruction::MovImm { rd, imm } => state.set_x(rd, imm as u64),
+        // `SAluOp::eval` is shared with `quetzal-verify`'s constant
+        // propagation, which folds through the routine executed here.
+        Instruction::AluRR { op, rd, rn, rm } => state.set_x(rd, op.eval(state.x(rn), state.x(rm))),
+        Instruction::AluRI { op, rd, rn, imm } => state.set_x(rd, op.eval(state.x(rn), imm as u64)),
+        Instruction::Load {
+            rd,
+            rn,
+            offset,
+            size,
+        } => {
+            let addr = state.x(rn).wrapping_add_signed(offset);
+            let v = state.mem.read_le(addr, size.bytes());
+            state.set_x(rd, v);
+            fx.mem(addr, size.bytes() as u32);
+        }
+        Instruction::Store {
+            rs,
+            rn,
+            offset,
+            size,
+        } => {
+            let addr = state.x(rn).wrapping_add_signed(offset);
+            if state
+                .mem
+                .try_write_le(addr, state.x(rs), size.bytes())
+                .is_err()
+            {
+                return Err(SimError::MemoryFault { addr, pc });
+            }
+            fx.mem(addr, size.bytes() as u32);
+        }
+        Instruction::Jump { .. } => {
+            // Counted no-op: the caller's loop already encodes the
+            // transfer (a chained jump or `Goto` terminator).
+        }
+        Instruction::Halt | Instruction::Branch { .. } => {
+            // Structurally unreachable: both engines resolve these
+            // before calling `step`. Surface a typed fault (never a
+            // panic) if a caller ever dispatches one here.
+            debug_assert!(false, "terminator dispatched as a step at pc {pc}");
+            return Err(SimError::DecodeError { pc });
+        }
+
+        Instruction::Dup { vd, rn, esize } => {
+            let v = state.x(rn);
+            for i in 0..esize.lanes() {
+                state.set_v_elem(vd, i, esize, v);
+            }
+        }
+        Instruction::DupImm { vd, imm, esize } => {
+            for i in 0..esize.lanes() {
+                state.set_v_elem(vd, i, esize, imm as u64);
+            }
+        }
+        Instruction::Index {
+            vd,
+            rn,
+            step,
+            esize,
+        } => {
+            let start = state.x(rn) as i64;
+            for i in 0..esize.lanes() {
+                let v = start.wrapping_add(step.wrapping_mul(i as i64));
+                state.set_v_elem(vd, i, esize, truncate(v, esize));
+            }
+        }
+        Instruction::VAluVV {
+            op,
+            vd,
+            vn,
+            vm,
+            pg,
+            esize,
+        } => {
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let a = state.v_elem_i64(vn, i, esize);
+                    let b = state.v_elem_i64(vm, i, esize);
+                    state.set_v_elem(vd, i, esize, vector_alu(op, a, b, esize));
+                }
+            }
+        }
+        Instruction::VAluVI {
+            op,
+            vd,
+            vn,
+            imm,
+            pg,
+            esize,
+        } => {
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let a = state.v_elem_i64(vn, i, esize);
+                    state.set_v_elem(vd, i, esize, vector_alu(op, a, imm, esize));
+                }
+            }
+        }
+        Instruction::VCmpVV {
+            cond,
+            pd,
+            vn,
+            vm,
+            pg,
+            esize,
+        } => {
+            let mut p = 0u64;
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let a = state.v_elem_i64(vn, i, esize);
+                    let b = state.v_elem_i64(vm, i, esize);
+                    if cond.eval(a, b) {
+                        p |= 1 << (i * esize.bytes());
+                    }
+                }
+            }
+            state.set_p(pd, p);
+        }
+        Instruction::VCmpVI {
+            cond,
+            pd,
+            vn,
+            imm,
+            pg,
+            esize,
+        } => {
+            let mut p = 0u64;
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let a = state.v_elem_i64(vn, i, esize);
+                    if cond.eval(a, imm) {
+                        p |= 1 << (i * esize.bytes());
+                    }
+                }
+            }
+            state.set_p(pd, p);
+        }
+        Instruction::VSel {
+            vd,
+            pg,
+            vn,
+            vm,
+            esize,
+        } => {
+            for i in 0..esize.lanes() {
+                let v = if state.lane_active(pg, i, esize) {
+                    state.v_elem(vn, i, esize)
+                } else {
+                    state.v_elem(vm, i, esize)
+                };
+                state.set_v_elem(vd, i, esize, v);
+            }
+        }
+        Instruction::VLoad { vd, rn, pg, esize } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                let v = if state.lane_active(pg, i, esize) {
+                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
+                    state.mem.read_le(addr, esize.bytes())
+                } else {
+                    0
+                };
+                state.set_v_elem(vd, i, esize, v);
+            }
+            fx.mem(base, VLEN_BYTES as u32);
+        }
+        Instruction::VLoadN {
+            vd,
+            rn,
+            pg,
+            esize,
+            msize,
+        } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                let v = if state.lane_active(pg, i, esize) {
+                    let addr = base.wrapping_add((i * msize.bytes()) as u64);
+                    state.mem.read_le(addr, msize.bytes())
+                } else {
+                    0
+                };
+                state.set_v_elem(vd, i, esize, v);
+            }
+            fx.mem(base, (esize.lanes() * msize.bytes()) as u32);
+        }
+        Instruction::VStore { vs, rn, pg, esize } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let v = state.v_elem(vs, i, esize);
+                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
+                    if state.mem.try_write_le(addr, v, esize.bytes()).is_err() {
+                        return Err(SimError::MemoryFault { addr, pc });
+                    }
+                }
+            }
+            fx.mem(base, VLEN_BYTES as u32);
+        }
+        Instruction::VGather {
+            vd,
+            rn,
+            idx,
+            pg,
+            esize,
+            msize,
+            scale,
+        } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let off = state.v_elem_i64(idx, i, esize);
+                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
+                    let v = state.mem.read_le(addr, msize.bytes());
+                    state.set_v_elem(vd, i, esize, v);
+                    fx.mem(addr, msize.bytes() as u32);
+                } else {
+                    state.set_v_elem(vd, i, esize, 0);
+                }
+            }
+        }
+        Instruction::VScatter {
+            vs,
+            rn,
+            idx,
+            pg,
+            esize,
+            msize,
+            scale,
+        } => {
+            let base = state.x(rn);
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let off = state.v_elem_i64(idx, i, esize);
+                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
+                    if state
+                        .mem
+                        .try_write_le(addr, state.v_elem(vs, i, esize), msize.bytes())
+                        .is_err()
+                    {
+                        return Err(SimError::MemoryFault { addr, pc });
+                    }
+                    fx.mem(addr, msize.bytes() as u32);
+                }
+            }
+        }
+        Instruction::VReduce {
+            op,
+            rd,
+            vn,
+            pg,
+            esize,
+        } => {
+            let mut acc: Option<i64> = None;
+            for i in 0..esize.lanes() {
+                if state.lane_active(pg, i, esize) {
+                    let v = state.v_elem_i64(vn, i, esize);
+                    acc = Some(match (acc, op) {
+                        (None, _) => v,
+                        (Some(a), RedOp::Add) => a.wrapping_add(v),
+                        (Some(a), RedOp::Min) => a.min(v),
+                        (Some(a), RedOp::Max) => a.max(v),
+                    });
+                }
+            }
+            let empty = match op {
+                RedOp::Add => 0,
+                RedOp::Min => i64::MAX,
+                RedOp::Max => i64::MIN,
+            };
+            state.set_x(rd, acc.unwrap_or(empty) as u64);
+        }
+        Instruction::VExtract {
+            rd,
+            vn,
+            lane,
+            esize,
+        } => {
+            if lane as usize >= esize.lanes() {
+                return Err(SimError::InvalidRegister { index: lane, pc });
+            }
+            let v = state.v_elem(vn, lane as usize, esize);
+            state.set_x(rd, v);
+        }
+        Instruction::VInsert {
+            vd,
+            rn,
+            lane,
+            esize,
+        } => {
+            if lane as usize >= esize.lanes() {
+                return Err(SimError::InvalidRegister { index: lane, pc });
+            }
+            let v = state.x(rn);
+            state.set_v_elem(vd, lane as usize, esize, v);
+        }
+        Instruction::VSlideDown {
+            vd,
+            vn,
+            amount,
+            esize,
+        } => {
+            // Stack scratch: at most VLEN_BYTES lanes (B8 elements),
+            // so a fixed array replaces the per-instruction Vec.
+            let lanes = esize.lanes();
+            let mut buf = [0u64; VLEN_BYTES];
+            let tmp = &mut buf[..lanes];
+            for (i, item) in tmp.iter_mut().enumerate() {
+                let src = i + amount as usize;
+                *item = if src < lanes {
+                    state.v_elem(vn, src, esize)
+                } else {
+                    0
+                };
+            }
+            for (i, &v) in tmp.iter().enumerate() {
+                state.set_v_elem(vd, i, esize, v);
+            }
+        }
+        Instruction::VSlide1Up { vd, vn, rn, esize } => {
+            let lanes = esize.lanes();
+            let mut buf = [0u64; VLEN_BYTES];
+            let tmp = &mut buf[..lanes];
+            tmp[0] = state.x(rn);
+            for (i, item) in tmp.iter_mut().enumerate().skip(1) {
+                *item = state.v_elem(vn, i - 1, esize);
+            }
+            for (i, &v) in tmp.iter().enumerate() {
+                state.set_v_elem(vd, i, esize, v);
+            }
+        }
+
+        Instruction::PTrue { pd, esize } => {
+            state.set_p(pd, ArchState::pred_first_n(esize.lanes(), esize));
+        }
+        Instruction::PWhileLt { pd, rn, esize } => {
+            let n = state.x(rn) as i64;
+            let n = n.clamp(0, esize.lanes() as i64) as usize;
+            state.set_p(pd, ArchState::pred_first_n(n, esize));
+        }
+        Instruction::PFalse { pd } => state.set_p(pd, 0),
+        Instruction::PAnd { pd, pn, pm } => state.set_p(pd, state.p(pn) & state.p(pm)),
+        Instruction::POr { pd, pn, pm } => state.set_p(pd, state.p(pn) | state.p(pm)),
+        Instruction::PBic { pd, pn, pm } => state.set_p(pd, state.p(pn) & !state.p(pm)),
+        Instruction::PCount { rd, pn, esize } => {
+            let c = state.pred_count(pn, esize);
+            state.set_x(rd, c);
+        }
+
+        Instruction::QzConf { eb0, eb1, esiz } => {
+            let esiz_v = state.x(esiz);
+            if !state.qz.conf(state.x(eb0), state.x(eb1), esiz_v) {
+                return Err(SimError::InvalidQzConf { esiz: esiz_v, pc });
+            }
+            fx.qz_latency(1);
+        }
+        Instruction::QzEncode { sel, val, idx } => {
+            let chars = *state.v(val);
+            let at = state.x(idx);
+            match state.qz.encode(sel.index(), &chars, at) {
+                Ok(lat) => fx.qz_latency(lat),
+                Err(_) => return Err(SimError::QBufferIndexOutOfRange { idx: at, pc }),
+            }
+        }
+        Instruction::QzStore { val, idx, sel, pg } => {
+            let mut buf = [(0u64, 0u64); LANES_64];
+            let lanes = active_lane_pairs(state, pg, idx, val, &mut buf);
+            fx.qz_latency(state.qz.store(sel.index(), lanes));
+        }
+        Instruction::QzUpdate {
+            op,
+            val,
+            idx,
+            sel,
+            pg,
+        } => {
+            let mut buf = [(0u64, 0u64); LANES_64];
+            let lanes = active_lane_pairs(state, pg, idx, val, &mut buf);
+            fx.qz_latency(state.qz.update(sel.index(), op, lanes));
+        }
+        Instruction::QzLoad { vd, idx, sel, pg } => {
+            let mask = state.mask64(pg);
+            let idxs = state.v_lanes64(idx);
+            let (vals, lat) = state.qz.load(sel.index(), &idxs, &mask);
+            for (i, &v) in vals.iter().enumerate() {
+                state.set_v_elem(vd, i, ElemSize::B64, v);
+            }
+            fx.qz_latency(lat);
+        }
+        Instruction::QzMhm {
+            op,
+            vd,
+            idx0,
+            idx1,
+            pg,
+        } => {
+            let mask = state.mask64(pg);
+            let i0 = state.v_lanes64(idx0);
+            let i1 = state.v_lanes64(idx1);
+            let (vals, lat) = state.qz.mhm(op, &i0, &i1, &mask);
+            for (i, &v) in vals.iter().enumerate() {
+                state.set_v_elem(vd, i, ElemSize::B64, v);
+            }
+            fx.qz_latency(lat);
+        }
+        Instruction::QzMm {
+            op,
+            vd,
+            val,
+            idx,
+            sel,
+            pg,
+        } => {
+            let mask = state.mask64(pg);
+            let vv = state.v_lanes64(val);
+            let ii = state.v_lanes64(idx);
+            let (vals, lat) = state.qz.mm(op, sel.index(), &vv, &ii, &mask);
+            for (i, &v) in vals.iter().enumerate() {
+                state.set_v_elem(vd, i, ElemSize::B64, v);
+            }
+            fx.qz_latency(lat);
+        }
+        Instruction::QzCount { vd, vn, vm } => {
+            let a = state.v_lanes64(vn);
+            let b = state.v_lanes64(vm);
+            let counts = qzcount_vector(&a, &b, state.qz.esize);
+            for (i, &c) in counts.iter().enumerate() {
+                state.set_v_elem(vd, i, ElemSize::B64, c);
+            }
+            fx.qz_latency(COUNT_ALU_LATENCY);
+        }
+    }
+    Ok(())
 }
 
 /// One simulated core: architectural state plus the out-of-order timing
@@ -748,9 +741,6 @@ pub struct Core<P: Probe = NullProbe> {
     /// capacity across runs, so steady-state simulation allocates
     /// nothing per instruction.
     scratch: DynInst,
-    /// When set, [`run`](Core::run) takes the reference decode path
-    /// instead of the predecode table (timing-neutrality tests only).
-    reference_path: bool,
 }
 
 impl Core {
@@ -774,7 +764,6 @@ impl<P: Probe> Core<P> {
             compiled: CompiledCache::default(),
             mode: ExecMode::default(),
             scratch: DynInst::default(),
-            reference_path: false,
         }
     }
 
@@ -786,14 +775,6 @@ impl<P: Probe> Core<P> {
     /// Mutable access to the attached probe (drain recorded data).
     pub fn probe_mut(&mut self) -> &mut P {
         self.timing.probe_mut()
-    }
-
-    /// Routes subsequent [`run`](Core::run) calls through the reference
-    /// decode path (see [`run_reference`](Core::run_reference)). Lets
-    /// whole-workload drivers be replayed without predecode so tests can
-    /// assert the hot path is timing-identical end to end.
-    pub fn set_reference_path(&mut self, on: bool) {
-        self.reference_path = on;
     }
 
     /// Resolves future predecode misses through a shared
@@ -810,14 +791,13 @@ impl<P: Probe> Core<P> {
     /// power-on values while the big allocations — cache tag arrays,
     /// predecode cache, scratch buffers — are reused. Behaviourally
     /// identical to building a fresh core with the same configuration:
-    /// budget and reference-path flag return to their defaults. The
+    /// the budget returns to its default. The
     /// decode cache and any attached predecode registry survive —
     /// predecode is pure, so stale entries cannot exist.
     pub fn reset(&mut self) {
         self.state.reset();
         self.timing.reset();
         self.budget = Self::DEFAULT_BUDGET;
-        self.reference_path = false;
         // Cold boot selects the timing engine; batch pools re-apply
         // their configured mode after every reset. The compiled cache
         // survives for the same reason the decode cache does:
@@ -881,9 +861,6 @@ impl<P: Probe> Core<P> {
                 ..RunStats::default()
             });
         }
-        if self.reference_path {
-            return self.run_reference(program);
-        }
         let Core {
             state,
             timing,
@@ -897,30 +874,8 @@ impl<P: Probe> Core<P> {
             timing.probe_mut().on_program(program.id(), program.name());
         }
         timing.begin_run();
-        execute_impl(state, program, timing, *budget, scratch, |pc, _inst| {
-            *pre.op(pc)
-        })?;
+        run_timed(state, program, pre, timing, *budget, scratch)?;
         Ok(timing.end_run())
-    }
-
-    /// Runs a program with full timing through the *reference* decode
-    /// path ([`execute_reference`]): micro-ops are decoded afresh per
-    /// retired instruction, bypassing the predecode table and cache.
-    /// Exists so tests can assert the cached hot path is
-    /// timing-identical; not for production use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on budget exhaustion or invalid `qzconf`.
-    pub fn run_reference(&mut self, program: &Program) -> Result<RunStats, SimError> {
-        if P::ENABLED {
-            self.timing
-                .probe_mut()
-                .on_program(program.id(), program.name());
-        }
-        self.timing.begin_run();
-        execute_reference(&mut self.state, program, &mut self.timing, self.budget)?;
-        Ok(self.timing.end_run())
     }
 
     /// Runs a program on the compiled functional tier (no timing): each
@@ -1393,14 +1348,17 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    //! Differential testing: random straight-line scalar programs are
-    //! executed by the simulator and by a direct Rust evaluator; the
-    //! final register files must agree exactly. Case generation is
-    //! seeded (in-tree PRNG), so failures reproduce exactly.
+    //! Differential testing: random straight-line scalar programs, and
+    //! every vector ALU and reduction op, are executed by the simulator
+    //! and by a direct Rust evaluator that restates the architectural
+    //! semantics without sharing simulator routines; the final register
+    //! files must agree exactly. Case generation is seeded (in-tree
+    //! PRNG), so failures reproduce exactly.
 
     use super::*;
+    use crate::state::VValue;
     use quetzal_genomics::rng::SplitMix64;
-    use quetzal_isa::{ProgramBuilder, SAluOp, XReg};
+    use quetzal_isa::{ProgramBuilder, SAluOp, XReg, P0, V0, V1};
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -1535,10 +1493,12 @@ mod proptests {
     #[test]
     fn interpreter_matches_oracle() {
         let mut rng = SplitMix64::new(0x1A7E_5EED);
+        let mut vector_rng = SplitMix64::new(0x7EC7_0E5D);
         for case in 0..48 {
             let len = rng.i64_in(1, 60) as usize;
             let ops: Vec<Op> = (0..len).map(|_| random_op(&mut rng)).collect();
             check_program(case, &ops);
+            check_vector_ops(case, &mut vector_rng);
         }
     }
 
@@ -1556,6 +1516,113 @@ mod proptests {
                     case += 1;
                 }
             }
+        }
+    }
+
+    /// Element `i` of a `w`-byte-element vector: zero- and sign-extended.
+    fn lane(v: &VValue, i: usize, w: usize) -> (u64, i64) {
+        let mut le = [0u8; 8];
+        le[..w].copy_from_slice(&v[i * w..(i + 1) * w]);
+        let shift = 64 - 8 * w as u32;
+        let x = u64::from_le_bytes(le);
+        (x, ((x << shift) as i64) >> shift)
+    }
+
+    /// Independent re-statement of one vector ALU lane: `a` is the
+    /// zero-extended element, `b` the second operand (sign-extended
+    /// element or full-width immediate). Arithmetic wraps at the element
+    /// width, `Smin`/`Smax` compare signed, shifts take the low six bits
+    /// of `b` and `Shr` is logical.
+    fn oracle_valu(op: VAluOp, (a, sa): (u64, i64), b: i64, w: usize) -> u64 {
+        let r = match op {
+            VAluOp::Add => a.wrapping_add(b as u64),
+            VAluOp::Sub => a.wrapping_sub(b as u64),
+            VAluOp::Mul => a.wrapping_mul(b as u64),
+            VAluOp::And => a & b as u64,
+            VAluOp::Or => a | b as u64,
+            VAluOp::Xor => a ^ b as u64,
+            VAluOp::Smin => sa.min(b) as u64,
+            VAluOp::Smax => sa.max(b) as u64,
+            VAluOp::Shl => a << (b & 63),
+            VAluOp::Shr => a >> (b & 63),
+        };
+        r & (u64::MAX >> (64 - 8 * w))
+    }
+
+    /// Every `VAluOp` (vector and immediate forms) and every `RedOp` at
+    /// one element size, on random registers under a random, an
+    /// all-active or an empty predicate (SVE layout: element `i` is
+    /// governed by predicate bit `i * w`). Inactive destination lanes
+    /// keep their old value; empty reductions yield the identity. Over
+    /// 48 consecutive cases every element size meets every predicate
+    /// kind with both small (shift-sized, negative) and full-width
+    /// immediates.
+    fn check_vector_ops(case: usize, rng: &mut SplitMix64) {
+        use VAluOp::*;
+        const OPS: [VAluOp; 10] = [Add, Sub, Mul, And, Or, Xor, Smin, Smax, Shl, Shr];
+        const SIZES: [ElemSize; 4] = [ElemSize::B8, ElemSize::B16, ElemSize::B32, ElemSize::B64];
+        let vv = |k: usize| VReg::new(2 + k as u8);
+        let vi = |k: usize| VReg::new(12 + k as u8);
+        let (esize, j) = (SIZES[case % 4], case / 4);
+        let w = esize.bytes();
+        let [a, b, dest]: [VValue; 3] =
+            std::array::from_fn(|_| std::array::from_fn(|_| rng.next_u64() as u8));
+        let pred = [u64::MAX, 0, rng.next_u64()][j % 3];
+        let imm = match j / 3 % 2 {
+            0 => rng.i64_in(-200, 200),
+            _ => rng.next_u64() as i64,
+        };
+        let mut p = ProgramBuilder::new();
+        for (k, &op) in OPS.iter().enumerate() {
+            p.valu_vv(op, vv(k), V0, V1, P0, esize);
+            p.valu_vi(op, vi(k), V0, imm, P0, esize);
+        }
+        for (k, &op) in [RedOp::Add, RedOp::Min, RedOp::Max].iter().enumerate() {
+            p.vreduce(op, XReg::new(k as u8), V0, P0, esize);
+        }
+        p.halt();
+        let mut core = Core::new(CoreConfig::a64fx_like());
+        let st = core.state_mut();
+        *st.v_mut(V0) = a;
+        *st.v_mut(V1) = b;
+        (2..22).for_each(|r| *st.v_mut(VReg::new(r)) = dest);
+        st.set_p(P0, pred);
+        core.run(&p.build().unwrap()).unwrap();
+
+        let active: Vec<usize> = (0..VLEN_BYTES / w)
+            .filter(|i| pred >> (i * w) & 1 == 1)
+            .collect();
+        for (k, &op) in OPS.iter().enumerate() {
+            let (mut want_vv, mut want_vi) = (dest, dest);
+            for &i in &active {
+                let out = oracle_valu(op, lane(&a, i, w), lane(&b, i, w).1, w);
+                want_vv[i * w..(i + 1) * w].copy_from_slice(&out.to_le_bytes()[..w]);
+                let out = oracle_valu(op, lane(&a, i, w), imm, w);
+                want_vi[i * w..(i + 1) * w].copy_from_slice(&out.to_le_bytes()[..w]);
+            }
+            assert_eq!(
+                core.state().v(vv(k)),
+                &want_vv,
+                "case {case}: {op:?} {esize:?} vv"
+            );
+            assert_eq!(
+                core.state().v(vi(k)),
+                &want_vi,
+                "case {case}: {op:?} {esize:?} #{imm}"
+            );
+        }
+        let vals = || active.iter().map(|&i| lane(&a, i, w).1);
+        let sums = [
+            vals().fold(0i64, i64::wrapping_add),
+            vals().fold(i64::MAX, i64::min),
+            vals().fold(i64::MIN, i64::max),
+        ];
+        for (k, &want) in sums.iter().enumerate() {
+            assert_eq!(
+                core.state().x(XReg::new(k as u8)),
+                want as u64,
+                "case {case}: reduce {k}"
+            );
         }
     }
 }

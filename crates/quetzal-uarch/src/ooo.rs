@@ -57,32 +57,6 @@ impl DynInst {
     }
 }
 
-/// Receives retired instructions from the interpreter.
-pub trait ExecSink {
-    /// Called once per executed instruction, in program order. `uop` is
-    /// the instruction's predecoded static record (see
-    /// [`crate::predecode`]); `dyn_inst` carries the dynamic facts of
-    /// this execution.
-    fn retire(&mut self, uop: &MicroOp, dyn_inst: &DynInst);
-
-    /// Timing-side watchdog hook, polled by the interpreter after every
-    /// retire. Returns `Some(budget)` once the sink's clock has advanced
-    /// past its configured cycle budget, terminating the run with
-    /// [`SimError::CycleLimit`](crate::interp::SimError::CycleLimit).
-    /// Sinks without a clock (the default) never fire.
-    fn cycle_budget_exceeded(&self) -> Option<u64> {
-        None
-    }
-}
-
-/// A sink that discards timing (pure functional execution).
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl ExecSink for NullSink {
-    fn retire(&mut self, _uop: &MicroOp, _dyn_inst: &DynInst) {}
-}
-
 const BPRED_ENTRIES: usize = 4096;
 
 /// The out-of-order timing engine. State (caches, predictor, clock)
@@ -126,7 +100,7 @@ pub struct OooTiming<P: Probe = NullProbe> {
     commit_cycle: u64,
     commit_slots: u64,
     run_start_cycle: u64,
-    /// Per-run cycle watchdog (see [`ExecSink::cycle_budget_exceeded`]).
+    /// Per-run cycle watchdog (see [`OooTiming::cycle_budget_exceeded`]).
     cycle_budget: u64,
     // Branch predictor: 2-bit saturating counters (fixed table, boxed
     // so `OooTiming` itself stays small and clones stay cheap-ish).
@@ -410,14 +384,19 @@ impl<P: Probe> OooTiming<P> {
         }
         predicted == taken
     }
-}
 
-impl<P: Probe> ExecSink for OooTiming<P> {
-    fn cycle_budget_exceeded(&self) -> Option<u64> {
+    /// Timing-side watchdog, polled by the interpreter after every
+    /// retire. Returns `Some(budget)` once the clock has advanced past
+    /// the configured cycle budget, terminating the run with
+    /// [`SimError::CycleLimit`](crate::interp::SimError::CycleLimit).
+    pub fn cycle_budget_exceeded(&self) -> Option<u64> {
         (self.commit_cycle - self.run_start_cycle > self.cycle_budget).then_some(self.cycle_budget)
     }
 
-    fn retire(&mut self, uop: &MicroOp, d: &DynInst) {
+    /// Retires one executed instruction, in program order. `uop` is the
+    /// instruction's predecoded static record (see [`crate::predecode`]);
+    /// `d` carries the dynamic facts of this execution.
+    pub fn retire(&mut self, uop: &MicroOp, d: &DynInst) {
         let class = uop.class;
         let dispatched = self.dispatch();
         let (ops_ready, ops_cat) = self.operands_ready(uop);
@@ -651,7 +630,7 @@ mod tests {
     /// Decode-and-retire shorthand for tests built around raw
     /// `Instruction` values.
     fn retire(t: &mut OooTiming, inst: &Instruction, d: &DynInst) {
-        ExecSink::retire(t, &MicroOp::decode(inst), d);
+        t.retire(&MicroOp::decode(inst), d);
     }
 
     fn dyn_at(pc: usize) -> DynInst {

@@ -377,6 +377,61 @@ mod tests {
             cache.len() <= DecodeCache::CAPACITY,
             "cache must stay bounded"
         );
+
+        // More distinct programs than the cache holds, revisited in an
+        // interleaved order across flushes, half of them decoded first
+        // by a sibling cache sharing the registry. Every table served —
+        // local, cached, or shared — must hold exactly the reference
+        // decode of its own program at every pc: a stale or misindexed
+        // table fails here.
+        let program = |i: usize| {
+            let mut b = ProgramBuilder::new();
+            let top = b.label();
+            b.bind(top);
+            for j in 0..1 + i % 11 {
+                let (k, r) = (i + 3 * j, ((i + j) % 16) as u8);
+                let (x, v) = (XReg::new(r), VReg::new(r));
+                match k % 8 {
+                    0 => b.mov_imm(x, k as i64),
+                    1 => b.alu_rr(SAluOp::Mul, x, X1, x),
+                    2 => b.load(x, X2, 8, MemSize::B4),
+                    3 => b.vstore(v, X3, P1, ElemSize::B16),
+                    4 => b.vgather(v, X4, V1, P0, ElemSize::B64, MemSize::B8, 8),
+                    5 => b.branch(BranchCond::Ne, x, X0, top),
+                    6 => b.qzload(v, V2, QBufSel::Q1, P2),
+                    _ => b.vreduce(RedOp::Max, x, v, P3, ElemSize::B8),
+                };
+            }
+            b.halt();
+            b.build().unwrap()
+        };
+        let programs: Vec<Program> = (0..DecodeCache::CAPACITY + 29).map(program).collect();
+        let registry = PredecodeRegistry::new();
+        let mut sibling = DecodeCache::default();
+        let mut shared = DecodeCache::default();
+        sibling.set_registry(registry.clone());
+        shared.set_registry(registry);
+        let mut local = DecodeCache::default();
+        let n = programs.len();
+        for visit in 0..3 * n {
+            let p = &programs[(visit * 37) % n];
+            if visit % 2 == 0 {
+                sibling.get(p);
+            }
+            for cache in [&mut shared, &mut local] {
+                let table = cache.get(p);
+                assert_eq!(table.len(), p.len(), "table length, visit {visit}");
+                for (pc, inst) in p.instructions().iter().enumerate() {
+                    assert_eq!(
+                        *table.op(pc),
+                        MicroOp::decode(inst),
+                        "visit {visit} pc {pc}"
+                    );
+                }
+            }
+        }
+        assert!(shared.len() <= DecodeCache::CAPACITY);
+        assert!(local.len() <= DecodeCache::CAPACITY);
     }
 
     #[test]

@@ -266,7 +266,7 @@ impl SimMemory {
     /// Drops every page: all addresses read as zero again, as in a
     /// fresh memory. Keeps the page-table capacity so a pooled machine
     /// does not re-grow the map from scratch, and parks up to
-    /// [`PAGE_POOL_CAP`] page allocations on a free list for reuse —
+    /// `PAGE_POOL_CAP` page allocations on a free list for reuse —
     /// per-pair page allocation was a measurable slice of pooled batch
     /// runs. Pages beyond the cap are freed, so retained footprint
     /// stays bounded across workloads.

@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 use quetzal_isa::{InstClass, Reg};
 use quetzal_uarch::cache::MemSystem;
-use quetzal_uarch::ooo::{DynInst, ExecSink, OooTiming};
+use quetzal_uarch::ooo::{DynInst, OooTiming};
 use quetzal_uarch::predecode::{FuClass, MicroOp, NO_DEF};
 use quetzal_uarch::{CoreConfig, RunStats, StallCat};
 
@@ -510,7 +510,7 @@ fn assert_engines_agree(cfg: CoreConfig, seed: u64, n: usize, budget: Option<u64
         r.begin_run();
         for i in 0..n {
             let (uop, d) = random_inst(&mut rng);
-            ExecSink::retire(&mut t, &uop, &d);
+            t.retire(&uop, &d);
             r.retire(&uop, &d);
             assert_eq!(
                 t.cycle_budget_exceeded(),
@@ -577,7 +577,7 @@ fn reset_replays_bit_identically() {
     let run = |t: &mut OooTiming| {
         t.begin_run();
         for (uop, d) in &schedule {
-            ExecSink::retire(t, uop, d);
+            t.retire(uop, d);
         }
         t.end_run()
     };

@@ -109,7 +109,7 @@ const LADDER: [i64; 27] = [
     CLAMP,
 ];
 
-/// The octagon: a closed difference-bound matrix over [`VARS`]
+/// The octagon: a closed difference-bound matrix over `VARS`
 /// variables. `Top` (freshly constructed) has every off-diagonal entry
 /// at [`INF`].
 #[derive(Clone, PartialEq, Eq)]
@@ -459,7 +459,7 @@ impl Octagon {
     }
 
     /// Widening: any entry the candidate would raise jumps to the next
-    /// [`LADDER`] rung (then [`INF`]). Strictly increasing along a
+    /// `LADDER` rung (then [`INF`]). Strictly increasing along a
     /// finite ladder, so fixpoints with widening terminate. Returns
     /// whether `self` changed.
     pub fn widen_from(&mut self, other: &Octagon) -> bool {

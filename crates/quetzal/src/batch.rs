@@ -45,8 +45,8 @@
 //! context; the outcome lands in a [`RunReport`] whose `failures` list
 //! is ordered by item index and independent of the thread count, while
 //! every healthy item's result stays bit-identical to a fault-free run.
-//! A machine that was live during a failure is **quarantined** — moved
-//! to a kill list and never returned to the pool — because a panic may
+//! A machine that was live during a failure is **quarantined** —
+//! counted, dropped, and never returned to the pool — because a panic may
 //! have unwound mid-simulation and [`Machine::reset`]'s cold-boot
 //! guarantee is only pinned for machines that completed their runs.
 //!
@@ -849,11 +849,7 @@ mod tests {
             0,
             "panicked machine must not return to the free pool"
         );
-        assert_eq!(
-            lock(pool.quarantine_list()).len(),
-            1,
-            "the panicked machine"
-        );
+        assert_eq!(pool.stats().quarantined, 1, "the panicked machine");
         let mut pooled = pool.checkout();
         assert_eq!(
             pooled.machine().alloc(8),

@@ -21,8 +21,8 @@
 //! * a machine live during any per-item failure is quarantined via
 //!   [`PooledMachine::replace_with_fresh`] and the item retried **once**
 //!   on a brand-new (never pooled) machine — the
-//!   [`retry_item`] boundary used by every fault-tolerant entry point;
-//! * quarantined machines are never handed out again, only counted
+//!   `retry_item` boundary used by every fault-tolerant entry point;
+//! * quarantined machines are dropped on the spot and only counted
 //!   ([`MachinePool::stats`]) — a service surfaces the tally instead of
 //!   trying to prove a poisoned machine clean.
 //!
@@ -45,7 +45,7 @@ use crate::{ExecMode, Machine, MachineConfig, PredecodeRegistry, Probe, SimError
 use quetzal_uarch::state::DEFAULT_PAGE_BUDGET;
 use quetzal_verify::{Report as VerifyReport, ResourceBound};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Best-effort panic payload extraction.
@@ -224,8 +224,8 @@ pub struct PoolStats {
 ///
 /// Machines are recycled through `free` (reset-on-checkout), except
 /// machines that were live during a panic or a failed item: those are
-/// moved to `quarantine` and never handed out again — a machine that
-/// unwound mid-run may violate the invariants [`Machine::reset`]
+/// quarantined (counted, then dropped) and never handed out again — a
+/// machine that unwound mid-run may violate the invariants [`Machine::reset`]
 /// assumes, and a machine involved in a fault is cheaper to replace
 /// than to prove clean.
 ///
@@ -253,7 +253,10 @@ pub struct MachinePool {
     budgets: Mutex<Budgets>,
     built: AtomicU64,
     free: Mutex<Vec<Machine>>,
-    quarantine: Mutex<Vec<Machine>>,
+    /// Machines quarantined since construction or the last
+    /// [`purge_quarantine`](Self::purge_quarantine). The machines
+    /// themselves are dropped at quarantine time.
+    quarantined: AtomicUsize,
 }
 
 impl MachinePool {
@@ -270,7 +273,7 @@ impl MachinePool {
             budgets: Mutex::new(Budgets::default()),
             built: AtomicU64::new(0),
             free: Mutex::new(Vec::new()),
-            quarantine: Mutex::new(Vec::new()),
+            quarantined: AtomicUsize::new(0),
         }
     }
 
@@ -305,19 +308,22 @@ impl MachinePool {
         PoolStats {
             built: self.built.load(Ordering::Relaxed),
             free: lock(&self.free).len(),
-            quarantined: lock(&self.quarantine).len(),
+            quarantined: self.quarantined.load(Ordering::Relaxed),
         }
     }
 
-    /// Drops every quarantined machine, returning how many were
-    /// reclaimed. A long-lived service calls this to cap memory; the
-    /// quarantine tally in [`stats`](Self::stats) then restarts from
-    /// zero, so services should accumulate the count before purging.
+    /// Resets the quarantine tally, returning how many machines were
+    /// quarantined since the last purge. Quarantined machines are
+    /// already dropped, so this reclaims no memory; the tally in
+    /// [`stats`](Self::stats) restarts from zero, so services should
+    /// accumulate the count before purging.
     pub fn purge_quarantine(&self) -> usize {
-        let mut q = lock(&self.quarantine);
-        let n = q.len();
-        q.clear();
-        n
+        self.quarantined.swap(0, Ordering::Relaxed)
+    }
+
+    /// Counts a machine as quarantined; taking it by value drops it.
+    fn quarantine(&self, _machine: Machine) {
+        self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A brand-new machine (never pooled) sharing the run's predecode
@@ -355,11 +361,6 @@ impl MachinePool {
     pub(crate) fn free_list(&self) -> &Mutex<Vec<Machine>> {
         &self.free
     }
-
-    #[cfg(test)]
-    pub(crate) fn quarantine_list(&self) -> &Mutex<Vec<Machine>> {
-        &self.quarantine
-    }
 }
 
 impl std::fmt::Debug for MachinePool {
@@ -394,7 +395,7 @@ impl PooledMachine<'_> {
     /// during a failure.
     pub fn replace_with_fresh(&mut self) {
         if let Some(old) = self.machine.take() {
-            lock(&self.pool.quarantine).push(old);
+            self.pool.quarantine(old);
         }
         self.machine = Some(self.pool.fresh());
     }
@@ -406,7 +407,7 @@ impl Drop for PooledMachine<'_> {
             return;
         };
         if std::thread::panicking() {
-            lock(&self.pool.quarantine).push(machine);
+            self.pool.quarantine(machine);
         } else {
             lock(&self.pool.free).push(machine);
         }

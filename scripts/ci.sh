@@ -23,6 +23,9 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --all-targets --offline --workspace -- -D warnings
 
+echo "==> rustdoc: no broken or private intra-doc links"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
@@ -31,10 +34,13 @@ cargo test -q --offline --workspace
 
 echo "==> fault-injection sweep (release + debug assertions, fixed seed)"
 # Release speed with overflow/invariant checks live: any panic escaping
-# the machine boundary — not a typed SimError — fails this step. Since
-# PR 6 every case is also replayed on the compiled functional tier and
-# must match the cycle-level outcome bit-exactly (or raise the same
-# typed error), so this sweep doubles as a 12k-case differential gate.
+# the machine boundary — not a typed SimError — fails this step. Every
+# case is also replayed on the compiled functional tier and must match
+# the cycle-level outcome bit-exactly (or raise the same typed error).
+# Both engines execute instructions through one shared `step`, so this
+# differential gate pins dispatch, budget accounting and fault ordering;
+# semantics are pinned by the independent oracles (the 116k-pair
+# host-DP sweep, the interp proptests and tests/accelerator.rs).
 # The sweep (plus its 4k random-program fuzz) also pins resource-bound
 # soundness: any program with an unconditional proven bound that
 # retires more instructions, touches more pages, or burns more cycles
@@ -44,10 +50,12 @@ QUETZAL_FAULT_CASES=12000 QUETZAL_FAULT_SEED=0xF4417 \
     cargo test -q --offline --release -p quetzal-integration \
     --test fault_injection
 
-echo "==> functional tier: differential oracle vs cycle-level engine"
+echo "==> functional tier: differential check vs cycle-level engine"
 # The Fig. 3 grid replayed on both execution engines with per-pair
-# architectural-state equality, plus the exhaustive 116k-pair oracle
-# sweep on the functional tier (inside --test properties).
+# architectural-state equality. The engines share one implementation
+# of instruction semantics, so this checks superblock dispatch, control
+# flow and budget accounting; the exhaustive 116k-pair host-DP oracle
+# sweep (inside --test properties) checks the semantics.
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     cargo test -q --offline --release -p quetzal-integration \
     --test functional_equiv

@@ -10,12 +10,15 @@
 //! accelerated tiers — once per engine, and asserts per-pair equality of
 //! the algorithm's value and the complete architectural machine state.
 //!
-//! The two engines share the decoded micro-op records but *not* the
-//! execution path: the interpreter dispatches per instruction while the
-//! functional tier runs flat-step-table superblocks with whole-block
-//! budget accounting, so agreement here is a genuine differential check
-//! of decode, dispatch, predication, control flow, memory and QBUFFER
-//! semantics.
+//! The two engines share one implementation of instruction semantics
+//! (`interp::step`) but not dispatch: the interpreter steps one
+//! instruction at a time while the functional tier runs flat-step-table
+//! superblocks with whole-block budget accounting. Agreement here is a
+//! differential check of superblock formation, control flow, budget
+//! accounting and fault ordering. Semantics themselves are checked
+//! against independent oracles: the 116k-pair host-DP sweep in
+//! `tests/properties.rs`, the seeded `proptests` in `interp.rs`, and
+//! `tests/accelerator.rs`.
 
 use quetzal::isa::{PReg, VReg, XReg};
 use quetzal::uarch::{ExecMode, RunStats};

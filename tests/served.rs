@@ -380,3 +380,40 @@ fn fatal_fault_programs_are_rejected_without_a_pool_checkout() {
     shutdown(&addr);
     handle.join().expect("accept loop").expect("clean exit");
 }
+
+#[test]
+fn ping_round_trip_is_not_stalled_by_nagle() {
+    // The daemon writes each frame as a length prefix then a payload.
+    // Without TCP_NODELAY on the accepted stream, Nagle holds the
+    // payload until the client's delayed ACK of the prefix: ~40 ms per
+    // frame on Linux loopback. A plain client that sends each request
+    // in a single write must see sub-millisecond-scale pings instead.
+    let (addr, handle) = start_daemon(DaemonConfig::default());
+    let mut conn = TcpStream::connect(&addr).unwrap();
+    let payload = Request::Ping.to_value().dump();
+    let mut request = (payload.len() as u32).to_be_bytes().to_vec();
+    request.extend_from_slice(payload.as_bytes());
+    let mut rtts: Vec<std::time::Duration> = (0..20)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            conn.write_all(&request).unwrap();
+            let pong = wire::read_value(&mut conn).unwrap().expect("pong frame");
+            let rtt = start.elapsed();
+            assert!(matches!(
+                Response::from_value(&pong).unwrap(),
+                Response::Pong
+            ));
+            rtt
+        })
+        .collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(10),
+        "median ping round trip {median:?} (all: {rtts:?})"
+    );
+    drop(conn);
+
+    shutdown(&addr);
+    handle.join().expect("accept loop").expect("clean exit");
+}

@@ -498,64 +498,3 @@ fn runstats_pinned_per_inst_class_group() {
         );
     }
 }
-
-/// Drives the full Fig. 3 workload grid (every Table II dataset, WFA
-/// and SneakySnake, baseline and vectorised tiers) through both decode
-/// paths and asserts per-pair [`RunStats`] equality. The pins above
-/// catch drift per instruction class; this catches it end to end, on
-/// the exact programs the figures simulate — including the decode-cache
-/// reuse pattern of a driver that submits many kernels per machine.
-#[test]
-fn predecoded_path_matches_reference_on_fig03_workload() {
-    use quetzal::BatchRunner;
-    use quetzal_algos::sneakysnake::ss_sim;
-    use quetzal_algos::wfa_sim::wfa_sim;
-    use quetzal_algos::Tier;
-    use quetzal_bench::workloads::{table2_workloads, Algo};
-
-    // One pair per dataset keeps both replays inside a few seconds
-    // while still covering short and long reads.
-    let scale = 0.1;
-    let cfg = MachineConfig::default();
-    let serial = BatchRunner::new(1);
-
-    let run_grid = |reference: bool| -> Vec<(String, RunStats)> {
-        let mut out = Vec::new();
-        for wl in table2_workloads(scale) {
-            let alphabet = wl.spec.alphabet;
-            let threshold = wl.ss_threshold();
-            for algo in [Algo::Wfa, Algo::Ss] {
-                for tier in [Tier::Base, Tier::Vec] {
-                    let stats = serial
-                        .run_machines(&cfg, &wl.pairs, |m, i, pair| {
-                            m.core_mut().set_reference_path(reference);
-                            let (p, t) = (pair.pattern.as_bytes(), pair.text.as_bytes());
-                            let s = match algo {
-                                Algo::Wfa => wfa_sim(m, p, t, alphabet, tier).unwrap().stats,
-                                _ => ss_sim(m, p, t, alphabet, threshold, tier).unwrap().stats,
-                            };
-                            (format!("{algo}/{}/{tier}/pair{i}", wl.spec.name), s)
-                        })
-                        .unwrap();
-                    out.extend(stats);
-                }
-            }
-        }
-        out
-    };
-
-    let hot = run_grid(false);
-    let reference = run_grid(true);
-    assert_eq!(hot.len(), reference.len());
-    assert!(
-        hot.len() >= 16,
-        "grid covers 4 datasets x 2 algos x 2 tiers"
-    );
-    for ((name_h, s_h), (name_r, s_r)) in hot.iter().zip(&reference) {
-        assert_eq!(name_h, name_r);
-        assert_eq!(
-            s_h, s_r,
-            "predecoded path diverged from reference on {name_h}"
-        );
-    }
-}
