@@ -13,7 +13,7 @@ use crate::sneakysnake::{ss_filter, ss_sim};
 use crate::wfa::wfa_edit_align;
 use crate::wfa_sim::{wfa_sim, WfaSimError};
 use quetzal::uarch::RunStats;
-use quetzal::{BatchRunner, Machine, MachineConfig, Probe};
+use quetzal::{BatchRunner, Machine, MachineConfig, MachinePool, Probe};
 use quetzal_genomics::dataset::SeqPair;
 use quetzal_genomics::Alphabet;
 
@@ -108,11 +108,13 @@ pub fn pipeline_batch(
     threshold: u32,
     tier: Tier,
 ) -> Result<(PipelineResult, RunStats), WfaSimError> {
+    let pool = MachinePool::new(config, runner.exec_mode());
     let per_pair = runner
-        .run_machines(
-            config,
+        .run(
             pairs,
-            |machine, _i, pair| -> Result<(Option<u64>, RunStats), WfaSimError> {
+            || pool.checkout(),
+            |pooled, _i, pair| -> Result<(Option<u64>, RunStats), WfaSimError> {
+                let machine = pooled.machine();
                 let (p, t) = (pair.pattern.as_bytes(), pair.text.as_bytes());
                 let ss =
                     ss_sim(machine, p, t, alphabet, threshold, tier).map_err(WfaSimError::Sim)?;

@@ -2,7 +2,7 @@
 //! over their vectorised implementations (paper: 1.94× and 3.02×).
 
 use crate::report::{ratio, Table};
-use quetzal::{BatchRunner, MachineConfig};
+use quetzal::{BatchRunner, MachineConfig, MachinePool};
 use quetzal_algos::histogram::histogram_sim;
 use quetzal_algos::spmv::{spmv_sim, CsrMatrix};
 use quetzal_algos::Tier;
@@ -37,14 +37,22 @@ pub fn run(scale: f64) -> Table {
         ("hist", Tier::Vec),
         ("hist", Tier::Quetzal),
     ];
-    let cycles = BatchRunner::from_env()
-        .run_machines(
-            &MachineConfig::default(),
+    let runner = BatchRunner::from_env();
+    let pool = MachinePool::new(&MachineConfig::default(), runner.exec_mode());
+    let cycles = runner
+        .run(
             &items,
-            |m, _i, &(kernel, tier)| match kernel {
-                "spmv" => spmv_sim(m, &a, &x, tier).expect("spmv sim").0.stats.cycles,
+            || pool.checkout(),
+            |p, _i, &(kernel, tier)| match kernel {
+                "spmv" => {
+                    spmv_sim(p.machine(), &a, &x, tier)
+                        .expect("spmv sim")
+                        .0
+                        .stats
+                        .cycles
+                }
                 _ => {
-                    histogram_sim(m, &vals, bins, tier)
+                    histogram_sim(p.machine(), &vals, bins, tier)
                         .expect("hist sim")
                         .0
                         .stats

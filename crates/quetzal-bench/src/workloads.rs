@@ -259,7 +259,7 @@ pub fn run_algo_pairs(
 /// runs of one kernel (e.g. the throughput trajectory's timing samples)
 /// reuse the pool's machines instead of rebuilding them per run.
 /// Checkout resets every recycled machine to cold-boot state, so the
-/// per-pair statistics are bit-identical to a per-call pool.
+/// per-pair statistics are bit-identical to a fresh pool.
 ///
 /// # Panics
 ///

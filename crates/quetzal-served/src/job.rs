@@ -18,21 +18,23 @@
 //! * **fault** — deterministic mutant programs from the fault-injection
 //!   sweep's [`FaultPlan`], replayed by `(seed, case)`. These are the
 //!   hostile inputs: every staged program runs through
-//!   `quetzal-verify` first, and provably-fatal ones are rejected at
-//!   admission ([`FailureCause::Rejected`]) **before any machine is
-//!   checked out of the tenant's pool**. Admitted mutants are
+//!   `quetzal-verify` once, here, and provably-fatal ones are rejected
+//!   at admission (an `item_failed` frame with cause `rejected`)
+//!   **without being handed to the batch runner**, so they never check
+//!   a machine out of the tenant's pool. Admitted mutants are
 //!   classified by verdict (`bounded`/`clean`/`warnings`, tallied in
-//!   the [`JobSummary`]), and a mutant with a proven resource bound
-//!   runs under sweep watchdogs *tightened* to that bound — sound
-//!   bounds never fire on conforming executions, so sweep outcomes are
+//!   the [`JobSummary`]) and replayed exactly as the sweep does: stage
+//!   on the pooled machine, *then* set the sweep watchdogs, tightened
+//!   to the proven resource bound where one exists — sound bounds
+//!   never fire on conforming executions, so sweep outcomes are
 //!   reproduced exactly while a wrong proof would fail fast.
 
 use crate::protocol::Response;
 use quetzal::ingest::{self, pair_digest, IngestConfig, ItemOutput, ShardDeadline};
 use quetzal::uarch::RunStats;
 use quetzal::{
-    BatchRunner, Budgets as PoolBudgets, FailureCause, FaultPlan, Machine, MachinePool, Program,
-    RunReport,
+    BatchRunner, Budgets as PoolBudgets, FailureCause, FaultPlan, ItemFailure, Machine,
+    MachinePool, RunReport,
 };
 use quetzal_algos::Tier;
 use quetzal_bench::workloads::try_simulate_pair_outcome;
@@ -524,58 +526,53 @@ fn cause_frames(cause: &FailureCause) -> (&'static str, String) {
     match cause {
         FailureCause::Sim(e) => ("sim", e.to_string()),
         FailureCause::Panic(msg) => ("panic", msg.clone()),
-        FailureCause::Rejected(report) => (
-            "rejected",
-            format!(
-                "program '{}' statically rejected with {} diagnostic(s)",
-                report.name(),
-                report.diagnostics().len()
-            ),
-        ),
     }
 }
 
-/// Streams one chunk's [`RunReport`] as per-item frames, in item order.
-fn emit_report(
-    base: usize,
-    report: &RunReport<(i64, RunStats)>,
+/// A chunk's [`RunReport`] as per-item `(result, failure)` slots, in
+/// the report's item order.
+fn slots<R>(report: &RunReport<R>) -> impl Iterator<Item = (Option<&R>, Option<&ItemFailure>)> {
+    let mut failures = report.failures.iter().peekable();
+    report
+        .results
+        .iter()
+        .enumerate()
+        .map(move |(local, slot)| (slot.as_ref(), failures.next_if(|f| f.item == local)))
+}
+
+/// Streams one executed item's frame.
+fn emit_slot(
+    item: usize,
+    (slot, failure): (Option<&(i64, RunStats)>, Option<&ItemFailure>),
     summary: &mut JobSummary,
     emit: &mut dyn FnMut(Response),
 ) {
-    let mut failures = report.failures.iter().peekable();
-    for (local, slot) in report.results.iter().enumerate() {
-        let failure = failures.next_if(|f| f.item == local);
-        match slot {
-            Some((value, stats)) => {
-                summary.ok += 1;
-                summary.cycles += stats.cycles;
-                summary.instructions += stats.instructions;
-                let recovered = failure.map(|f| {
-                    summary.recovered += 1;
-                    cause_frames(&f.cause)
-                });
-                emit(Response::Item {
-                    item: base + local,
-                    value: *value,
-                    cycles: stats.cycles,
-                    instructions: stats.instructions,
-                    recovered,
-                });
-            }
-            None => {
-                let failure = failure.expect("resultless item has a failure entry");
-                let (cause, message) = cause_frames(&failure.cause);
-                if matches!(failure.cause, FailureCause::Rejected(_)) {
-                    summary.rejected += 1;
-                } else {
-                    summary.failed += 1;
-                }
-                emit(Response::ItemFailed {
-                    item: base + local,
-                    cause,
-                    message,
-                });
-            }
+    match slot {
+        Some((value, stats)) => {
+            summary.ok += 1;
+            summary.cycles += stats.cycles;
+            summary.instructions += stats.instructions;
+            let recovered = failure.map(|f| {
+                summary.recovered += 1;
+                cause_frames(&f.cause)
+            });
+            emit(Response::Item {
+                item,
+                value: *value,
+                cycles: stats.cycles,
+                instructions: stats.instructions,
+                recovered,
+            });
+        }
+        None => {
+            let failure = failure.expect("resultless item has a failure entry");
+            let (cause, message) = cause_frames(&failure.cause);
+            summary.failed += 1;
+            emit(Response::ItemFailed {
+                item,
+                cause,
+                message,
+            });
         }
     }
 }
@@ -589,8 +586,10 @@ fn emit_report(
 /// e2e test pins daemon-vs-offline equality on exactly this property.
 ///
 /// Fault-job programs are staged on a scratch (never pooled) machine
-/// and statically verified before execution: provably-fatal mutants are
-/// rejected without a pool checkout.
+/// and statically verified before execution: only admitted mutants go
+/// to the batch runner, so provably-fatal ones are rejected without a
+/// pool checkout (a chunk of nothing but rejections runs an empty
+/// batch). Their `rejected` frames keep their place in item order.
 pub fn execute(
     runner: &BatchRunner,
     pool: &MachinePool,
@@ -620,7 +619,11 @@ pub fn execute(
                     Ok((out.value, out.stats))
                 });
                 match outcome {
-                    Ok(report) => emit_report(index * chunk, &report, &mut summary, emit),
+                    Ok(report) => {
+                        for (local, slot) in slots(&report).enumerate() {
+                            emit_slot(index * chunk + local, slot, &mut summary, emit);
+                        }
+                    }
                     Err(e) => {
                         emit(Response::Error {
                             kind: "internal",
@@ -638,21 +641,26 @@ pub fn execute(
             // tenant pool is untouched until a case is admitted. The
             // same pass classifies each admitted mutant's verdict and
             // captures its proven resource bound (if unconditional) so
-            // the run below can tighten the sweep watchdogs to it.
+            // the run below can tighten the sweep watchdogs to it; a
+            // rejected case carries its `rejected` frame message.
             let latencies = quetzal::class_latencies(&pool.config().core);
             let vconfig = quetzal::verify::VerifyConfig {
                 latencies,
                 ..quetzal::verify::VerifyConfig::default()
             };
             let mut scratch = Machine::new(pool.config().clone());
-            let staged: Vec<(u64, Program, PoolBudgets)> = cases
+            let staged: Vec<(u64, Result<PoolBudgets, String>)> = cases
                 .iter()
                 .map(|&case| {
                     scratch.reset();
                     let (program, _) = plan.stage(case, &mut scratch);
                     let report = quetzal::verify::verify_with(&program, &vconfig);
-                    let sized = if report.verdict() == quetzal::verify::Verdict::Fatal {
-                        PoolBudgets::default()
+                    let admission = if report.verdict() == quetzal::verify::Verdict::Fatal {
+                        Err(format!(
+                            "program '{}' statically rejected with {} diagnostic(s)",
+                            report.name(),
+                            report.diagnostics().len()
+                        ))
                     } else {
                         let sized = PoolBudgets::from_bound(report.bound());
                         if !sized.is_default() {
@@ -662,20 +670,23 @@ pub fn execute(
                         } else {
                             summary.clean += 1;
                         }
-                        sized
+                        Ok(sized)
                     };
-                    (case, program, sized)
+                    (case, admission)
                 })
                 .collect();
             for (index, slice) in staged.chunks(chunk).enumerate() {
-                let outcome = runner.run_machines_report_verified_pooled(
-                    pool,
-                    slice,
-                    |(_, program, _)| program,
-                    |m, _i, (case, _, sized)| {
+                let admitted: Vec<(u64, PoolBudgets)> = slice
+                    .iter()
+                    .filter_map(|(case, admission)| Some((*case, *admission.as_ref().ok()?)))
+                    .collect();
+                let outcome =
+                    runner.run_machines_report_pooled(pool, &admitted, |m, _i, (case, sized)| {
                         // Re-stage on the pooled machine: staging seeds
                         // adversarial registers and memory, so the run
-                        // reproduces the sweep's outcome exactly.
+                        // reproduces the sweep's outcome exactly. The
+                        // machine is at its default watchdogs here, so
+                        // staging never trips the tighter caps below.
                         let (program, _) = plan.stage(*case, m);
                         // Sweep watchdogs, tightened to the admission
                         // proof where one exists. A sound bound cannot
@@ -704,10 +715,29 @@ pub fn execute(
                         );
                         let stats = m.run(&program)?;
                         Ok((0i64, stats))
-                    },
-                );
+                    });
                 match outcome {
-                    Ok(report) => emit_report(index * chunk, &report, &mut summary, emit),
+                    Ok(report) => {
+                        let mut executed = slots(&report);
+                        for (local, (_, admission)) in slice.iter().enumerate() {
+                            let item = index * chunk + local;
+                            match admission {
+                                Ok(_) => {
+                                    let slot =
+                                        executed.next().expect("one report slot per admitted case");
+                                    emit_slot(item, slot, &mut summary, emit);
+                                }
+                                Err(message) => {
+                                    summary.rejected += 1;
+                                    emit(Response::ItemFailed {
+                                        item,
+                                        cause: "rejected",
+                                        message: message.clone(),
+                                    });
+                                }
+                            }
+                        }
+                    }
                     Err(e) => {
                         emit(Response::Error {
                             kind: "internal",
@@ -909,46 +939,67 @@ mod tests {
 
     #[test]
     fn fault_jobs_reject_fatal_mutants_before_checkout() {
-        // A healthy window of sweep cases: some run, some fault, and —
+        // Two windows of sweep cases: some run, some fault, and —
         // crucially — statically fatal ones appear as admission
-        // rejections. Compare built-machine accounting: rejected items
-        // must not have checked anything out.
-        let spec = JobSpec::Fault {
-            seed: 0xF4417,
-            cases: (0..24).collect(),
-        };
-        let runner = BatchRunner::new(2);
+        // rejections, while warning-only verdicts are admitted (the
+        // verifier's soundness contract covers only fatal findings).
+        // The first window is all-fatal-or-bounded; the second holds a
+        // `Warnings` verdict.
         let config = MachineConfig::default();
-        let pool = MachinePool::new(&config, ExecMode::Cycle);
-        let mut frames = Vec::new();
-        let summary = execute(&runner, &pool, &spec, 8, &mut |f| frames.push(f));
-        assert_eq!(summary.items, 24);
-        assert_eq!(
-            summary.ok + summary.failed + summary.rejected,
-            24,
-            "every item is accounted for exactly once"
-        );
-        assert!(
-            summary.rejected > 0,
-            "the sweep's early cases include provably-fatal mutants"
-        );
-        assert_eq!(
-            summary.bounded + summary.clean + summary.warnings,
-            summary.items - summary.rejected,
-            "every admitted mutant gets exactly one verdict class"
-        );
-        let rejected_frames = frames
-            .iter()
-            .filter(|f| {
-                matches!(
-                    f,
-                    Response::ItemFailed {
-                        cause: "rejected",
-                        ..
-                    }
-                )
-            })
-            .count() as u64;
-        assert_eq!(rejected_frames, summary.rejected);
+        let vconfig = quetzal::verify::VerifyConfig {
+            latencies: quetzal::class_latencies(&config.core),
+            ..quetzal::verify::VerifyConfig::default()
+        };
+        for (seed, want_warnings) in [(0xF4417, false), (3, true)] {
+            let spec = JobSpec::Fault {
+                seed,
+                cases: (0..24).collect(),
+            };
+            let runner = BatchRunner::new(2);
+            let pool = MachinePool::new(&config, ExecMode::Cycle);
+            let mut frames = Vec::new();
+            let summary = execute(&runner, &pool, &spec, 8, &mut |f| frames.push(f));
+            assert_eq!(summary.items, 24);
+            assert_eq!(
+                summary.ok + summary.failed + summary.rejected,
+                24,
+                "every item is accounted for exactly once"
+            );
+            assert!(
+                summary.rejected > 0,
+                "the sweep's early cases include provably-fatal mutants"
+            );
+            assert_eq!(
+                summary.bounded + summary.clean + summary.warnings,
+                summary.items - summary.rejected,
+                "every admitted mutant gets exactly one verdict class"
+            );
+            assert_eq!(
+                summary.warnings > 0,
+                want_warnings,
+                "seed {seed:#x} premise"
+            );
+            // Per item: a `rejected` frame iff the mutant is fatal.
+            let plan = FaultPlan::new(seed);
+            let mut scratch = Machine::new(config.clone());
+            let mut rejected_frames = 0;
+            for frame in &frames {
+                let (item, rejected) = match frame {
+                    Response::Item { item, .. } => (*item, false),
+                    Response::ItemFailed { item, cause, .. } => (*item, *cause == "rejected"),
+                    _ => continue,
+                };
+                scratch.reset();
+                let (program, _) = plan.stage(item as u64, &mut scratch);
+                let verdict = quetzal::verify::verify_with(&program, &vconfig).verdict();
+                assert_eq!(
+                    rejected,
+                    verdict == quetzal::verify::Verdict::Fatal,
+                    "seed {seed:#x} case {item}: {verdict:?}"
+                );
+                rejected_frames += u64::from(rejected);
+            }
+            assert_eq!(rejected_frames, summary.rejected);
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! * **Verifier-gated admission** — fault jobs replay hostile mutant
 //!   programs; `quetzal-verify` runs before any machine checkout and
 //!   provably-fatal programs are rejected with typed
-//!   `FailureCause::Rejected` frames.
+//!   `item_failed {cause:"rejected"}` frames.
 //! * **Bounded everything** — per-tenant in-flight quotas answer
 //!   `busy` frames instead of queueing; the frame length prefix is
 //!   hard-bounded; malformed frames get typed errors, never panics.

@@ -5,13 +5,22 @@
 //! accelerator exploits in hardware and that the host-side experiment
 //! harness exploits here. [`BatchRunner`] shards a slice of independent
 //! work items across `QUETZAL_THREADS` worker threads, each shard
-//! simulated on its own fresh [`Machine`] (core + caches + QBUFFERs).
+//! simulated on its own cold [`Machine`] (core + caches + QBUFFERs).
+//!
+//! The runner has two entry points:
+//!
+//! * [`run`](BatchRunner::run) — the generic shard-and-merge core: a
+//!   per-shard context from `init`, a work closure per item. Simulation
+//!   callers pass `|| pool.checkout()` over a [`MachinePool`] built with
+//!   the runner's [`exec_mode`](BatchRunner::exec_mode);
+//! * [`run_machines_report_pooled`](BatchRunner::run_machines_report_pooled)
+//!   — pooled machines with a fault boundary per item.
 //!
 //! Machine lifecycle — pooling, quarantine, reset ≡ fresh, the
 //! retry-on-fresh-machine boundary — lives in [`crate::pool`]; this
-//! module owns sharding, deterministic merging, and the report-shaped
-//! entry points. The `qzserved` daemon (`quetzal-served`) drives the
-//! same two layers over long-lived per-tenant pools.
+//! module owns sharding and deterministic merging. The `qzserved`
+//! daemon (`quetzal-served`) drives the same two layers over
+//! long-lived per-tenant pools.
 //!
 //! # Determinism guarantee
 //!
@@ -37,44 +46,25 @@
 //!
 //! # Graceful degradation
 //!
-//! The `*_report` entry points ([`run_report`](BatchRunner::run_report),
-//! [`run_machines_report`](BatchRunner::run_machines_report)) add a
-//! fault boundary *per item*: a work closure that returns a typed
-//! [`SimError`] or panics costs only its own item, not the shard or the
-//! batch. The failing item is retried once on a brand-new (non-pooled)
-//! context; the outcome lands in a [`RunReport`] whose `failures` list
-//! is ordered by item index and independent of the thread count, while
-//! every healthy item's result stays bit-identical to a fault-free run.
-//! A machine that was live during a failure is **quarantined** —
-//! counted, dropped, and never returned to the pool — because a panic may
-//! have unwound mid-simulation and [`Machine::reset`]'s cold-boot
-//! guarantee is only pinned for machines that completed their runs.
+//! [`run_machines_report_pooled`](BatchRunner::run_machines_report_pooled)
+//! adds a fault boundary *per item*: a work closure that returns a
+//! typed [`SimError`] or panics costs only its own item, not the shard
+//! or the batch. The failing item is retried once on a brand-new
+//! (non-pooled) machine; the outcome lands in a [`RunReport`] whose
+//! `failures` list is ordered by item index and independent of the
+//! thread count, while every healthy item's result stays bit-identical
+//! to a fault-free run. A machine that was live during a failure is
+//! **quarantined** — counted, dropped, and never returned to the pool —
+//! because a panic may have unwound mid-simulation and
+//! [`Machine::reset`]'s cold-boot guarantee is only pinned for machines
+//! that completed their runs.
 //!
-//! The `*_verified` variants
-//! ([`run_report_verified`](BatchRunner::run_report_verified),
-//! [`run_machines_report_verified`](BatchRunner::run_machines_report_verified))
-//! put a static gate in front of the fault boundary: each item's guest
-//! program is checked by `quetzal-verify` first, and programs the
-//! verifier can *prove* will fault are rejected up front
-//! ([`FailureCause::Rejected`]) without ever checking a machine out of
-//! the pool.
-//!
-//! Admission also *pre-sizes* the machine: the verifier's proven
-//! [`ResourceBound`](quetzal_verify::ResourceBound) — max retired
-//! instructions, max distinct touched pages, a cycle ceiling computed
-//! against per-class worst-case latencies of the pool's actual core
-//! configuration — is installed as the item's instruction/cycle/page
-//! budgets ([`crate::pool::Budgets`]) before the work closure runs.
-//! Proven bounds are ceilings on *every* dynamic execution of the
-//! verified program, so conforming items never feel them (results and
-//! timing are bit-identical to unsized runs); what they buy is a tight
-//! blast radius — a runaway that would otherwise burn the global
-//! two-billion-instruction watchdog dies within the proof's envelope.
-//! Programs whose bound is unbounded (or conditional on a staged-data
-//! premise) keep the global watchdogs.
+//! The runner applies no budgets and no admission of its own: a work
+//! closure that wants tighter watchdogs sets them on its machine, on
+//! every attempt (reset and fault replacement restore the defaults).
 //!
 //! ```
-//! use quetzal::{BatchRunner, Machine, MachineConfig};
+//! use quetzal::BatchRunner;
 //!
 //! let runner = BatchRunner::new(4);
 //! let items = [3u64, 1, 4, 1, 5, 9, 2, 6];
@@ -84,11 +74,8 @@
 //! assert_eq!(doubled, vec![6, 2, 8, 2, 10, 18, 4, 12]);
 //! ```
 
-use crate::pool::{panic_message, retry_item, Budgets, PooledMachine};
-use crate::{ExecMode, Machine, MachineConfig, SimError};
-use quetzal_isa::Program;
-use quetzal_verify::{Report as VerifyReport, Verdict, VerifyConfig};
-use std::collections::HashMap;
+use crate::pool::{panic_message, retry_item};
+use crate::{ExecMode, Machine, SimError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -156,17 +143,6 @@ impl<R> RunReport<R> {
     }
 }
 
-/// One distinct program's admission decision at the verified entry
-/// points: a fatal report that rejects every item carrying the program,
-/// or the pre-sized [`Budgets`] its proven resource bound justifies.
-struct Admission {
-    /// `Some` iff the program verified [`Verdict::Fatal`].
-    rejected: Option<VerifyReport>,
-    /// Budgets derived from the proven [`quetzal_verify::ResourceBound`]
-    /// (default watchdogs where the bound is unbounded or premised).
-    budgets: Budgets,
-}
-
 /// Deterministic parallel executor for slices of independent work items.
 ///
 /// See the [module docs](self) for the determinism guarantee.
@@ -221,11 +197,11 @@ impl BatchRunner {
         self
     }
 
-    /// Selects the execution engine the machine-pooled entry points
-    /// drive: the cycle-level timing model (default) or the compiled
-    /// functional tier. The pool applies the mode to every machine it
-    /// hands out — fresh, recycled and fault-replaced alike — so a
-    /// whole batch runs on one engine regardless of sharding.
+    /// Selects the execution engine callers build their
+    /// [`MachinePool`] with: the cycle-level timing model (default) or
+    /// the compiled functional tier. The pool applies the mode to every
+    /// machine it hands out — fresh, recycled and fault-replaced alike —
+    /// so a whole batch runs on one engine regardless of sharding.
     #[must_use]
     pub fn with_exec_mode(mut self, mode: ExecMode) -> BatchRunner {
         self.exec_mode = mode;
@@ -237,21 +213,28 @@ impl BatchRunner {
         self.threads
     }
 
-    /// The execution engine the machine-pooled entry points drive (see
-    /// [`with_exec_mode`](Self::with_exec_mode)) — also the mode to
-    /// build a caller-owned [`MachinePool`] with so that
-    /// [`run_machines_report_pooled`](Self::run_machines_report_pooled)
-    /// matches the per-call entry points.
+    /// The runner's execution engine (see
+    /// [`with_exec_mode`](Self::with_exec_mode)): the mode callers
+    /// build their [`MachinePool`] with, so every batch of one runner
+    /// simulates on the same engine.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
     }
 
     /// Runs `work` over every item, in parallel across shards.
     ///
-    /// `init` builds one fresh per-shard context (typically a
-    /// [`Machine`]); `work(ctx, index, item)` processes item `index`.
-    /// Items of one shard are processed in index order on the same
-    /// context. Results come back in item order.
+    /// `init` builds one fresh per-shard context; `work(ctx, index,
+    /// item)` processes item `index`. Items of one shard are processed
+    /// in index order on the same context. Results come back in item
+    /// order.
+    ///
+    /// For simulation work the context is a machine checked out of a
+    /// [`MachinePool`] (`init = || pool.checkout()`): simulated caches
+    /// and QBUFFERs are then warm across the items *within* a shard and
+    /// cold at every shard boundary, and all machines of the pool share
+    /// one [`PredecodeRegistry`](crate::PredecodeRegistry). A shard that
+    /// panics drops its checkout while unwinding, which quarantines the
+    /// machine instead of returning it to the pool.
     ///
     /// # Errors
     ///
@@ -333,115 +316,20 @@ impl BatchRunner {
         Ok(out)
     }
 
-    /// [`run`](Self::run) specialised to simulation work: every shard
-    /// starts from a cold [`Machine`] built from `config`, so simulated
-    /// caches and QBUFFERs are warm across the items *within* a shard
-    /// and cold at every shard boundary — independent of thread count.
+    /// Fault-tolerant [`run`](Self::run) over pooled machines: every
+    /// shard checks a machine out of `pool`, and a failing item (typed
+    /// [`SimError`] or panic) costs only itself. It is retried **once**
+    /// on a brand-new (never pooled) machine; any machine that was live
+    /// during a failure — first attempt or retry — is quarantined and
+    /// never returned to the pool, so later items and shards cannot
+    /// inherit poisoned state.
     ///
-    /// Two run-wide optimisations keep this cheap without touching the
-    /// determinism guarantee:
-    ///
-    /// * machines are **pooled**: a shard checks a machine out of the
-    ///   run's pool and [`Machine::reset`]s it to cold-boot state
-    ///   instead of reallocating the multi-megabyte cache tag arrays
-    ///   per shard (reset ≡ fresh is pinned by `tests/parallel.rs`);
-    /// * predecode is **shared**: all machines of the run resolve
-    ///   predecode misses through one
-    ///   [`PredecodeRegistry`](crate::PredecodeRegistry), so each
-    ///   kernel program is decoded once per run, not once per shard
-    ///   (sound because predecode is a pure function of the program).
-    ///
-    /// A shard whose work closure panics quarantines its machine (the
-    /// machine is *not* returned to the pool — unwinding mid-run leaves
-    /// state `reset` is not pinned against) and the batch fails with
-    /// [`BatchError`]; for per-item fault tolerance use
-    /// [`run_machines_report`](Self::run_machines_report).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError`] if any shard panicked.
-    pub fn run_machines<T, R>(
-        &self,
-        config: &MachineConfig,
-        items: &[T],
-        work: impl Fn(&mut Machine, usize, &T) -> R + Sync,
-    ) -> Result<Vec<R>, BatchError>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let pool = MachinePool::new(config, self.exec_mode);
-        self.run(
-            items,
-            || pool.checkout(),
-            |pooled, i, item| work(pooled.machine(), i, item),
-        )
-    }
-
-    /// Fault-tolerant [`run`](Self::run): the work closure is fallible,
-    /// and a failure (typed [`SimError`] or panic) costs only its item.
-    ///
-    /// Each failing item is retried **once** on a brand-new context from
-    /// `init` — both to rule out contamination from earlier items that
-    /// shared the shard's context, and because a panicked closure may
-    /// have left the context inconsistent. After the retry the context
-    /// is replaced again, so later items of the shard never run on a
-    /// context a failure touched. Healthy items are bit-identical to a
-    /// fault-free run at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError`] only for infrastructure panics (e.g. in
-    /// `init` itself) — work-closure failures land in the report.
-    pub fn run_report<C, T, R>(
-        &self,
-        items: &[T],
-        init: impl Fn() -> C + Sync,
-        work: impl Fn(&mut C, usize, &T) -> Result<R, SimError> + Sync,
-    ) -> Result<RunReport<R>, BatchError>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let rows = self.run(items, &init, |ctx, i, item| {
-            retry_item(ctx, |c| *c = init(), i, item, &work)
-        })?;
-        Ok(Self::collect_report(rows))
-    }
-
-    /// Fault-tolerant [`run_machines`](Self::run_machines): pooled
-    /// machines, per-item fault boundary, one retry per failing item on
-    /// a brand-new (never pooled) machine.
-    ///
-    /// Any machine that was live during a failure — first attempt or
-    /// retry — is quarantined and never returned to the pool, so
-    /// subsequent shards cannot inherit poisoned state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError`] only for infrastructure panics; simulation
-    /// failures land in the report.
-    pub fn run_machines_report<T, R>(
-        &self,
-        config: &MachineConfig,
-        items: &[T],
-        work: impl Fn(&mut Machine, usize, &T) -> Result<R, SimError> + Sync,
-    ) -> Result<RunReport<R>, BatchError>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let pool = MachinePool::new(config, self.exec_mode);
-        self.run_machines_report_pooled(&pool, items, work)
-    }
-
-    /// [`run_machines_report`](Self::run_machines_report) over a
-    /// caller-owned [`MachinePool`]: machines (and the pool's shared
-    /// predecode registry) survive across calls, so repeated batches on
-    /// one configuration pay machine construction once instead of once
-    /// per call. The pool's [`ExecMode`] governs every checkout;
-    /// recycled machines are reset to cold-boot state, keeping results
-    /// bit-identical to a per-call pool at any thread count.
+    /// Machines (and the pool's shared predecode registry) survive
+    /// across calls, so repeated batches on one configuration pay
+    /// machine construction once. The pool's [`ExecMode`] governs every
+    /// checkout; recycled machines are reset to cold-boot state, keeping
+    /// results bit-identical to a fresh pool at any thread count. An
+    /// empty `items` slice checks nothing out.
     ///
     /// # Errors
     ///
@@ -460,210 +348,9 @@ impl BatchRunner {
         let rows = self.run(
             items,
             || pool.checkout(),
-            |pooled, i, item| {
-                retry_item(
-                    pooled,
-                    PooledMachine::replace_with_fresh,
-                    i,
-                    item,
-                    |p, i, item| work(p.machine(), i, item),
-                )
-            },
+            |pooled, i, item| retry_item(pooled, i, item, &work),
         )?;
         Ok(Self::collect_report(rows))
-    }
-
-    /// [`run_report`](Self::run_report) with a static pre-verification
-    /// gate: before any simulation, every item's [`Program`] (extracted
-    /// by `program_of`, deduplicated by [`Program::id`]) runs through
-    /// [`quetzal_verify::verify`]. Items whose program has a
-    /// [`Verdict::Fatal`] report are rejected up front — they land in
-    /// the failure log as [`FailureCause::Rejected`] and `work` is never
-    /// called for them, so a program the verifier can prove will fault
-    /// costs neither a simulation nor a retry.
-    ///
-    /// Contexts are built lazily: a shard whose items are all rejected
-    /// never calls `init`. Warning-only reports do **not** reject — the
-    /// verifier's soundness contract covers only its fatal findings.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError`] only for infrastructure panics; rejections
-    /// and simulation failures land in the report.
-    pub fn run_report_verified<C, T, R>(
-        &self,
-        items: &[T],
-        program_of: impl Fn(&T) -> &Program + Sync,
-        init: impl Fn() -> C + Sync,
-        work: impl Fn(&mut C, usize, &T) -> Result<R, SimError> + Sync,
-    ) -> Result<RunReport<R>, BatchError>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let admissions = Self::admission_map(items, &program_of, None);
-        let rows = self.run(
-            items,
-            || None::<C>,
-            |slot, i, item| {
-                let (rejected, _) = Self::admission_of(&admissions, &program_of, item);
-                if let Some(report) = rejected {
-                    return (None, Some(Self::rejection(i, report)));
-                }
-                let ctx = slot.get_or_insert_with(&init);
-                retry_item(ctx, |c| *c = init(), i, item, &work)
-            },
-        )?;
-        Ok(Self::collect_report(rows))
-    }
-
-    /// [`run_machines_report`](Self::run_machines_report) with the same
-    /// static pre-verification gate as
-    /// [`run_report_verified`](Self::run_report_verified): statically
-    /// fatal programs are rejected before any machine is checked out of
-    /// the pool, so they burn neither a simulation nor a pooled machine
-    /// (a shard of nothing but rejected items never touches the pool).
-    ///
-    /// Admitted items additionally get their machine **pre-sized** from
-    /// the program's proven resource bound (see the module docs):
-    /// `program_of` must return the program the work closure actually
-    /// runs — the budgets are ceilings for *that* program's executions,
-    /// re-applied on every attempt (including the retry on a fresh
-    /// machine). A work closure that tightens budgets itself still
-    /// wins: it runs after the pre-sizing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError`] only for infrastructure panics; rejections
-    /// and simulation failures land in the report.
-    pub fn run_machines_report_verified<T, R>(
-        &self,
-        config: &MachineConfig,
-        items: &[T],
-        program_of: impl Fn(&T) -> &Program + Sync,
-        work: impl Fn(&mut Machine, usize, &T) -> Result<R, SimError> + Sync,
-    ) -> Result<RunReport<R>, BatchError>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let pool = MachinePool::new(config, self.exec_mode);
-        self.run_machines_report_verified_pooled(&pool, items, program_of, work)
-    }
-
-    /// [`run_machines_report_verified`](Self::run_machines_report_verified)
-    /// over a caller-owned [`MachinePool`] — the entry point a
-    /// long-lived service drives: verifier-gated admission (statically
-    /// fatal programs never check a machine out of the tenant's pool),
-    /// pooled machines across jobs, per-item fault boundary with
-    /// quarantine + retry-on-fresh.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BatchError`] only for infrastructure panics; rejections
-    /// and simulation failures land in the report.
-    pub fn run_machines_report_verified_pooled<T, R>(
-        &self,
-        pool: &MachinePool,
-        items: &[T],
-        program_of: impl Fn(&T) -> &Program + Sync,
-        work: impl Fn(&mut Machine, usize, &T) -> Result<R, SimError> + Sync,
-    ) -> Result<RunReport<R>, BatchError>
-    where
-        T: Sync,
-        R: Send,
-    {
-        let latencies = crate::class_latencies(&pool.config().core);
-        let admissions = Self::admission_map(items, &program_of, Some(latencies));
-        let rows = self.run(
-            items,
-            || None::<PooledMachine<'_>>,
-            |slot, i, item| {
-                let (rejected, budgets) = Self::admission_of(&admissions, &program_of, item);
-                if let Some(report) = rejected {
-                    return (None, Some(Self::rejection(i, report)));
-                }
-                let pooled = slot.get_or_insert_with(|| pool.checkout());
-                retry_item(
-                    pooled,
-                    PooledMachine::replace_with_fresh,
-                    i,
-                    item,
-                    |p, i, item| {
-                        // Re-applied per attempt: the machine may have
-                        // been reset, fault-replaced, or sized for a
-                        // different program by the previous item.
-                        budgets.apply(p.machine());
-                        work(p.machine(), i, item)
-                    },
-                )
-            },
-        )?;
-        Ok(Self::collect_report(rows))
-    }
-
-    /// Verifies every distinct program among `items` (deduplicated by
-    /// [`Program::id`], so a program shared by a thousand items is
-    /// analysed once) and folds each report into an admission decision:
-    /// [`Verdict::Fatal`] programs are rejected outright, everything
-    /// else carries the pre-sized [`Budgets`] its proven resource bound
-    /// justifies. `latencies` selects the per-class worst-case retire
-    /// latencies the cycle ceiling is computed against — the machine
-    /// entry points derive them from the pool's actual core
-    /// configuration ([`crate::class_latencies`]) so the ceiling bounds
-    /// the machine being simulated, not the paper's default core.
-    fn admission_map<T>(
-        items: &[T],
-        program_of: &(impl Fn(&T) -> &Program + Sync),
-        latencies: Option<quetzal_verify::ClassLatencies>,
-    ) -> HashMap<u64, Admission> {
-        let config = VerifyConfig {
-            latencies: latencies.unwrap_or_default(),
-            ..VerifyConfig::default()
-        };
-        let mut admissions: HashMap<u64, Admission> = HashMap::new();
-        for item in items {
-            let program = program_of(item);
-            admissions.entry(program.id()).or_insert_with(|| {
-                let report = quetzal_verify::verify_with(program, &config);
-                let fatal = report.verdict() == Verdict::Fatal;
-                Admission {
-                    budgets: if fatal {
-                        Budgets::default()
-                    } else {
-                        Budgets::from_bound(report.bound())
-                    },
-                    rejected: fatal.then_some(report),
-                }
-            });
-        }
-        admissions
-    }
-
-    /// Resolves one item's admission from the map. The map covers every
-    /// distinct program id among the items by construction, so the
-    /// lookup cannot miss; a default (open) admission is the safe
-    /// fallback regardless.
-    fn admission_of<'a, T>(
-        admissions: &'a HashMap<u64, Admission>,
-        program_of: &(impl Fn(&T) -> &Program + Sync),
-        item: &T,
-    ) -> (Option<&'a VerifyReport>, Budgets) {
-        match admissions.get(&program_of(item).id()) {
-            Some(admission) => (admission.rejected.as_ref(), admission.budgets),
-            None => (None, Budgets::default()),
-        }
-    }
-
-    /// The failure-log entry of a statically rejected item. `recovered`
-    /// is always `false`: the verdict is a property of the program, so
-    /// a retry could only re-prove it.
-    fn rejection(item: usize, report: &VerifyReport) -> ItemFailure {
-        ItemFailure {
-            item,
-            cause: FailureCause::Rejected(report.clone()),
-            recovered: false,
-        }
     }
 
     /// Splits per-item `(result, failure)` rows into a [`RunReport`].
@@ -690,7 +377,13 @@ impl Default for BatchRunner {
 mod tests {
     use super::*;
     use crate::pool::lock;
+    use crate::MachineConfig;
     use quetzal_isa::*;
+
+    /// A fresh pool over the default configuration, on `runner`'s engine.
+    fn pool_for(runner: &BatchRunner) -> MachinePool {
+        MachinePool::new(&MachineConfig::default(), runner.exec_mode())
+    }
 
     fn square_batch(runner: &BatchRunner, n: usize) -> Vec<u64> {
         let items: Vec<u64> = (0..n as u64).collect();
@@ -732,21 +425,35 @@ mod tests {
         let runner = BatchRunner::new(4);
         let got: Vec<u64> = runner.run(&[] as &[u64], || (), |(), _, &x| x).unwrap();
         assert!(got.is_empty());
+        // An empty pooled batch never touches the pool: the served
+        // fault job relies on this for chunks of only rejected cases.
+        let pool = pool_for(&runner);
+        let report = runner
+            .run_machines_report_pooled(&pool, &[] as &[u64], |_m, _i, &x| Ok(x))
+            .unwrap();
+        assert!(report.results.is_empty() && report.is_clean());
+        assert_eq!(pool.stats(), PoolStats::default());
     }
 
     #[test]
     fn machines_run_real_kernels_per_shard() {
         let runner = BatchRunner::new(2);
+        let pool = pool_for(&runner);
         let items = [1i64, 2, 3, 4, 5];
         let got = runner
-            .run_machines(&MachineConfig::default(), &items, |m, _i, &x| {
-                let mut b = ProgramBuilder::new();
-                b.mov_imm(X0, x);
-                b.alu_ri(SAluOp::Mul, X0, X0, 10);
-                b.halt();
-                m.run(&b.build().unwrap()).unwrap();
-                m.core().state().x(X0)
-            })
+            .run(
+                &items,
+                || pool.checkout(),
+                |p, _i, &x| {
+                    let m = p.machine();
+                    let mut b = ProgramBuilder::new();
+                    b.mov_imm(X0, x);
+                    b.alu_ri(SAluOp::Mul, X0, X0, 10);
+                    b.halt();
+                    m.run(&b.build().unwrap()).unwrap();
+                    m.core().state().x(X0)
+                },
+            )
             .unwrap();
         assert_eq!(got, vec![10, 20, 30, 40, 50]);
     }
@@ -773,14 +480,22 @@ mod tests {
             let stats = m.run(&b.build().unwrap()).unwrap();
             (m.core().state().x(X0), stats.cycles)
         };
-        let pooled = BatchRunner::new(1)
-            .run_machines(&MachineConfig::default(), &items, |m, _i, &x| work(m, x))
+        let runner = BatchRunner::new(1);
+        let pool = pool_for(&runner);
+        let pooled = runner
+            .run_machines_report_pooled(&pool, &items, |m, _i, &x| Ok(work(m, x)))
             .unwrap();
-        let fresh: Vec<(u64, u64)> = items
+        assert_eq!(
+            pool.stats().built,
+            1,
+            "every shard after the first recycled"
+        );
+        let fresh: Vec<Option<(u64, u64)>> = items
             .iter()
-            .map(|&x| work(&mut Machine::new(MachineConfig::default()), x))
+            .map(|&x| Some(work(&mut Machine::new(MachineConfig::default()), x)))
             .collect();
-        assert_eq!(pooled, fresh);
+        assert!(pooled.is_clean());
+        assert_eq!(pooled.results, fresh);
     }
 
     #[test]
@@ -865,8 +580,9 @@ mod tests {
         // every thread count, with failures ordered by item index.
         let items: Vec<i64> = (0..10).collect();
         let run = |threads: usize| {
-            BatchRunner::new(threads)
-                .run_machines_report(&MachineConfig::default(), &items, |m, i, &x| {
+            let runner = BatchRunner::new(threads);
+            runner
+                .run_machines_report_pooled(&pool_for(&runner), &items, |m, i, &x| {
                     let mut b = ProgramBuilder::new();
                     let top = b.label();
                     b.mov_imm(X0, x);
@@ -916,9 +632,10 @@ mod tests {
         // succeed (recovered=true) and later items must be unaffected.
         let first_attempt = std::sync::atomic::AtomicBool::new(true);
         let items: Vec<i64> = (0..5).collect();
-        let report = BatchRunner::new(1)
-            .with_shard_size(5)
-            .run_machines_report(&MachineConfig::default(), &items, |m, i, &x| {
+        let runner = BatchRunner::new(1).with_shard_size(5);
+        let pool = pool_for(&runner);
+        let report = runner
+            .run_machines_report_pooled(&pool, &items, |m, i, &x| {
                 if i == 2 && first_attempt.swap(false, Ordering::Relaxed) {
                     m.alloc(1 << 20); // dirty the machine, then die
                     panic!("transient fault");
@@ -946,6 +663,9 @@ mod tests {
             failure.to_string(),
             "item 2: panic: transient fault (recovered on retry)"
         );
+        let stats = pool.stats();
+        assert_eq!(stats.quarantined, 1, "the machine live during the panic");
+        assert_eq!(stats.built, 2, "one shard machine plus the retry machine");
     }
 
     #[test]
@@ -959,225 +679,17 @@ mod tests {
             let stats = m.run(&b.build().unwrap()).unwrap();
             (m.core().state().x(X0), stats.cycles)
         };
-        let plain = BatchRunner::new(2)
-            .run_machines(&MachineConfig::default(), &items, |m, _i, &x| work(m, x))
+        let runner = BatchRunner::new(2);
+        let pool = pool_for(&runner);
+        let plain = runner
+            .run(&items, || pool.checkout(), |p, _i, &x| work(p.machine(), x))
             .unwrap();
-        let report = BatchRunner::new(2)
-            .run_machines_report(&MachineConfig::default(), &items, |m, _i, &x| {
-                Ok(work(m, x))
-            })
+        let report = runner
+            .run_machines_report_pooled(&pool_for(&runner), &items, |m, _i, &x| Ok(work(m, x)))
             .unwrap();
         assert!(report.is_clean());
         let healthy: Vec<(u64, u64)> = report.healthy().map(|(_, r)| *r).collect();
         assert_eq!(healthy, plain);
-    }
-
-    #[test]
-    fn pre_verification_rejects_fatal_programs_without_simulating() {
-        // Item 1's program provably falls off the end of its image; the
-        // verifier must reject it before the work closure ever runs,
-        // and the healthy neighbours must be unaffected.
-        let good = |x: i64| {
-            let mut b = ProgramBuilder::new();
-            b.mov_imm(X0, x);
-            b.halt();
-            b.build().unwrap()
-        };
-        let bad = Program::from_raw(vec![Instruction::MovImm { rd: X0, imm: 7 }], "falls-off");
-        let items = [good(1), bad, good(3)];
-        for threads in [1, 4] {
-            let simulated = AtomicUsize::new(0);
-            let report = BatchRunner::new(threads)
-                .run_machines_report_verified(
-                    &MachineConfig::default(),
-                    &items,
-                    |p| p,
-                    |m, _i, p| {
-                        simulated.fetch_add(1, Ordering::Relaxed);
-                        m.run(p)?;
-                        Ok(m.core().state().x(X0))
-                    },
-                )
-                .unwrap();
-            assert_eq!(simulated.load(Ordering::Relaxed), 2, "threads={threads}");
-            assert_eq!(report.results, vec![Some(1), None, Some(3)]);
-            assert_eq!(report.failures.len(), 1);
-            let failure = &report.failures[0];
-            assert_eq!(failure.item, 1);
-            assert!(!failure.recovered);
-            let FailureCause::Rejected(verify) = &failure.cause else {
-                panic!("expected a static rejection, got {}", failure.cause);
-            };
-            assert_eq!(verify.verdict(), Verdict::Fatal);
-            assert!(failure.to_string().contains("statically rejected"));
-        }
-    }
-
-    #[test]
-    fn verified_pooled_rejections_never_touch_the_pool() {
-        // All items statically fatal: the tenant pool must stay empty —
-        // no machine is ever built or checked out for rejected work.
-        let bad = Program::from_raw(vec![Instruction::MovImm { rd: X0, imm: 7 }], "falls-off");
-        let items = [bad.clone(), bad];
-        let config = MachineConfig::default();
-        let pool = MachinePool::new(&config, ExecMode::default());
-        let report = BatchRunner::new(1)
-            .run_machines_report_verified_pooled(
-                &pool,
-                &items,
-                |p| p,
-                |m, _i, p| {
-                    m.run(p)?;
-                    Ok(m.core().state().x(X0))
-                },
-            )
-            .unwrap();
-        assert_eq!(report.results, vec![None, None]);
-        assert_eq!(report.failures.len(), 2);
-        assert_eq!(
-            pool.stats(),
-            PoolStats::default(),
-            "rejected-only batches must not build machines"
-        );
-    }
-
-    #[test]
-    fn warning_only_programs_are_not_rejected() {
-        // Reads an uninitialised register: a warning, not a fatal
-        // finding — the item must still simulate (registers are
-        // architecturally zero at reset, so it runs fine).
-        let mut b = ProgramBuilder::new();
-        b.alu_ri(SAluOp::Add, X0, X10, 5);
-        b.halt();
-        let program = b.build().unwrap();
-        let report = quetzal_verify::verify(&program);
-        assert_eq!(report.verdict(), quetzal_verify::Verdict::Warnings);
-        let items = [program];
-        let run = BatchRunner::new(1)
-            .run_machines_report_verified(
-                &MachineConfig::default(),
-                &items,
-                |p| p,
-                |m, _i, p| {
-                    m.run(p)?;
-                    Ok(m.core().state().x(X0))
-                },
-            )
-            .unwrap();
-        assert!(run.is_clean());
-        assert_eq!(run.results, vec![Some(5)]);
-    }
-
-    #[test]
-    fn verified_generic_contexts_are_built_lazily() {
-        // Every item is rejected, so `init` must never run: a batch of
-        // provably fatal programs costs zero contexts.
-        let bad = Program::from_raw(vec![Instruction::MovImm { rd: X0, imm: 7 }], "falls-off");
-        let items = [bad.clone(), bad];
-        let inits = AtomicUsize::new(0);
-        let report = BatchRunner::new(1)
-            .with_shard_size(2)
-            .run_report_verified(
-                &items,
-                |p| p,
-                || inits.fetch_add(1, Ordering::Relaxed),
-                |_, _, _| Ok(0u64),
-            )
-            .unwrap();
-        assert_eq!(
-            inits.load(Ordering::Relaxed),
-            0,
-            "no context for rejected-only shards"
-        );
-        assert_eq!(report.results, vec![None, None]);
-        assert_eq!(report.failures.len(), 2);
-    }
-
-    #[test]
-    fn verified_admission_pre_sizes_budgets_from_the_proven_bound() {
-        // The verified gate installs the program's proven resource
-        // bound as the machine's budgets before the work closure runs.
-        // A conforming item never feels them (the bound is a ceiling on
-        // every execution of the verified program), so to observe the
-        // sizing the work closure misbehaves: it runs an unbounded spin
-        // instead of the verified two-instruction program, and must die
-        // within the proof's envelope — not at the global
-        // two-billion-instruction watchdog.
-        let mut b = ProgramBuilder::new();
-        b.mov_imm(X0, 1);
-        b.halt();
-        let verified = b.build().unwrap();
-        let proven = quetzal_verify::verify(&verified)
-            .bound()
-            .instructions
-            .expect("straight-line program has a finite bound");
-        let mut s = ProgramBuilder::new();
-        let top = s.label();
-        s.bind(top);
-        s.jump(top);
-        s.halt(); // unreachable, satisfies the builder's halt check
-        let spin = s.build().unwrap();
-        let items = [verified];
-        let report = BatchRunner::new(1)
-            .run_machines_report_verified(
-                &MachineConfig::default(),
-                &items,
-                |p| p,
-                |m, _i, _p| {
-                    m.run(&spin)?;
-                    Ok(())
-                },
-            )
-            .unwrap();
-        assert_eq!(report.failures.len(), 1);
-        assert_eq!(
-            report.failures[0].cause,
-            FailureCause::Sim(SimError::InstLimit { budget: proven }),
-            "the runaway must trip the pre-sized budget, not the watchdog"
-        );
-        assert!(!report.failures[0].recovered, "the retry is sized too");
-    }
-
-    #[test]
-    fn pre_sized_budgets_are_invisible_to_conforming_items() {
-        // Results *and timing* of a verified batch must be
-        // bit-identical to the unverified entry point: proven bounds
-        // are ceilings, so the tightened budgets never fire, and
-        // setting them has no timing side effects.
-        let program = {
-            let mut b = ProgramBuilder::new();
-            let top = b.label();
-            b.mov_imm(X0, 0);
-            b.mov_imm(X1, 0x3000);
-            b.mov_imm(X2, 40);
-            b.bind(top);
-            b.store(X0, X1, 0, MemSize::B8);
-            b.alu_ri(SAluOp::Add, X1, X1, 64);
-            b.alu_ri(SAluOp::Add, X0, X0, 1);
-            b.branch(BranchCond::Lt, X0, X2, top);
-            b.halt();
-            b.build().unwrap()
-        };
-        let bound = *quetzal_verify::verify(&program).bound();
-        assert!(bound.is_bounded(), "test premise: the loop is provable");
-        let items = vec![program.clone(), program.clone(), program];
-        let work = |m: &mut Machine, p: &Program| -> Result<(u64, u64), SimError> {
-            let stats = m.run(p)?;
-            Ok((m.core().state().x(X0), stats.cycles))
-        };
-        let plain = BatchRunner::new(1)
-            .run_machines_report(&MachineConfig::default(), &items, |m, _i, p| work(m, p))
-            .unwrap();
-        let verified = BatchRunner::new(1)
-            .run_machines_report_verified(
-                &MachineConfig::default(),
-                &items,
-                |p| p,
-                |m, _i, p| work(m, p),
-            )
-            .unwrap();
-        assert!(plain.is_clean() && verified.is_clean());
-        assert_eq!(plain.results, verified.results);
     }
 
     #[test]

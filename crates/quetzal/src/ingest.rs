@@ -313,7 +313,6 @@ fn cause_kind(cause: &FailureCause) -> &'static str {
     match cause {
         FailureCause::Sim(_) => "sim",
         FailureCause::Panic(_) => "panic",
-        FailureCause::Rejected(_) => "rejected",
     }
 }
 

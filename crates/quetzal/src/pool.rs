@@ -4,8 +4,9 @@
 //! This module is the **single owner** of `Machine` lifecycle semantics.
 //! Both consumers drive it:
 //!
-//! * the one-shot [`BatchRunner`](crate::BatchRunner) entry points build
-//!   a pool per call (or accept a caller-owned one);
+//! * one-shot [`BatchRunner`](crate::BatchRunner) callers (experiments,
+//!   the pipeline, ingestion) build a pool per batch, or keep one across
+//!   repeated batches of one configuration;
 //! * the `qzserved` alignment daemon (`quetzal-served`) keeps one
 //!   long-lived pool per tenant across jobs.
 //!
@@ -20,8 +21,8 @@
 //!   is not pinned against;
 //! * a machine live during any per-item failure is quarantined via
 //!   [`PooledMachine::replace_with_fresh`] and the item retried **once**
-//!   on a brand-new (never pooled) machine — the
-//!   `retry_item` boundary used by every fault-tolerant entry point;
+//!   on a brand-new (never pooled) machine — the `retry_item` boundary
+//!   behind [`BatchRunner::run_machines_report_pooled`](crate::BatchRunner::run_machines_report_pooled);
 //! * quarantined machines are dropped on the spot and only counted
 //!   ([`MachinePool::stats`]) — a service surfaces the tally instead of
 //!   trying to prove a poisoned machine clean.
@@ -32,18 +33,17 @@
 //! page watchdogs — it deliberately does *not* preserve caller
 //! overrides (a recycled machine must be indistinguishable from a
 //! fresh one, and a stale tight budget from a previous tenant would be
-//! state leaking across checkouts). The pool is therefore the owner of
-//! budget configuration: pre-sized [`Budgets`] installed with
-//! [`MachinePool::set_budgets`] are re-applied after every
-//! reset-on-checkout *and* to every fault-replacement machine, so a
-//! sizing decision survives recycling. Code that calls
-//! [`Machine::reset`] directly (outside the pool) must re-apply any
-//! budget it cares about afterwards — the footgun this rule exists to
-//! close.
+//! state leaking across checkouts). Every checkout and every
+//! fault-replacement machine therefore starts at the default watchdogs,
+//! and budgets belong to the work closure: it sets the ones it wants on
+//! the machine it is handed, on **every attempt** — the retry runs on a
+//! brand-new machine that carries none of the first attempt's settings.
+//! Code that calls [`Machine::reset`] directly must likewise re-apply
+//! any budget it cares about afterwards.
 
-use crate::{ExecMode, Machine, MachineConfig, PredecodeRegistry, Probe, SimError};
+use crate::{ExecMode, Machine, MachineConfig, PredecodeRegistry, SimError};
 use quetzal_uarch::state::DEFAULT_PAGE_BUDGET;
-use quetzal_verify::{Report as VerifyReport, ResourceBound};
+use quetzal_verify::ResourceBound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -66,25 +66,21 @@ pub(crate) fn lock(list: &Mutex<Vec<Machine>>) -> std::sync::MutexGuard<'_, Vec<
     list.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Pre-sized per-run machine budgets, typically derived from a
-/// statically proven [`ResourceBound`] via [`Budgets::from_bound`].
+/// Per-run machine budgets derived from a statically proven
+/// [`ResourceBound`] via [`Budgets::from_bound`].
 ///
 /// Each component is an *override* of the corresponding global
 /// watchdog; `None` keeps the default (the `Core::DEFAULT_BUDGET`
 /// instruction watchdog, cycle watchdog off, page cap
-/// [`DEFAULT_PAGE_BUDGET`]). Because proven
-/// bounds are ceilings on every dynamic execution of the verified
-/// program, applying them never changes the behaviour of a conforming
-/// run — they only turn a hypothetical runaway (a soundness bug, or a
-/// caller running a *different* program than the one verified) from a
+/// [`DEFAULT_PAGE_BUDGET`]). Because proven bounds are ceilings on
+/// every dynamic execution of the verified program, tightening a
+/// watchdog to them never changes the behaviour of a conforming run —
+/// it only turns a hypothetical runaway (a soundness bug) from a
 /// two-billion-instruction watchdog trip into a prompt, tight fault.
 ///
 /// The instruction and cycle budgets are per-run; the page component
-/// is a *delta* on the cumulative resident-page cap, added to the
-/// pages already resident when [`apply`](Budgets::apply) is called
-/// (simulated memory persists across runs on one machine, so an
-/// absolute cap sized for one program would trip on the next item of
-/// the shard).
+/// counts pages the run may add to those already resident when it
+/// starts (simulated memory persists across runs on one machine).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budgets {
     /// Per-run retired-instruction budget.
@@ -93,7 +89,7 @@ pub struct Budgets {
     /// has no clock).
     pub cycles: Option<u64>,
     /// Additional resident guest pages the run may allocate beyond
-    /// those already resident at apply time.
+    /// those already resident when it starts.
     pub pages: Option<u64>,
 }
 
@@ -124,28 +120,6 @@ impl Budgets {
     pub fn is_default(&self) -> bool {
         *self == Budgets::default()
     }
-
-    /// Applies the overrides to a machine. Components left `None` are
-    /// not touched — after a reset they already sit at their defaults.
-    pub fn apply<P: Probe>(&self, machine: &mut Machine<P>) {
-        if let Some(insts) = self.instructions {
-            machine.core_mut().set_budget(insts);
-        }
-        if let Some(cycles) = self.cycles {
-            machine.core_mut().set_cycle_budget(cycles);
-        }
-        if let Some(pages) = self.pages {
-            let resident = machine.core().state().mem.resident_pages() as u64;
-            let cap = resident
-                .saturating_add(pages)
-                .min(DEFAULT_PAGE_BUDGET as u64);
-            machine
-                .core_mut()
-                .state_mut()
-                .mem
-                .set_page_budget(cap as usize);
-        }
-    }
 }
 
 /// Why a single batch item failed.
@@ -155,10 +129,6 @@ pub enum FailureCause {
     Sim(SimError),
     /// The work closure panicked; the payload, if it was a string.
     Panic(String),
-    /// The `*_verified` entry points rejected the item's program before
-    /// any simulation ran: `quetzal-verify` proved it would fault. The
-    /// full static report says where and why.
-    Rejected(VerifyReport),
 }
 
 impl std::fmt::Display for FailureCause {
@@ -166,12 +136,6 @@ impl std::fmt::Display for FailureCause {
         match self {
             FailureCause::Sim(e) => write!(f, "simulation error: {e}"),
             FailureCause::Panic(msg) => write!(f, "panic: {msg}"),
-            FailureCause::Rejected(report) => write!(
-                f,
-                "statically rejected: program '{}' has {} diagnostic(s)",
-                report.name(),
-                report.diagnostics().len()
-            ),
         }
     }
 }
@@ -229,15 +193,17 @@ pub struct PoolStats {
 /// assumes, and a machine involved in a fault is cheaper to replace
 /// than to prove clean.
 ///
-/// The machine-pooled [`BatchRunner`](crate::BatchRunner) entry points
-/// build a pool per call; callers that run many batches over the same
-/// configuration — repeated timing samples of one kernel, or a
-/// long-lived service's per-tenant pools — build one pool up front and
-/// pass it to the `*_pooled` entry points, amortising machine
-/// construction (multi-megabyte cache tag arrays) across batches.
-/// Checkout resets every recycled machine to cold-boot state (reset ≡
-/// fresh is pinned by `tests/parallel.rs`), so results are bit-identical
-/// to per-call pools.
+/// [`BatchRunner`](crate::BatchRunner) callers build a pool with the
+/// runner's [`exec_mode`](crate::BatchRunner::exec_mode) and hand it to
+/// [`run`](crate::BatchRunner::run) (as `|| pool.checkout()`) or to
+/// [`run_machines_report_pooled`](crate::BatchRunner::run_machines_report_pooled).
+/// Callers that run many batches over the same configuration — repeated
+/// timing samples of one kernel, or a long-lived service's per-tenant
+/// pools — keep one pool across batches, amortising machine
+/// construction (multi-megabyte cache tag arrays). Checkout resets
+/// every recycled machine to cold-boot state (reset ≡ fresh is pinned
+/// by `tests/parallel.rs`), so results are bit-identical to a fresh
+/// pool.
 pub struct MachinePool {
     config: MachineConfig,
     registry: PredecodeRegistry,
@@ -245,12 +211,6 @@ pub struct MachinePool {
     /// *and* after every reset ([`Machine::reset`] restores the
     /// cold-boot default, [`ExecMode::Cycle`]).
     exec_mode: ExecMode,
-    /// Pre-sized budgets applied to every machine the pool hands out —
-    /// after construction, after every reset-on-checkout, and to every
-    /// fault-replacement machine (see the module-level budget-ownership
-    /// rule). Interior-mutable so a service can re-size a long-lived
-    /// tenant pool when its staged kernel changes.
-    budgets: Mutex<Budgets>,
     built: AtomicU64,
     free: Mutex<Vec<Machine>>,
     /// Machines quarantined since construction or the last
@@ -270,7 +230,6 @@ impl MachinePool {
             config: config.clone(),
             registry: PredecodeRegistry::new(),
             exec_mode,
-            budgets: Mutex::new(Budgets::default()),
             built: AtomicU64::new(0),
             free: Mutex::new(Vec::new()),
             quarantined: AtomicUsize::new(0),
@@ -285,22 +244,6 @@ impl MachinePool {
     /// The execution engine applied to every checkout.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
-    }
-
-    /// Installs pre-sized budgets (typically
-    /// [`Budgets::from_bound`] of the tenant's staged kernel's proven
-    /// [`ResourceBound`]) that every subsequent checkout and fault
-    /// replacement re-applies. [`Machine::reset`] restores the global
-    /// watchdog defaults, so without this the sizing would silently
-    /// vanish on the first recycle — the budget-ownership rule in the
-    /// module docs.
-    pub fn set_budgets(&self, budgets: Budgets) {
-        *self.budgets.lock().unwrap_or_else(|e| e.into_inner()) = budgets;
-    }
-
-    /// The pre-sized budgets applied to every checkout.
-    pub fn budgets(&self) -> Budgets {
-        *self.budgets.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Current occupancy counters (built / free / quarantined).
@@ -326,27 +269,26 @@ impl MachinePool {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A brand-new machine (never pooled) sharing the run's predecode
-    /// registry, execution mode and pre-sized budgets.
+    /// A brand-new machine (never pooled) sharing the pool's predecode
+    /// registry and execution mode.
     fn fresh(&self) -> Machine {
         self.built.fetch_add(1, Ordering::Relaxed);
         let mut machine = Machine::new(self.config.clone());
         machine.set_predecode_registry(self.registry.clone());
         machine.set_exec_mode(self.exec_mode);
-        self.budgets().apply(&mut machine);
         machine
     }
 
     /// Checks a machine out of the free list (reset to cold-boot
     /// state), or builds a fresh one if the list is empty. Either way
-    /// the pool's execution mode and pre-sized budgets are re-applied
-    /// — [`Machine::reset`] restores the cold-boot defaults of both.
+    /// the pool's execution mode is re-applied — [`Machine::reset`]
+    /// restores the cold-boot default — and the budgets are the default
+    /// watchdogs.
     pub fn checkout(&self) -> PooledMachine<'_> {
         let machine = match lock(&self.free).pop() {
             Some(mut machine) => {
                 machine.reset();
                 machine.set_exec_mode(self.exec_mode);
-                self.budgets().apply(&mut machine);
                 machine
             }
             None => self.fresh(),
@@ -416,43 +358,42 @@ impl Drop for PooledMachine<'_> {
 
 /// Runs one attempt of a fallible work closure inside a panic boundary,
 /// folding both failure modes into a [`FailureCause`].
-pub(crate) fn attempt<C, R>(
-    ctx: &mut C,
-    work: impl FnOnce(&mut C) -> Result<R, SimError>,
+fn attempt<R>(
+    machine: &mut Machine,
+    work: impl FnOnce(&mut Machine) -> Result<R, SimError>,
 ) -> Result<R, FailureCause> {
-    match catch_unwind(AssertUnwindSafe(|| work(ctx))) {
+    match catch_unwind(AssertUnwindSafe(|| work(machine))) {
         Ok(Ok(r)) => Ok(r),
         Ok(Err(e)) => Err(FailureCause::Sim(e)),
         Err(payload) => Err(FailureCause::Panic(panic_message(payload))),
     }
 }
 
-/// The per-item fault boundary shared by every fault-tolerant batch
-/// entry point: try the item, and on failure replace the context with a
-/// brand-new one (`replace` — for machines, quarantine + fresh) and
-/// retry **once**. After a failed retry the context is replaced again,
-/// so later items of the shard never run on a context a failure
-/// touched. Returns the item's result slot plus its failure-log entry.
-pub(crate) fn retry_item<C, T, R>(
-    ctx: &mut C,
-    replace: impl Fn(&mut C),
+/// The per-item fault boundary: try the item, and on failure quarantine
+/// the machine, install a brand-new one
+/// ([`PooledMachine::replace_with_fresh`]) and retry **once**. After a
+/// failed retry the machine is replaced again, so later items of the
+/// shard never run on a machine a failure touched. Returns the item's
+/// result slot plus its failure-log entry.
+pub(crate) fn retry_item<T, R>(
+    pooled: &mut PooledMachine<'_>,
     i: usize,
     item: &T,
-    work: impl Fn(&mut C, usize, &T) -> Result<R, SimError> + Sync,
+    work: impl Fn(&mut Machine, usize, &T) -> Result<R, SimError>,
 ) -> (Option<R>, Option<ItemFailure>) {
-    match attempt(ctx, |c| work(c, i, item)) {
+    match attempt(pooled.machine(), |m| work(m, i, item)) {
         Ok(r) => (Some(r), None),
         Err(cause) => {
-            replace(ctx);
+            pooled.replace_with_fresh();
             let failure = |recovered| ItemFailure {
                 item: i,
                 cause: cause.clone(),
                 recovered,
             };
-            match attempt(ctx, |c| work(c, i, item)) {
+            match attempt(pooled.machine(), |m| work(m, i, item)) {
                 Ok(r) => (Some(r), Some(failure(true))),
                 Err(_) => {
-                    replace(ctx);
+                    pooled.replace_with_fresh();
                     (None, Some(failure(false)))
                 }
             }
@@ -463,7 +404,6 @@ pub(crate) fn retry_item<C, T, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quetzal_isa::{BranchCond, MemSize, ProgramBuilder, SAluOp, X0, X1, X2};
 
     #[test]
     fn from_bound_keeps_only_unconditional_tightening_components() {
@@ -496,92 +436,6 @@ mod tests {
         };
         assert!(Budgets::from_bound(&premised).is_default());
         assert!(Budgets::from_bound(&ResourceBound::unbounded()).is_default());
-    }
-
-    /// A program that spins forever — any run of it must die of the
-    /// instruction budget, exposing the budget value in the error.
-    fn spin() -> quetzal_isa::Program {
-        let mut b = ProgramBuilder::new();
-        let top = b.label();
-        b.bind(top);
-        b.jump(top);
-        b.halt(); // unreachable, satisfies the builder's halt check
-        b.build().expect("spin program")
-    }
-
-    #[test]
-    fn pool_budgets_survive_reset_on_checkout_and_fault_replacement() {
-        // Regression for the budget-ownership footgun: Machine::reset
-        // restores the default instruction budget, so a pool that did
-        // not re-apply its pre-sized budgets would silently hand the
-        // second checkout a 2e9-instruction watchdog.
-        let config = MachineConfig::default();
-        let pool = MachinePool::new(&config, ExecMode::default());
-        pool.set_budgets(Budgets {
-            instructions: Some(100),
-            ..Budgets::default()
-        });
-        let run = |pooled: &mut PooledMachine<'_>| pool_run_err(pooled.machine(), &spin());
-        {
-            let mut first = pool.checkout();
-            assert_eq!(run(&mut first), SimError::InstLimit { budget: 100 });
-        }
-        {
-            // Recycled checkout: reset happened, budgets must be back.
-            let mut second = pool.checkout();
-            assert_eq!(pool.stats().built, 1, "second checkout recycled");
-            assert_eq!(run(&mut second), SimError::InstLimit { budget: 100 });
-            // Fault replacement: brand-new machine, budgets included.
-            second.replace_with_fresh();
-            assert_eq!(run(&mut second), SimError::InstLimit { budget: 100 });
-        }
-    }
-
-    #[test]
-    fn page_budget_is_a_delta_over_resident_pages() {
-        // A page budget sized for one program must not trip on the
-        // next item of the shard: memory persists across runs, so
-        // `apply` adds the allowance to the pages already resident.
-        let mut machine = Machine::default();
-        let store_pages = |n: i64| {
-            // Touch n distinct pages, one 8-byte store each.
-            let mut b = ProgramBuilder::new();
-            let top = b.label();
-            b.mov_imm(X0, 0);
-            b.mov_imm(X1, 0x4000_0000);
-            b.mov_imm(X2, n);
-            b.bind(top);
-            b.store(X0, X1, 0, MemSize::B8);
-            b.alu_ri(SAluOp::Add, X1, X1, 4096);
-            b.alu_ri(SAluOp::Add, X0, X0, 1);
-            b.branch(BranchCond::Lt, X0, X2, top);
-            b.halt();
-            b.build().expect("store-pages program")
-        };
-        let budgets = Budgets {
-            pages: Some(3),
-            ..Budgets::default()
-        };
-        budgets.apply(&mut machine);
-        machine.run(&store_pages(3)).expect("within the allowance");
-        // Re-applied on the now-warmer machine, the same allowance
-        // admits three *more* pages...
-        budgets.apply(&mut machine);
-        machine
-            .run(&store_pages(6))
-            .expect("3 resident + 3 more within the re-applied allowance");
-        // ...but a fourth fresh page beyond it trips the cap.
-        budgets.apply(&mut machine);
-        assert!(matches!(
-            pool_run_err(&mut machine, &store_pages(10)),
-            SimError::MemoryFault { .. }
-        ));
-    }
-
-    fn pool_run_err(machine: &mut Machine, program: &quetzal_isa::Program) -> SimError {
-        machine
-            .run(program)
-            .expect_err("program must exhaust a budget")
     }
 
     #[test]
@@ -620,21 +474,18 @@ mod tests {
 
     #[test]
     fn retry_item_replaces_context_on_both_failures() {
-        // First attempt and retry both fail: the context must be
+        // First attempt and retry both fail: the machine must be
         // replaced twice, and the failure must be unrecovered.
-        let replaced = std::sync::atomic::AtomicUsize::new(0);
-        let mut ctx = 0u64;
-        let (result, failure) = retry_item(
-            &mut ctx,
-            |_c| {
-                replaced.fetch_add(1, Ordering::Relaxed);
-            },
-            4,
-            &(),
-            |_c, _i, _item| -> Result<u64, SimError> { Err(SimError::InstLimit { budget: 1 }) },
-        );
+        let config = MachineConfig::default();
+        let pool = MachinePool::new(&config, ExecMode::default());
+        let mut pooled = pool.checkout();
+        let (result, failure) = retry_item(&mut pooled, 4, &(), |_m, _i, _item| {
+            Err::<u64, _>(SimError::InstLimit { budget: 1 })
+        });
         assert!(result.is_none());
-        assert_eq!(replaced.load(Ordering::Relaxed), 2);
+        let stats = pool.stats();
+        assert_eq!(stats.quarantined, 2, "both failing machines quarantined");
+        assert_eq!(stats.built, 3, "the checkout plus two replacements");
         let failure = failure.expect("failure entry");
         assert_eq!(failure.item, 4);
         assert!(!failure.recovered);

@@ -105,8 +105,9 @@ echo "==> smoke: qzserved daemon loopback, byte-identical to offline"
 # the same align and fault jobs through qzclient and through the
 # in-process --offline path, and require byte-identical reports. The
 # fault job must show verifier-gated admission (typed `rejected`
-# frames), /stats must answer, and the shutdown frame must produce a
-# clean daemon exit.
+# frames) and no escaped panic (a `panic` frame is a defect by the
+# fault sweep's own standard), /stats must answer, and the shutdown
+# frame must produce a clean daemon exit.
 ./target/release/qzserved --listen 127.0.0.1:0 > "$out_dir/qzserved.log" &
 served_pid=$!
 served_addr=""
@@ -131,6 +132,8 @@ cmp "$out_dir/served_fault.txt" "$out_dir/offline_fault.txt" \
     || { echo "FAIL: served fault report differs from offline BatchRunner"; exit 1; }
 grep -q '"cause":"rejected"' "$out_dir/served_fault.txt" \
     || { echo "FAIL: fault smoke exercised no verifier-gated rejection"; exit 1; }
+! grep -q '"cause":"panic"' "$out_dir/served_fault.txt" \
+    || { echo "FAIL: fault smoke carries an escaped panic frame"; exit 1; }
 ./target/release/qzclient stats --addr "$served_addr" > "$out_dir/served_stats.json"
 grep -q '"jobs":{"accepted":2' "$out_dir/served_stats.json" \
     || { echo "FAIL: /stats did not account for both smoke jobs"; exit 1; }

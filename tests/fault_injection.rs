@@ -88,7 +88,7 @@ fn variant_name(e: &SimError) -> &'static str {
     }
 }
 
-fn set_budgets(machine: &mut Machine) {
+fn apply_sweep_budgets(machine: &mut Machine) {
     machine
         .core_mut()
         .state_mut()
@@ -171,7 +171,7 @@ fn diff_functional(
     }
     let mut machine = Machine::new(MachineConfig::default());
     let (program, _) = plan.stage(case, &mut machine);
-    set_budgets(&mut machine);
+    apply_sweep_budgets(&mut machine);
     machine.set_exec_mode(ExecMode::Functional);
     let functional = machine.run(&program);
     match (outcome, &functional) {
@@ -215,7 +215,7 @@ fn run_case(
     catch_unwind(AssertUnwindSafe(|| {
         let mut machine = Machine::new(MachineConfig::default());
         let (program, _) = plan.stage(case, &mut machine);
-        set_budgets(&mut machine);
+        apply_sweep_budgets(&mut machine);
         let pages_before = machine.core().state().mem.resident_pages();
         let outcome = machine.run(&program);
         let pages_after = machine.core().state().mem.resident_pages();
@@ -489,7 +489,7 @@ fn verifier_verdicts_match_runtime_on_random_programs() {
 
         let (outcome, pages_touched) = catch_unwind(AssertUnwindSafe(|| {
             let mut machine = Machine::new(MachineConfig::default());
-            set_budgets(&mut machine);
+            apply_sweep_budgets(&mut machine);
             let pages_before = machine.core().state().mem.resident_pages();
             let outcome = machine.run(&program);
             let pages_after = machine.core().state().mem.resident_pages();

@@ -5,7 +5,7 @@
 //! statistics additionally pins the simulator against silent drift.
 
 use quetzal::uarch::RunStats;
-use quetzal::{BatchRunner, MachineConfig};
+use quetzal::{BatchRunner, MachineConfig, MachinePool};
 use quetzal_algos::pipeline::{mixed_pairs, pipeline_batch};
 use quetzal_algos::Tier;
 use quetzal_bench::workloads::{run_algo_pairs, Algo, Workload, SEED};
@@ -109,8 +109,10 @@ fn faulting_items_are_thread_invariant() {
     let items: Vec<i64> = (0..12).collect();
     let faulty = |i: usize| i % 5 == 3; // items 3 and 8
     let run = |threads: usize| {
-        BatchRunner::new(threads)
-            .run_machines_report(&cfg, &items, |m, i, &x| {
+        let runner = BatchRunner::new(threads);
+        let pool = MachinePool::new(&cfg, runner.exec_mode());
+        runner
+            .run_machines_report_pooled(&pool, &items, |m, i, &x| {
                 let mut b = ProgramBuilder::new();
                 let top = b.label();
                 b.mov_imm(X0, x);

@@ -13,7 +13,8 @@
 //!   with a typed `draining` frame, and exits with quarantined machines
 //!   accounted in the final stats;
 //! * provably-fatal fault programs are rejected at admission without a
-//!   single machine checkout from the tenant pool.
+//!   single machine checkout from the tenant pool, and every admitted
+//!   fault case reproduces the fault sweep's outcome for it.
 
 use quetzal::{BatchRunner, MachineConfig, MachinePool};
 use quetzal_bench::workloads::{Workload, SEED};
@@ -379,6 +380,85 @@ fn fatal_fault_programs_are_rejected_without_a_pool_checkout() {
 
     shutdown(&addr);
     handle.join().expect("accept loop").expect("clean exit");
+}
+
+#[test]
+fn served_fault_outcomes_match_the_sweep_replay() {
+    // Every served fault case must reproduce what the fault sweep
+    // observes for it: a fresh machine, staged first, then the sweep
+    // budgets, then the run. Statically fatal mutants are rejected
+    // instead, and only those. The order matters: staging writes go
+    // through the page cap, so a tight cap installed before staging
+    // turns admitted mutants that run clean in the sweep into `panic`
+    // frames.
+    use quetzal::verify::{verify_with, Verdict, VerifyConfig};
+    use quetzal::{FaultPlan, Machine};
+    use quetzal_served::job::{FAULT_CYCLE_BUDGET, FAULT_INST_BUDGET, FAULT_PAGE_BUDGET};
+
+    let seed = 0xF4417;
+    let (_, frames) = offline_report(&fault_spec(seed, 0..64), 1);
+    let plan = FaultPlan::new(seed);
+    let config = MachineConfig::default();
+    let vconfig = VerifyConfig {
+        latencies: quetzal::class_latencies(&config.core),
+        ..VerifyConfig::default()
+    };
+    let mut replayed = 0;
+    for frame in &frames {
+        let item = match frame {
+            Response::Item { item, .. } | Response::ItemFailed { item, .. } => *item,
+            _ => continue,
+        };
+        assert_eq!(item, replayed, "frames arrive in item order");
+        replayed += 1;
+        let mut machine = Machine::new(config.clone());
+        let (program, _) = plan.stage(item as u64, &mut machine);
+        machine
+            .core_mut()
+            .state_mut()
+            .mem
+            .set_page_budget(FAULT_PAGE_BUDGET);
+        machine.core_mut().set_budget(FAULT_INST_BUDGET);
+        machine.core_mut().set_cycle_budget(FAULT_CYCLE_BUDGET);
+        let fatal = verify_with(&program, &vconfig).verdict() == Verdict::Fatal;
+        if let Response::ItemFailed {
+            cause: "rejected", ..
+        } = frame
+        {
+            assert!(fatal, "case {item}: rejected but not statically fatal");
+            continue;
+        }
+        assert!(!fatal, "case {item}: statically fatal but admitted");
+        match (frame, machine.run(&program)) {
+            (
+                Response::Item {
+                    cycles,
+                    instructions,
+                    recovered: None,
+                    ..
+                },
+                Ok(stats),
+            ) => {
+                assert_eq!(
+                    (*cycles, *instructions),
+                    (stats.cycles, stats.instructions),
+                    "case {item}"
+                );
+            }
+            (
+                Response::ItemFailed {
+                    cause: "sim",
+                    message,
+                    ..
+                },
+                Err(e),
+            ) => assert_eq!(*message, e.to_string(), "case {item}"),
+            (frame, outcome) => {
+                panic!("case {item}: served {frame:?}, sweep replay {outcome:?}")
+            }
+        }
+    }
+    assert_eq!(replayed, 64, "one terminal frame per case");
 }
 
 #[test]
