@@ -21,7 +21,9 @@ use crate::functional::{CompiledCache, ExecMode};
 use crate::ooo::{DynInst, OooTiming};
 use crate::predecode::{DecodeCache, Predecode};
 use crate::probe::{NullProbe, Probe};
-use crate::state::{truncate, ArchState};
+use crate::state::{
+    active, by_width, first_n, lane, lane_i64, lane_mask, set_lane, ArchState, VValue,
+};
 use crate::stats::RunStats;
 use quetzal_accel::count_alu::{qzcount_vector, COUNT_ALU_LATENCY};
 use quetzal_isa::{
@@ -128,20 +130,55 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-fn vector_alu(op: VAluOp, a: i64, b: i64, esize: ElemSize) -> u64 {
-    let r = match op {
-        VAluOp::Add => a.wrapping_add(b),
-        VAluOp::Sub => a.wrapping_sub(b),
-        VAluOp::Mul => a.wrapping_mul(b),
-        VAluOp::And => a & b,
-        VAluOp::Or => a | b,
-        VAluOp::Xor => a ^ b,
-        VAluOp::Smin => a.min(b),
-        VAluOp::Smax => a.max(b),
-        VAluOp::Shl => ((a as u64).wrapping_shl(b as u32 & 63)) as i64,
-        VAluOp::Shr => truncate(a, esize).wrapping_shr(b as u32 & 63) as i64,
-    };
-    truncate(r, esize)
+/// One vector ALU lane at `B`-byte elements: `a` is the sign-extended
+/// element, `b` the sign-extended element or the full-width immediate.
+/// The caller's [`set_lane`] truncates the result to the element width.
+#[inline(always)]
+fn valu<const B: usize>(op: VAluOp, a: i64, b: i64) -> u64 {
+    match op {
+        VAluOp::Add => a.wrapping_add(b) as u64,
+        VAluOp::Sub => a.wrapping_sub(b) as u64,
+        VAluOp::Mul => a.wrapping_mul(b) as u64,
+        VAluOp::And => (a & b) as u64,
+        VAluOp::Or => (a | b) as u64,
+        VAluOp::Xor => (a ^ b) as u64,
+        VAluOp::Smin => a.min(b) as u64,
+        VAluOp::Smax => a.max(b) as u64,
+        VAluOp::Shl => (a as u64).wrapping_shl(b as u32 & 63),
+        VAluOp::Shr => (a as u64 & (u64::MAX >> (64 - 8 * B))).wrapping_shr(b as u32 & 63),
+    }
+}
+
+/// Writes `f(i)` to every `B`-byte lane `i` of `v` (truncating).
+#[inline(always)]
+fn fill<const B: usize>(v: &mut VValue, f: impl Fn(usize) -> u64) {
+    for i in 0..VLEN_BYTES / B {
+        set_lane::<B>(v, i, f(i));
+    }
+}
+
+/// Writes `f(i)` to every `B`-byte lane `i` of `v` that `pred`
+/// activates; inactive lanes keep their value.
+#[inline(always)]
+fn merge<const B: usize>(v: &mut VValue, pred: u64, f: impl Fn(usize) -> u64) {
+    for i in 0..VLEN_BYTES / B {
+        if active::<B>(pred, i) {
+            set_lane::<B>(v, i, f(i));
+        }
+    }
+}
+
+/// The predicate word (bit `i * B` per lane) of the lanes `pred`
+/// activates for which `f(i)` holds.
+#[inline(always)]
+fn compare<const B: usize>(pred: u64, f: impl Fn(usize) -> bool) -> u64 {
+    let mut out = 0u64;
+    for i in 0..VLEN_BYTES / B {
+        if active::<B>(pred, i) && f(i) {
+            out |= 1 << (i * B);
+        }
+    }
+    out
 }
 
 /// Packs the active `(index, value)` lane pairs of a predicated QBUFFER
@@ -330,15 +367,11 @@ pub(crate) fn step(
         }
 
         Instruction::Dup { vd, rn, esize } => {
-            let v = state.x(rn);
-            for i in 0..esize.lanes() {
-                state.set_v_elem(vd, i, esize, v);
-            }
+            let x = state.x(rn);
+            by_width!(esize, |B| fill::<B>(state.v_mut(vd), |_| x));
         }
         Instruction::DupImm { vd, imm, esize } => {
-            for i in 0..esize.lanes() {
-                state.set_v_elem(vd, i, esize, imm as u64);
-            }
+            by_width!(esize, |B| fill::<B>(state.v_mut(vd), |_| imm as u64));
         }
         Instruction::Index {
             vd,
@@ -347,10 +380,8 @@ pub(crate) fn step(
             esize,
         } => {
             let start = state.x(rn) as i64;
-            for i in 0..esize.lanes() {
-                let v = start.wrapping_add(step.wrapping_mul(i as i64));
-                state.set_v_elem(vd, i, esize, truncate(v, esize));
-            }
+            let lane_value = |i: usize| start.wrapping_add(step.wrapping_mul(i as i64)) as u64;
+            by_width!(esize, |B| fill::<B>(state.v_mut(vd), lane_value));
         }
         Instruction::VAluVV {
             op,
@@ -360,13 +391,10 @@ pub(crate) fn step(
             pg,
             esize,
         } => {
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let a = state.v_elem_i64(vn, i, esize);
-                    let b = state.v_elem_i64(vm, i, esize);
-                    state.set_v_elem(vd, i, esize, vector_alu(op, a, b, esize));
-                }
-            }
+            let (a, b, pred) = (*state.v(vn), *state.v(vm), state.p(pg));
+            by_width!(esize, |B| merge::<B>(state.v_mut(vd), pred, |i| {
+                valu::<B>(op, lane_i64::<B>(&a, i), lane_i64::<B>(&b, i))
+            }));
         }
         Instruction::VAluVI {
             op,
@@ -376,12 +404,10 @@ pub(crate) fn step(
             pg,
             esize,
         } => {
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let a = state.v_elem_i64(vn, i, esize);
-                    state.set_v_elem(vd, i, esize, vector_alu(op, a, imm, esize));
-                }
-            }
+            let (a, pred) = (*state.v(vn), state.p(pg));
+            by_width!(esize, |B| merge::<B>(state.v_mut(vd), pred, |i| {
+                valu::<B>(op, lane_i64::<B>(&a, i), imm)
+            }));
         }
         Instruction::VCmpVV {
             cond,
@@ -391,16 +417,10 @@ pub(crate) fn step(
             pg,
             esize,
         } => {
-            let mut p = 0u64;
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let a = state.v_elem_i64(vn, i, esize);
-                    let b = state.v_elem_i64(vm, i, esize);
-                    if cond.eval(a, b) {
-                        p |= 1 << (i * esize.bytes());
-                    }
-                }
-            }
+            let (a, b) = (state.v(vn), state.v(vm));
+            let p = by_width!(esize, |B| compare::<B>(state.p(pg), |i| {
+                cond.eval(lane_i64::<B>(a, i), lane_i64::<B>(b, i))
+            }));
             state.set_p(pd, p);
         }
         Instruction::VCmpVI {
@@ -411,15 +431,10 @@ pub(crate) fn step(
             pg,
             esize,
         } => {
-            let mut p = 0u64;
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let a = state.v_elem_i64(vn, i, esize);
-                    if cond.eval(a, imm) {
-                        p |= 1 << (i * esize.bytes());
-                    }
-                }
-            }
+            let a = state.v(vn);
+            let p = by_width!(esize, |B| compare::<B>(state.p(pg), |i| {
+                cond.eval(lane_i64::<B>(a, i), imm)
+            }));
             state.set_p(pd, p);
         }
         Instruction::VSel {
@@ -429,26 +444,19 @@ pub(crate) fn step(
             vm,
             esize,
         } => {
-            for i in 0..esize.lanes() {
-                let v = if state.lane_active(pg, i, esize) {
-                    state.v_elem(vn, i, esize)
-                } else {
-                    state.v_elem(vm, i, esize)
-                };
-                state.set_v_elem(vd, i, esize, v);
-            }
+            let (n, m, pred) = (*state.v(vn), *state.v(vm), state.p(pg));
+            by_width!(esize, |B| fill::<B>(state.v_mut(vd), |i| {
+                lane::<B>(if active::<B>(pred, i) { &n } else { &m }, i)
+            }));
         }
         Instruction::VLoad { vd, rn, pg, esize } => {
             let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                let v = if state.lane_active(pg, i, esize) {
-                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                    state.mem.read_le(addr, esize.bytes())
-                } else {
-                    0
-                };
-                state.set_v_elem(vd, i, esize, v);
-            }
+            let pred = state.p(pg);
+            let mut v = [0u8; VLEN_BYTES];
+            state.mem.read_into(base, &mut v);
+            // Inactive lanes read as zero.
+            by_width!(esize, |B| merge::<B>(&mut v, !pred, |_| 0));
+            *state.v_mut(vd) = v;
             fx.mem(base, VLEN_BYTES as u32);
         }
         Instruction::VLoadN {
@@ -459,28 +467,19 @@ pub(crate) fn step(
             msize,
         } => {
             let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                let v = if state.lane_active(pg, i, esize) {
-                    let addr = base.wrapping_add((i * msize.bytes()) as u64);
-                    state.mem.read_le(addr, msize.bytes())
-                } else {
-                    0
-                };
-                state.set_v_elem(vd, i, esize, v);
-            }
-            fx.mem(base, (esize.lanes() * msize.bytes()) as u32);
+            let (pred, m) = (state.p(pg), msize.bytes());
+            let mut v = [0u8; VLEN_BYTES];
+            by_width!(esize, |B| merge::<B>(&mut v, pred, |i| {
+                state.mem.read_le(base.wrapping_add((i * m) as u64), m)
+            }));
+            *state.v_mut(vd) = v;
+            fx.mem(base, (esize.lanes() * m) as u32);
         }
         Instruction::VStore { vs, rn, pg, esize } => {
             let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let v = state.v_elem(vs, i, esize);
-                    let addr = base.wrapping_add((i * esize.bytes()) as u64);
-                    if state.mem.try_write_le(addr, v, esize.bytes()).is_err() {
-                        return Err(SimError::MemoryFault { addr, pc });
-                    }
-                }
-            }
+            let (v, pred) = (*state.v(vs), state.p(pg));
+            let stored = by_width!(esize, |B| state.mem.try_store_lanes::<B>(base, &v, pred));
+            stored.map_err(|addr| SimError::MemoryFault { addr, pc })?;
             fx.mem(base, VLEN_BYTES as u32);
         }
         Instruction::VGather {
@@ -493,17 +492,19 @@ pub(crate) fn step(
             scale,
         } => {
             let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let off = state.v_elem_i64(idx, i, esize);
-                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                    let v = state.mem.read_le(addr, msize.bytes());
-                    state.set_v_elem(vd, i, esize, v);
-                    fx.mem(addr, msize.bytes() as u32);
-                } else {
-                    state.set_v_elem(vd, i, esize, 0);
+            let (ix, pred, m) = (*state.v(idx), state.p(pg), msize.bytes());
+            let mut v = [0u8; VLEN_BYTES];
+            by_width!(esize, |B| {
+                for i in 0..VLEN_BYTES / B {
+                    if active::<B>(pred, i) {
+                        let off = lane_i64::<B>(&ix, i);
+                        let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
+                        set_lane::<B>(&mut v, i, state.mem.read_le(addr, m));
+                        fx.mem(addr, m as u32);
+                    }
                 }
-            }
+            });
+            *state.v_mut(vd) = v;
         }
         Instruction::VScatter {
             vs,
@@ -515,20 +516,19 @@ pub(crate) fn step(
             scale,
         } => {
             let base = state.x(rn);
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let off = state.v_elem_i64(idx, i, esize);
-                    let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
-                    if state
-                        .mem
-                        .try_write_le(addr, state.v_elem(vs, i, esize), msize.bytes())
-                        .is_err()
-                    {
-                        return Err(SimError::MemoryFault { addr, pc });
+            let (v, ix, pred, m) = (*state.v(vs), *state.v(idx), state.p(pg), msize.bytes());
+            by_width!(esize, |B| {
+                for i in 0..VLEN_BYTES / B {
+                    if active::<B>(pred, i) {
+                        let off = lane_i64::<B>(&ix, i);
+                        let addr = base.wrapping_add_signed(off.wrapping_mul(scale as i64));
+                        if state.mem.try_write_le(addr, lane::<B>(&v, i), m).is_err() {
+                            return Err(SimError::MemoryFault { addr, pc });
+                        }
+                        fx.mem(addr, m as u32);
                     }
-                    fx.mem(addr, msize.bytes() as u32);
                 }
-            }
+            });
         }
         Instruction::VReduce {
             op,
@@ -537,18 +537,22 @@ pub(crate) fn step(
             pg,
             esize,
         } => {
-            let mut acc: Option<i64> = None;
-            for i in 0..esize.lanes() {
-                if state.lane_active(pg, i, esize) {
-                    let v = state.v_elem_i64(vn, i, esize);
-                    acc = Some(match (acc, op) {
-                        (None, _) => v,
-                        (Some(a), RedOp::Add) => a.wrapping_add(v),
-                        (Some(a), RedOp::Min) => a.min(v),
-                        (Some(a), RedOp::Max) => a.max(v),
-                    });
+            let (v, pred) = (state.v(vn), state.p(pg));
+            let acc = by_width!(esize, |B| {
+                let mut acc: Option<i64> = None;
+                for i in 0..VLEN_BYTES / B {
+                    if active::<B>(pred, i) {
+                        let x = lane_i64::<B>(v, i);
+                        acc = Some(match (acc, op) {
+                            (None, _) => x,
+                            (Some(a), RedOp::Add) => a.wrapping_add(x),
+                            (Some(a), RedOp::Min) => a.min(x),
+                            (Some(a), RedOp::Max) => a.max(x),
+                        });
+                    }
                 }
-            }
+                acc
+            });
             let empty = match op {
                 RedOp::Add => 0,
                 RedOp::Min => i64::MAX,
@@ -559,26 +563,26 @@ pub(crate) fn step(
         Instruction::VExtract {
             rd,
             vn,
-            lane,
+            lane: i,
             esize,
         } => {
-            if lane as usize >= esize.lanes() {
-                return Err(SimError::InvalidRegister { index: lane, pc });
+            if i as usize >= esize.lanes() {
+                return Err(SimError::InvalidRegister { index: i, pc });
             }
-            let v = state.v_elem(vn, lane as usize, esize);
-            state.set_x(rd, v);
+            let x = by_width!(esize, |B| lane::<B>(state.v(vn), i as usize));
+            state.set_x(rd, x);
         }
         Instruction::VInsert {
             vd,
             rn,
-            lane,
+            lane: i,
             esize,
         } => {
-            if lane as usize >= esize.lanes() {
-                return Err(SimError::InvalidRegister { index: lane, pc });
+            if i as usize >= esize.lanes() {
+                return Err(SimError::InvalidRegister { index: i, pc });
             }
-            let v = state.x(rn);
-            state.set_v_elem(vd, lane as usize, esize, v);
+            let x = state.x(rn);
+            by_width!(esize, |B| set_lane::<B>(state.v_mut(vd), i as usize, x));
         }
         Instruction::VSlideDown {
             vd,
@@ -586,43 +590,28 @@ pub(crate) fn step(
             amount,
             esize,
         } => {
-            // Stack scratch: at most VLEN_BYTES lanes (B8 elements),
-            // so a fixed array replaces the per-instruction Vec.
-            let lanes = esize.lanes();
-            let mut buf = [0u64; VLEN_BYTES];
-            let tmp = &mut buf[..lanes];
-            for (i, item) in tmp.iter_mut().enumerate() {
-                let src = i + amount as usize;
-                *item = if src < lanes {
-                    state.v_elem(vn, src, esize)
-                } else {
-                    0
-                };
-            }
-            for (i, &v) in tmp.iter().enumerate() {
-                state.set_v_elem(vd, i, esize, v);
-            }
+            // Lanes move down by `amount`, zero-filling the top: a byte
+            // shift of the whole register.
+            let n = *state.v(vn);
+            let k = (amount as usize * esize.bytes()).min(VLEN_BYTES);
+            let d = state.v_mut(vd);
+            d[..VLEN_BYTES - k].copy_from_slice(&n[k..]);
+            d[VLEN_BYTES - k..].fill(0);
         }
         Instruction::VSlide1Up { vd, vn, rn, esize } => {
-            let lanes = esize.lanes();
-            let mut buf = [0u64; VLEN_BYTES];
-            let tmp = &mut buf[..lanes];
-            tmp[0] = state.x(rn);
-            for (i, item) in tmp.iter_mut().enumerate().skip(1) {
-                *item = state.v_elem(vn, i - 1, esize);
-            }
-            for (i, &v) in tmp.iter().enumerate() {
-                state.set_v_elem(vd, i, esize, v);
-            }
+            // Lanes move up by one and `rn` enters lane 0.
+            let (n, x, w) = (*state.v(vn), state.x(rn), esize.bytes());
+            let d = state.v_mut(vd);
+            d[w..].copy_from_slice(&n[..VLEN_BYTES - w]);
+            d[..w].copy_from_slice(&x.to_le_bytes()[..w]);
         }
 
         Instruction::PTrue { pd, esize } => {
-            state.set_p(pd, ArchState::pred_first_n(esize.lanes(), esize));
+            state.set_p(pd, by_width!(esize, |B| lane_mask::<B>()));
         }
         Instruction::PWhileLt { pd, rn, esize } => {
-            let n = state.x(rn) as i64;
-            let n = n.clamp(0, esize.lanes() as i64) as usize;
-            state.set_p(pd, ArchState::pred_first_n(n, esize));
+            let n = (state.x(rn) as i64).max(0) as usize;
+            state.set_p(pd, by_width!(esize, |B| first_n::<B>(n)));
         }
         Instruction::PFalse { pd } => state.set_p(pd, 0),
         Instruction::PAnd { pd, pn, pm } => state.set_p(pd, state.p(pn) & state.p(pm)),
@@ -668,9 +657,7 @@ pub(crate) fn step(
             let mask = state.mask64(pg);
             let idxs = state.v_lanes64(idx);
             let (vals, lat) = state.qz.load(sel.index(), &idxs, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                state.set_v_elem(vd, i, ElemSize::B64, v);
-            }
+            fill::<8>(state.v_mut(vd), |i| vals[i]);
             fx.qz_latency(lat);
         }
         Instruction::QzMhm {
@@ -684,9 +671,7 @@ pub(crate) fn step(
             let i0 = state.v_lanes64(idx0);
             let i1 = state.v_lanes64(idx1);
             let (vals, lat) = state.qz.mhm(op, &i0, &i1, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                state.set_v_elem(vd, i, ElemSize::B64, v);
-            }
+            fill::<8>(state.v_mut(vd), |i| vals[i]);
             fx.qz_latency(lat);
         }
         Instruction::QzMm {
@@ -701,18 +686,14 @@ pub(crate) fn step(
             let vv = state.v_lanes64(val);
             let ii = state.v_lanes64(idx);
             let (vals, lat) = state.qz.mm(op, sel.index(), &vv, &ii, &mask);
-            for (i, &v) in vals.iter().enumerate() {
-                state.set_v_elem(vd, i, ElemSize::B64, v);
-            }
+            fill::<8>(state.v_mut(vd), |i| vals[i]);
             fx.qz_latency(lat);
         }
         Instruction::QzCount { vd, vn, vm } => {
             let a = state.v_lanes64(vn);
             let b = state.v_lanes64(vm);
             let counts = qzcount_vector(&a, &b, state.qz.esize);
-            for (i, &c) in counts.iter().enumerate() {
-                state.set_v_elem(vd, i, ElemSize::B64, c);
-            }
+            fill::<8>(state.v_mut(vd), |i| counts[i]);
             fx.qz_latency(COUNT_ALU_LATENCY);
         }
     }
@@ -907,7 +888,6 @@ impl<P: Probe> Core<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::sign_extend;
     use quetzal_isa::*;
 
     fn core() -> Core {
@@ -1315,14 +1295,148 @@ mod tests {
         b.valu_vv(VAluOp::Smin, V3, V0, V1, P0, ElemSize::B32);
         b.halt();
         let (c, _) = run(&mut b);
+        assert_eq!(c.state().v_elem_i64(V2, 0, ElemSize::B32), 2);
+        assert_eq!(c.state().v_elem_i64(V3, 0, ElemSize::B32), -3);
+    }
+
+    /// Architectural state visible after a unit-stride run: registers,
+    /// resident page count, and the bytes around each probed address.
+    type Snapshot = (Vec<u64>, Vec<VValue>, Vec<u64>, usize, Vec<Vec<u8>>);
+
+    /// Runs `p` after `stage` on a fresh core per engine, asserts that
+    /// the cycle engine and the functional tier agree on the outcome and
+    /// on a [`Snapshot`] covering 256 bytes around each probe, and
+    /// returns them.
+    fn run_both_engines(
+        stage: &dyn Fn(&mut ArchState),
+        p: &Program,
+        probes: &[u64],
+    ) -> (Result<(), SimError>, Snapshot) {
+        let [cycle, functional] = [ExecMode::Cycle, ExecMode::Functional].map(|mode| {
+            let mut c = core();
+            c.set_exec_mode(mode);
+            stage(c.state_mut());
+            let out = c.run(p).map(|_| ());
+            let st = c.state();
+            let snap = (
+                (0..32).map(|r| st.x(XReg::new(r))).collect(),
+                (0..32).map(|r| *st.v(VReg::new(r))).collect(),
+                (0..16).map(|r| st.p(PReg::new(r))).collect(),
+                st.mem.resident_pages(),
+                probes
+                    .iter()
+                    .map(|&a| st.mem.read_bytes(a.wrapping_sub(128), 256))
+                    .collect(),
+            );
+            (out, snap)
+        });
+        assert_eq!(cycle, functional, "engines disagree");
+        cycle
+    }
+
+    /// `VLoad`/`VStore` at a page-straddling base, at a base in the last
+    /// 64 bytes below 2^64 (addresses wrap), and under an all-inactive
+    /// predicate, at every element size: both engines agree on the
+    /// state, the loaded register holds exactly the active lanes, the
+    /// store writes exactly the active lanes, and a store with no active
+    /// lane allocates no page.
+    #[test]
+    fn unit_stride_edges_agree_across_engines() {
+        const PRED: u64 = 0x0F0F_00FF_F0F0_A5A5;
+        let straddle = 0x7000 - 24;
+        let wrap = u64::MAX - 31;
+        let image: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let vs: VValue = std::array::from_fn(|i| 0xC0 ^ i as u8);
+        for esize in ElemSize::all() {
+            let w = esize.bytes();
+            let active = |i: usize| PRED >> (i / w * w) & 1 == 1;
+            // The store overwrites the loaded range, except in the empty
+            // cases, which target fresh pages: one straddling, one not.
+            let cases = [
+                (straddle, straddle, PRED),
+                (wrap, wrap, PRED),
+                (straddle, straddle + (1 << 20), 0),
+                (straddle, 0x20_0040, 0),
+            ];
+            for (base, dst, pred) in cases {
+                let mut b = ProgramBuilder::new();
+                b.vload(V1, X0, P0, esize);
+                b.vstore(V2, X1, P0, esize);
+                b.halt();
+                let p = b.build().unwrap();
+                let stage = |st: &mut ArchState| {
+                    st.mem.write_bytes(base, &image);
+                    *st.v_mut(V2) = vs;
+                    st.set_p(P0, pred);
+                    st.set_x(X0, base);
+                    st.set_x(X1, dst);
+                };
+                let (out, snap) = run_both_engines(&stage, &p, &[dst]);
+                assert_eq!(out, Ok(()), "{esize:?} {base:#x}");
+                let pages_before = {
+                    let mut st = ArchState::new(CoreConfig::a64fx_like().qz);
+                    stage(&mut st);
+                    st.mem.resident_pages()
+                };
+                let on = |i: usize| pred != 0 && active(i);
+                let loaded: VValue = std::array::from_fn(|i| if on(i) { image[i] } else { 0 });
+                assert_eq!(snap.1[1], loaded, "{esize:?} {base:#x} load");
+                let old = |i: usize| if dst == base { image[i] } else { 0 };
+                let stored: Vec<u8> = (0..64)
+                    .map(|i| if on(i) { vs[i] } else { old(i) })
+                    .collect();
+                assert_eq!(snap.4[0][128..192], stored[..], "{esize:?} {base:#x} store");
+                if pred == 0 {
+                    assert_eq!(snap.3, pages_before, "{esize:?}: empty store allocated");
+                }
+            }
+        }
+    }
+
+    /// A straddling `VStore` whose page budget runs out in the second
+    /// page faults at the first lane in that page, with the first-page
+    /// lanes written — identically on both engines.
+    #[test]
+    fn unit_stride_budget_fault_keeps_earlier_lanes() {
+        let base = 0x9000 - 24;
+        let mut b = ProgramBuilder::new();
+        b.vstore(V2, X1, P0, ElemSize::B64);
+        b.halt();
+        let p = b.build().unwrap();
+        let vs: VValue = std::array::from_fn(|i| 1 + i as u8);
+        let stage = |st: &mut ArchState| {
+            *st.v_mut(V2) = vs;
+            st.set_p(P0, u64::MAX);
+            st.set_x(X1, base);
+            st.mem.set_page_budget(1);
+        };
+        let (out, snap) = run_both_engines(&stage, &p, &[base]);
         assert_eq!(
-            sign_extend(c.state().v_elem(V2, 0, ElemSize::B32), ElemSize::B32),
-            2
+            out,
+            Err(SimError::MemoryFault {
+                addr: 0x9000,
+                pc: 0
+            })
         );
+        assert_eq!(snap.3, 1, "only the first page is resident");
+        assert_eq!(snap.4[0][128..152], vs[..24], "first-page lanes written");
+        assert!(snap.4[0][152..].iter().all(|&b| b == 0));
+        // Within one page, the fault names the first active lane.
+        let stage = |st: &mut ArchState| {
+            stage(st);
+            st.set_p(P0, 0xFF00_0000_0000_0000);
+            st.set_x(X1, 0x9000);
+            st.mem.set_page_budget(0);
+        };
+        let (out, snap) = run_both_engines(&stage, &p, &[0x9000]);
         assert_eq!(
-            sign_extend(c.state().v_elem(V3, 0, ElemSize::B32), ElemSize::B32),
-            -3
+            out,
+            Err(SimError::MemoryFault {
+                addr: 0x9038,
+                pc: 0
+            })
         );
+        assert_eq!(snap.3, 0);
     }
 
     #[test]
@@ -1349,16 +1463,18 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     //! Differential testing: random straight-line scalar programs, and
-    //! every vector ALU and reduction op, are executed by the simulator
-    //! and by a direct Rust evaluator that restates the architectural
-    //! semantics without sharing simulator routines; the final register
-    //! files must agree exactly. Case generation is seeded (in-tree
-    //! PRNG), so failures reproduce exactly.
+    //! every width-specialised vector lane op (ALU, reduce, compare,
+    //! select, broadcast, index, predicate and gather/scatter) at all
+    //! four element sizes, are executed by the simulator and by a direct
+    //! Rust evaluator that restates the architectural semantics without
+    //! sharing simulator routines; the final register files (and the
+    //! scattered memory) must agree exactly. Case generation is seeded
+    //! (in-tree PRNG), so failures reproduce exactly.
 
     use super::*;
     use crate::state::VValue;
     use quetzal_genomics::rng::SplitMix64;
-    use quetzal_isa::{ProgramBuilder, SAluOp, XReg, P0, V0, V1};
+    use quetzal_isa::{BranchCond, MemSize, ProgramBuilder, SAluOp, XReg, P0, V0, V1};
 
     #[derive(Debug, Clone)]
     enum Op {
@@ -1494,11 +1610,13 @@ mod proptests {
     fn interpreter_matches_oracle() {
         let mut rng = SplitMix64::new(0x1A7E_5EED);
         let mut vector_rng = SplitMix64::new(0x7EC7_0E5D);
+        let mut lane_rng = SplitMix64::new(0x1A4E_0B5E);
         for case in 0..48 {
             let len = rng.i64_in(1, 60) as usize;
             let ops: Vec<Op> = (0..len).map(|_| random_op(&mut rng)).collect();
             check_program(case, &ops);
             check_vector_ops(case, &mut vector_rng);
+            check_lane_ops(case, &mut lane_rng);
         }
     }
 
@@ -1624,5 +1742,182 @@ mod proptests {
                 "case {case}: reduce {k}"
             );
         }
+    }
+
+    /// Independent re-statement of the six signed comparisons.
+    fn oracle_cond(cond: BranchCond, a: i64, b: i64) -> bool {
+        match cond {
+            BranchCond::Eq => a == b,
+            BranchCond::Ne => a != b,
+            BranchCond::Lt => a < b,
+            BranchCond::Le => a <= b,
+            BranchCond::Gt => a > b,
+            BranchCond::Ge => a >= b,
+        }
+    }
+
+    /// The remaining lane ops at one element size, under the same
+    /// predicate schedule as [`check_vector_ops`]: `VCmpVV`/`VCmpVI`
+    /// over all six conditions, `VSel`, `Dup`, `DupImm`, `Index` (a
+    /// negative and a full-width step), `PTrue`, `PWhileLt`, `PCount`,
+    /// and `VGather`/`VScatter` over an index vector full of duplicates
+    /// (a later lane's scatter overwrites an earlier one's).
+    fn check_lane_ops(case: usize, rng: &mut SplitMix64) {
+        use BranchCond::*;
+        const CONDS: [BranchCond; 6] = [Eq, Ne, Lt, Le, Gt, Ge];
+        const SIZES: [ElemSize; 4] = [ElemSize::B8, ElemSize::B16, ElemSize::B32, ElemSize::B64];
+        const MSIZES: [MemSize; 4] = [MemSize::B1, MemSize::B2, MemSize::B4, MemSize::B8];
+        const GATHER: u64 = 0x1_0000;
+        const SCATTER: u64 = 0x2_0000;
+        let (esize, j) = (SIZES[case % 4], case / 4);
+        let w = esize.bytes();
+        let lanes = VLEN_BYTES / w;
+        let width_mask = u64::MAX >> (64 - 8 * w);
+        let pred = [u64::MAX, 0, rng.next_u64()][j % 3];
+        // Half the lanes of `a` equal `b`'s, so Eq/Le/Ge see ties.
+        let [mut a, b, dest]: [VValue; 3] =
+            std::array::from_fn(|_| std::array::from_fn(|_| rng.next_u64() as u8));
+        for i in (0..lanes).filter(|_| rng.below(2) == 0) {
+            a[i * w..(i + 1) * w].copy_from_slice(&b[i * w..(i + 1) * w]);
+        }
+        // Small signed indices (-4..4), so lanes collide.
+        let mut ix: VValue = [0; VLEN_BYTES];
+        for i in 0..lanes {
+            let k = rng.i64_in(-4, 4) as u64;
+            ix[i * w..(i + 1) * w].copy_from_slice(&k.to_le_bytes()[..w]);
+        }
+        let imm = lane(&b, rng.below(lanes as u64) as usize, w).1;
+        let (x_dup, x_start) = (rng.next_u64(), rng.next_u64());
+        let steps = [rng.i64_in(-200, 0), rng.next_u64() as i64];
+        let n = match rng.below(4) {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            _ => rng.i64_in(-3, lanes as i64 + 3),
+        };
+        let msize = *rng.pick(&MSIZES);
+        let m = msize.bytes();
+        let scale = 1u8 << rng.below(4);
+        let image: Vec<u8> = (0..256).map(|_| rng.next_u64() as u8).collect();
+
+        let v = VReg::new;
+        let x = XReg::new;
+        let p = quetzal_isa::PReg::new;
+        let mut prog = ProgramBuilder::new();
+        for (k, &cond) in CONDS.iter().enumerate() {
+            prog.vcmp_vv(cond, p(1 + k as u8), V0, V1, P0, esize);
+            prog.vcmp_vi(cond, p(7 + k as u8), V0, imm, P0, esize);
+        }
+        prog.vsel(v(2), P0, V0, V1, esize);
+        prog.dup(v(3), x(0), esize);
+        prog.dup_imm(v(4), imm, esize);
+        prog.index(v(5), x(1), steps[0], esize);
+        prog.index(v(6), x(1), steps[1], esize);
+        prog.ptrue(p(13), esize);
+        prog.pwhilelt(p(14), x(2), esize);
+        prog.pcount(x(3), P0, esize);
+        prog.pcount(x(4), p(14), esize);
+        prog.vgather(v(7), x(5), v(8), P0, esize, msize, scale);
+        prog.vscatter(V1, x(6), v(8), P0, esize, msize, scale);
+        prog.halt();
+        let mut core = Core::new(CoreConfig::a64fx_like());
+        let st = core.state_mut();
+        *st.v_mut(V0) = a;
+        *st.v_mut(V1) = b;
+        *st.v_mut(v(8)) = ix;
+        (2..8).for_each(|r| *st.v_mut(v(r)) = dest);
+        st.set_p(P0, pred);
+        st.set_x(x(0), x_dup);
+        st.set_x(x(1), x_start);
+        st.set_x(x(2), n as u64);
+        st.set_x(x(5), GATHER + 128);
+        st.set_x(x(6), SCATTER + 128);
+        st.mem.write_bytes(GATHER, &image);
+        core.run(&prog.build().unwrap()).unwrap();
+        let st = core.state();
+
+        let is_active = |i: usize| pred >> (i * w) & 1 == 1;
+        let put = |r: &mut VValue, i: usize, val: u64| {
+            r[i * w..(i + 1) * w].copy_from_slice(&val.to_le_bytes()[..w]);
+        };
+        let bits = |f: &dyn Fn(usize) -> bool| {
+            (0..lanes)
+                .filter(|&i| f(i))
+                .map(|i| 1u64 << (i * w))
+                .sum::<u64>()
+        };
+        for (k, &cond) in CONDS.iter().enumerate() {
+            let want =
+                bits(&|i| is_active(i) && oracle_cond(cond, lane(&a, i, w).1, lane(&b, i, w).1));
+            assert_eq!(
+                st.p(p(1 + k as u8)),
+                want,
+                "case {case}: {cond:?} {esize:?} vv"
+            );
+            let want = bits(&|i| is_active(i) && oracle_cond(cond, lane(&a, i, w).1, imm));
+            assert_eq!(
+                st.p(p(7 + k as u8)),
+                want,
+                "case {case}: {cond:?} {esize:?} #{imm}"
+            );
+        }
+        let mut want: [VValue; 5] = [[0; VLEN_BYTES]; 5];
+        for i in 0..lanes {
+            put(
+                &mut want[0],
+                i,
+                lane(if is_active(i) { &a } else { &b }, i, w).0,
+            );
+            put(&mut want[1], i, x_dup);
+            put(&mut want[2], i, imm as u64);
+            for (s, &step) in steps.iter().enumerate() {
+                let e = x_start.wrapping_add((i as u64).wrapping_mul(step as u64));
+                put(&mut want[3 + s], i, e & width_mask);
+            }
+        }
+        let names = ["vsel", "dup", "dup_imm", "index -", "index full"];
+        for (k, name) in names.iter().enumerate() {
+            assert_eq!(
+                st.v(v(2 + k as u8)),
+                &want[k],
+                "case {case}: {name} {esize:?}"
+            );
+        }
+        let first = n.clamp(0, lanes as i64) as usize;
+        assert_eq!(st.p(p(13)), bits(&|_| true), "case {case}: ptrue {esize:?}");
+        assert_eq!(
+            st.p(p(14)),
+            bits(&|i| i < first),
+            "case {case}: pwhilelt {n} {esize:?}"
+        );
+        let n_active = (0..lanes).filter(|&i| is_active(i)).count() as u64;
+        assert_eq!(st.x(x(3)), n_active, "case {case}: pcount {esize:?}");
+        assert_eq!(
+            st.x(x(4)),
+            first as u64,
+            "case {case}: pcount whilelt {esize:?}"
+        );
+
+        // Gather reads `m` bytes at base + index * scale into each active
+        // lane; scatter writes lanes in order, so duplicates keep the
+        // highest active lane's value.
+        let mut gathered: VValue = [0; VLEN_BYTES];
+        let mut scattered = vec![0u8; 256];
+        for i in (0..lanes).filter(|&i| is_active(i)) {
+            let at = (128 + lane(&ix, i, w).1 * i64::from(scale)) as usize;
+            let mut le = [0u8; 8];
+            le[..m].copy_from_slice(&image[at..at + m]);
+            put(&mut gathered, i, u64::from_le_bytes(le));
+            scattered[at..at + m].copy_from_slice(&lane(&b, i, w).0.to_le_bytes()[..m]);
+        }
+        assert_eq!(
+            st.v(v(7)),
+            &gathered,
+            "case {case}: gather {esize:?} {msize:?}*{scale}"
+        );
+        assert_eq!(
+            st.mem.read_bytes(SCATTER, 256),
+            scattered,
+            "case {case}: scatter {esize:?} {msize:?}*{scale}"
+        );
     }
 }

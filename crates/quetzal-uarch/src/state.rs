@@ -244,18 +244,72 @@ impl SimMemory {
 
     /// Reads `len` bytes into a fresh vector, page by page.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(len);
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out);
+        out
+    }
+
+    /// Fills `out` from memory at `addr`, one page lookup per page
+    /// touched. Addresses wrap at 2^64; no page is allocated.
+    pub(crate) fn read_into(&self, addr: u64, out: &mut [u8]) {
         let mut addr = addr;
-        while out.len() < len {
+        let mut rest = out;
+        while !rest.is_empty() {
             let off = (addr as usize) & (PAGE_SIZE - 1);
-            let chunk = (len - out.len()).min(PAGE_SIZE - off);
+            let chunk = rest.len().min(PAGE_SIZE - off);
+            let (head, tail) = rest.split_at_mut(chunk);
             match self.pages.get(&(addr >> PAGE_BITS)) {
-                Some(p) => out.extend_from_slice(&p[off..off + chunk]),
-                None => out.resize(out.len() + chunk, 0),
+                Some(p) => head.copy_from_slice(&p[off..off + chunk]),
+                None => head.fill(0),
             }
+            rest = tail;
             addr = addr.wrapping_add(chunk as u64);
         }
-        out
+    }
+
+    /// Stores the lanes of `v` (`B` bytes each) that predicate `pred`
+    /// activates to the unit-stride range at `base`, in lane order.
+    ///
+    /// When the whole register lies in one page, that page is looked up
+    /// once (and only if some lane is active); a page-straddling store
+    /// writes lane by lane. Either way the guest-visible effects are
+    /// those of per-lane stores: no active lane allocates no page, and
+    /// on a budget fault the lanes before the faulting one stay written.
+    ///
+    /// # Errors
+    ///
+    /// Returns the address of the first active lane that needed a page
+    /// past the resident cap.
+    pub(crate) fn try_store_lanes<const B: usize>(
+        &mut self,
+        base: u64,
+        v: &VValue,
+        pred: u64,
+    ) -> Result<(), u64> {
+        let active_lanes = pred & lane_mask::<B>();
+        if active_lanes == 0 {
+            return Ok(());
+        }
+        let off = (base as usize) & (PAGE_SIZE - 1);
+        if off + VLEN_BYTES <= PAGE_SIZE {
+            let first = base.wrapping_add(u64::from(active_lanes.trailing_zeros()));
+            let page = self.page_for_write(base).map_err(|_| first)?;
+            let dst = &mut page[off..off + VLEN_BYTES];
+            for i in 0..VLEN_BYTES / B {
+                if active::<B>(pred, i) {
+                    dst[i * B..(i + 1) * B].copy_from_slice(&v[i * B..(i + 1) * B]);
+                }
+            }
+        } else {
+            for i in 0..VLEN_BYTES / B {
+                if active::<B>(pred, i) {
+                    let addr = base.wrapping_add((i * B) as u64);
+                    self.try_write_le(addr, lane::<B>(v, i), B)
+                        .map_err(|_| addr)?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Number of resident pages (for footprint diagnostics).
@@ -356,88 +410,121 @@ impl ArchState {
 
     /// Reads element `i` of vector `r`, zero-extended to 64 bits.
     pub fn v_elem(&self, r: VReg, i: usize, esize: ElemSize) -> u64 {
-        let b = esize.bytes();
-        let off = i * b;
-        let mut v = 0u64;
-        for k in 0..b {
-            v |= (self.v[r.index() as usize][off + k] as u64) << (8 * k);
-        }
-        v
+        by_width!(esize, |B| lane::<B>(self.v(r), i))
     }
 
     /// Reads element `i` of vector `r` sign-extended to `i64`.
     pub fn v_elem_i64(&self, r: VReg, i: usize, esize: ElemSize) -> i64 {
-        sign_extend(self.v_elem(r, i, esize), esize)
+        by_width!(esize, |B| lane_i64::<B>(self.v(r), i))
     }
 
     /// Writes the low bits of `value` to element `i` of vector `r`.
     pub fn set_v_elem(&mut self, r: VReg, i: usize, esize: ElemSize, value: u64) {
-        let b = esize.bytes();
-        let off = i * b;
-        for k in 0..b {
-            self.v[r.index() as usize][off + k] = (value >> (8 * k)) as u8;
-        }
+        by_width!(esize, |B| set_lane::<B>(self.v_mut(r), i, value));
     }
 
     /// Whether element `i` (at `esize`) is active under predicate `pg`.
     pub fn lane_active(&self, pg: PReg, i: usize, esize: ElemSize) -> bool {
-        (self.p(pg) >> (i * esize.bytes())) & 1 == 1
+        by_width!(esize, |B| active::<B>(self.p(pg), i))
     }
 
     /// Builds a predicate word with the first `n` elements (at `esize`)
     /// active.
     pub fn pred_first_n(n: usize, esize: ElemSize) -> u64 {
-        let mut p = 0u64;
-        for i in 0..esize.lanes().min(n) {
-            p |= 1 << (i * esize.bytes());
-        }
-        p
+        by_width!(esize, |B| first_n::<B>(n))
     }
 
     /// Counts active elements of a predicate at `esize`.
     pub fn pred_count(&self, pg: PReg, esize: ElemSize) -> u64 {
-        (0..esize.lanes())
-            .filter(|&i| self.lane_active(pg, i, esize))
-            .count() as u64
+        by_width!(esize, |B| u64::from(
+            (self.p(pg) & lane_mask::<B>()).count_ones()
+        ))
     }
 
     /// The eight 64-bit lanes of a vector register.
     pub fn v_lanes64(&self, r: VReg) -> [u64; 8] {
-        let mut out = [0u64; 8];
-        for (i, item) in out.iter_mut().enumerate() {
-            *item = self.v_elem(r, i, ElemSize::B64);
-        }
-        out
+        let v = self.v(r);
+        std::array::from_fn(|i| lane::<8>(v, i))
     }
 
     /// Active-lane mask at 64-bit granularity.
     pub fn mask64(&self, pg: PReg) -> [bool; 8] {
-        let mut m = [false; 8];
-        for (i, item) in m.iter_mut().enumerate() {
-            *item = self.lane_active(pg, i, ElemSize::B64);
+        let p = self.p(pg);
+        std::array::from_fn(|i| active::<8>(p, i))
+    }
+}
+
+/// Evaluates `$body` with the const `$b` bound to the byte width of
+/// `$esize` — one element-size dispatch, after which every lane access
+/// in `$body` is monomorphised on a fixed width.
+macro_rules! by_width {
+    ($esize:expr, |$b:ident| $body:expr) => {
+        match $esize {
+            ElemSize::B8 => {
+                const $b: usize = 1;
+                $body
+            }
+            ElemSize::B16 => {
+                const $b: usize = 2;
+                $body
+            }
+            ElemSize::B32 => {
+                const $b: usize = 4;
+                $body
+            }
+            ElemSize::B64 => {
+                const $b: usize = 8;
+                $body
+            }
         }
-        m
-    }
+    };
+}
+pub(crate) use by_width;
+
+/// Element `i` of a register of `B`-byte lanes, zero-extended.
+#[inline(always)]
+pub(crate) fn lane<const B: usize>(v: &VValue, i: usize) -> u64 {
+    let mut le = [0u8; 8];
+    le[..B].copy_from_slice(&v[i * B..(i + 1) * B]);
+    u64::from_le_bytes(le)
 }
 
-/// Sign-extends the low `esize` bits of `v`.
-pub fn sign_extend(v: u64, esize: ElemSize) -> i64 {
-    let bits = esize.bits();
-    if bits == 64 {
-        v as i64
-    } else {
-        let shift = 64 - bits;
-        ((v << shift) as i64) >> shift
-    }
+/// Element `i` of a register of `B`-byte lanes, sign-extended.
+#[inline(always)]
+pub(crate) fn lane_i64<const B: usize>(v: &VValue, i: usize) -> i64 {
+    let shift = 64 - 8 * B as u32;
+    ((lane::<B>(v, i) << shift) as i64) >> shift
 }
 
-/// Truncates an `i64` to the element width (wrapping).
-pub fn truncate(v: i64, esize: ElemSize) -> u64 {
-    if esize.bits() == 64 {
-        v as u64
+/// Writes the low `B` bytes of `x` to element `i` (truncating).
+#[inline(always)]
+pub(crate) fn set_lane<const B: usize>(v: &mut VValue, i: usize, x: u64) {
+    v[i * B..(i + 1) * B].copy_from_slice(&x.to_le_bytes()[..B]);
+}
+
+/// Whether element `i` of `B`-byte lanes is active under predicate word
+/// `p` (SVE layout: the bit of the element's first byte governs it).
+#[inline(always)]
+pub(crate) fn active<const B: usize>(p: u64, i: usize) -> bool {
+    (p >> (i * B)) & 1 == 1
+}
+
+/// The predicate bits that govern `B`-byte lanes: every `B`-th bit.
+#[inline(always)]
+pub(crate) const fn lane_mask<const B: usize>() -> u64 {
+    u64::MAX / ((1 << B) - 1)
+}
+
+/// A predicate word with the first `n` `B`-byte lanes active.
+#[inline(always)]
+pub(crate) fn first_n<const B: usize>(n: usize) -> u64 {
+    let bits = n.saturating_mul(B);
+    let low = if bits >= 64 {
+        u64::MAX
     } else {
-        (v as u64) & ((1u64 << esize.bits()) - 1)
-    }
+        (1 << bits) - 1
+    };
+    lane_mask::<B>() & low
 }
 
 #[cfg(test)]
@@ -483,17 +570,30 @@ mod tests {
 
     #[test]
     fn sign_extension() {
-        assert_eq!(sign_extend(0xFF, ElemSize::B8), -1);
-        assert_eq!(sign_extend(0x7F, ElemSize::B8), 127);
-        assert_eq!(sign_extend(0xFFFF_FFFF, ElemSize::B32), -1);
-        assert_eq!(sign_extend(u64::MAX, ElemSize::B64), -1);
+        let mut v: VValue = [0; VLEN_BYTES];
+        v[..4].copy_from_slice(&[0xFF, 0x7F, 0xFF, 0xFF]);
+        assert_eq!(lane_i64::<1>(&v, 0), -1);
+        assert_eq!(lane_i64::<1>(&v, 1), 127);
+        assert_eq!(lane_i64::<2>(&v, 0), 0x7FFF);
+        assert_eq!(lane_i64::<4>(&v, 0), -0x8001);
+        v[8..16].fill(0xFF);
+        assert_eq!(lane_i64::<4>(&v, 2), -1);
+        assert_eq!(lane_i64::<8>(&v, 1), -1);
+        assert_eq!(lane::<8>(&v, 1), u64::MAX);
     }
 
     #[test]
     fn truncation() {
-        assert_eq!(truncate(-1, ElemSize::B8), 0xFF);
-        assert_eq!(truncate(256, ElemSize::B8), 0);
-        assert_eq!(truncate(-1, ElemSize::B64), u64::MAX);
+        // Writes keep the low element bytes and never touch neighbours.
+        let mut v: VValue = [0xAA; VLEN_BYTES];
+        set_lane::<1>(&mut v, 1, -1i64 as u64);
+        assert_eq!((v[0], v[1], v[2]), (0xAA, 0xFF, 0xAA));
+        set_lane::<1>(&mut v, 1, 256);
+        assert_eq!(lane::<1>(&v, 1), 0);
+        set_lane::<2>(&mut v, 3, 0x1_2345);
+        assert_eq!((lane::<2>(&v, 3), v[5], v[8]), (0x2345, 0xAA, 0xAA));
+        set_lane::<8>(&mut v, 7, -1i64 as u64);
+        assert_eq!(lane::<8>(&v, 7), u64::MAX);
     }
 
     #[test]
@@ -504,6 +604,13 @@ mod tests {
         assert!(s.lane_active(P0, 2, ElemSize::B64));
         assert!(!s.lane_active(P0, 3, ElemSize::B64));
         assert_eq!(s.pred_count(P0, ElemSize::B64), 3);
+        assert_eq!(lane_mask::<1>(), u64::MAX);
+        assert_eq!(lane_mask::<2>(), 0x5555_5555_5555_5555);
+        assert_eq!(lane_mask::<8>(), 0x0101_0101_0101_0101);
+        assert_eq!(first_n::<4>(2), 0x11);
+        assert_eq!(first_n::<2>(usize::MAX), lane_mask::<2>());
+        s.set_p(P0, u64::MAX);
+        assert_eq!(s.pred_count(P0, ElemSize::B32), 16);
     }
 
     #[test]

@@ -50,6 +50,14 @@ QUETZAL_FAULT_CASES=12000 QUETZAL_FAULT_SEED=0xF4417 \
     cargo test -q --offline --release -p quetzal-integration \
     --test fault_injection
 
+echo "==> lane oracles in release codegen (debug assertions on)"
+# The width-specialised lane loops in interp::step are reached at 8/16/32-
+# bit element sizes only by the interp oracles (the kernels run 64-bit
+# lanes), so run them at the optimisation level the benchmark measures,
+# with overflow checks live on the sign-extension shifts.
+CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
+    cargo test -q --offline --release -p quetzal-uarch
+
 echo "==> functional tier: differential check vs cycle-level engine"
 # The Fig. 3 grid replayed on both execution engines with per-pair
 # architectural-state equality. The engines share one implementation
