@@ -15,8 +15,8 @@ pub struct Program {
     insts: Vec<Instruction>,
     name: String,
     /// Process-unique identity assigned at build time; clones share it
-    /// (the instruction sequence is immutable), so it keys derived
-    /// per-program tables such as the simulator's decode cache.
+    /// (the instruction sequence is immutable), so it keys per-program
+    /// records such as the trace recorder's hot-instruction table.
     id: u64,
 }
 

@@ -12,9 +12,9 @@
 //!
 //! # Tenancy
 //!
-//! Each tenant owns one long-lived [`MachinePool`]: machines (and the
-//! pool's shared predecode registry) are recycled across that tenant's
-//! jobs but never cross tenants, so a hostile tenant's quarantine churn
+//! Each tenant owns one long-lived [`MachinePool`]: machines (and their
+//! compiled-program caches) are recycled across that tenant's jobs but
+//! never cross tenants, so a hostile tenant's quarantine churn
 //! cannot poison or starve another tenant's machines. Pools are created
 //! on first use, capped by [`DaemonConfig::max_tenants`].
 //!

@@ -6,11 +6,10 @@
 //! into **flat step tables** — contiguous arrays of `(pc, Instruction)`
 //! records with no per-step heap allocation — and chains blocks
 //! connected by unconditional control flow into **superblocks**
-//! dispatched with a single lookup. Compiled programs are cached by id
-//! *and by instruction-stream content* alongside the predecode tables,
-//! so steady-state execution touches no decoder at all — even when a
-//! driver stages a fresh `Program` per sequence pair, identical code
-//! compiles exactly once.
+//! dispatched with a single lookup. Compiled programs are cached by
+//! instruction-stream content (`CompiledCache`): drivers stage a fresh
+//! `Program` per sequence pair, and pairs that stage identical code
+//! share one compiled form.
 //!
 //! Each step executes through the interpreter's shared `step` with the
 //! timing hooks compiled out, so the two engines have one
@@ -26,13 +25,11 @@
 //! pinned by the oracles listed in [`crate::interp`].
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::interp::{step, SimError};
-use crate::predecode::Predecode;
 use crate::state::ArchState;
 use quetzal_isa::cfg::Cfg;
-use quetzal_isa::{BranchCond, InstClass, Instruction, Program, XReg};
+use quetzal_isa::{BranchCond, Instruction, XReg};
 
 /// Which execution engine [`Core::run`](crate::Core::run) drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,6 +67,7 @@ enum Target {
 /// How a superblock ends. `Halt` and `Branch` are *counted*
 /// instructions (the interpreter executes them); `Goto` is free — the
 /// jump or fallthrough that produced it was already compiled as a step.
+#[derive(Clone)]
 enum Terminator {
     /// The program halts.
     Halt,
@@ -88,6 +86,7 @@ enum Terminator {
 /// A chain of basic blocks entered only at the top and executed
 /// straight through: every inner block transfers unconditionally to the
 /// next ([`Cfg::chain_from`]), so one dispatch covers the whole chain.
+#[derive(Clone)]
 struct Superblock {
     steps: Vec<Step>,
     term: Terminator,
@@ -99,6 +98,7 @@ struct Superblock {
 /// A program compiled to superblocks, indexed like the CFG's blocks
 /// (superblock `i` starts at basic block `i`; tail duplication means a
 /// block's steps may also appear inside earlier chains).
+#[derive(Clone)]
 pub(crate) struct CompiledProgram {
     blocks: Vec<Superblock>,
 }
@@ -117,14 +117,8 @@ impl std::fmt::Debug for CompiledProgram {
 /// builders emit.
 const MAX_CHAIN: usize = 16;
 
-/// Compiles `program` into superblocks. `pre` must be the program's
-/// predecode table: terminators are classified from its [`MicroOp`]
-/// records rather than re-inspecting raw instructions.
-///
-/// [`MicroOp`]: crate::predecode::MicroOp
-pub(crate) fn compile(program: &Program, pre: &Predecode) -> CompiledProgram {
-    debug_assert_eq!(pre.len(), program.len(), "predecode table mismatch");
-    let insts = program.instructions();
+/// Compiles an instruction stream into superblocks.
+pub(crate) fn compile(insts: &[Instruction]) -> CompiledProgram {
     let len = insts.len();
     let cfg = Cfg::of(insts);
     let target = |pc: usize| {
@@ -161,24 +155,20 @@ pub(crate) fn compile(program: &Program, pre: &Predecode) -> CompiledProgram {
                     });
                     continue;
                 }
-                let uop = pre.op(pc);
                 term = match inst {
-                    _ if uop.class == InstClass::Halt => Terminator::Halt,
+                    Instruction::Halt => Terminator::Halt,
                     Instruction::Branch {
                         cond,
                         rn,
                         rm,
                         target: t,
-                    } => {
-                        debug_assert!(uop.is_cond_branch);
-                        Terminator::Branch {
-                            cond,
-                            rn,
-                            rm,
-                            taken: target(t),
-                            fall: target(pc + 1),
-                        }
-                    }
+                    } => Terminator::Branch {
+                        cond,
+                        rn,
+                        rm,
+                        taken: target(t),
+                        fall: target(pc + 1),
+                    },
                     _ => {
                         // A trailing jump executes as a counted step,
                         // then transfers to its target.
@@ -187,10 +177,7 @@ pub(crate) fn compile(program: &Program, pre: &Predecode) -> CompiledProgram {
                             inst,
                         });
                         Terminator::Goto(target(match inst {
-                            Instruction::Jump { target: t } => {
-                                debug_assert!(!uop.is_cond_branch);
-                                t
-                            }
+                            Instruction::Jump { target: t } => t,
                             _ => pc + 1,
                         }))
                     }
@@ -294,59 +281,63 @@ pub(crate) fn run_compiled(
     }
 }
 
-/// One content-index entry: the instruction stream (collision guard)
-/// and its compiled form.
-type ContentEntry = (Arc<[Instruction]>, Arc<CompiledProgram>);
-
-/// Per-core cache of compiled programs — the functional analogue of
-/// [`crate::predecode::DecodeCache`], with the same wholesale-flush
-/// bound.
+/// Per-core cache of compiled programs, keyed by the content of the
+/// instruction stream.
 ///
-/// Two-level keying: a fast path by [`Program::id`], and behind it a
-/// **content index** keyed by the hash of the instruction stream. The
-/// staged alignment drivers build a fresh `Program` (fresh id) per
-/// sequence pair, but pairs with equal lengths and edit distance stage
-/// byte-identical code — the content index lets every such program
-/// share one compiled superblock table across pairs *and across
-/// kernels*, so steady-state batch execution stops recompiling at all.
-/// Hash collisions are guarded by full instruction-stream equality, so
-/// a collision costs a compare, never a wrong program.
+/// The staged alignment drivers build a fresh `Program` (fresh
+/// [`Program::id`](quetzal_isa::Program::id)) per sequence pair, so a
+/// key by id never hits; pairs with equal lengths and edit distance
+/// stage byte-identical code, which a content key shares across pairs
+/// *and across kernels*. Every hit compares the stored stream, so a
+/// hash collision costs a compare, never a wrong program. The cache
+/// flushes wholesale once it holds [`Self::CAPACITY`] distinct streams,
+/// so a core that cycles through unboundedly many programs stays flat
+/// in memory.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledCache {
-    by_id: HashMap<u64, Arc<CompiledProgram>>,
-    by_content: HashMap<u64, Vec<ContentEntry>>,
+    map: HashMap<u64, Vec<Entry>>,
 }
 
+/// One cached stream (the collision guard) and its compiled form.
+type Entry = (Box<[Instruction]>, CompiledProgram);
+
 impl CompiledCache {
-    /// Matches `DecodeCache::CAPACITY`: far above any driver's working
-    /// set, small enough that eviction is a non-event.
+    /// Far above any driver's working set, small enough that eviction
+    /// is a non-event.
     const CAPACITY: usize = 64;
 
-    /// The compiled form of `program`, compiling on first sight of its
-    /// *content* (identical code under a different id hits the cache).
-    pub(crate) fn get(&mut self, program: &Program, pre: &Predecode) -> Arc<CompiledProgram> {
-        if self.by_id.len() >= Self::CAPACITY && !self.by_id.contains_key(&program.id()) {
-            self.by_id.clear();
-            self.by_content.clear();
-        }
-        if let Some(cp) = self.by_id.get(&program.id()) {
-            return Arc::clone(cp);
-        }
-        let insts = program.instructions();
+    /// The compiled form of `code`, compiling on first sight of it.
+    pub(crate) fn get(&mut self, code: &[Instruction]) -> &CompiledProgram {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        std::hash::Hash::hash(insts, &mut h);
-        let key = std::hash::Hasher::finish(&h);
-        let bucket = self.by_content.entry(key).or_default();
-        let cp = match bucket.iter().find(|(code, _)| code[..] == *insts) {
-            Some((_, cp)) => Arc::clone(cp),
+        std::hash::Hash::hash(code, &mut h);
+        self.entry(std::hash::Hasher::finish(&h), code)
+    }
+
+    /// The entry for `code` under `key`, compiling and inserting it on
+    /// a miss. Split from [`get`](Self::get) so tests can force two
+    /// streams under one key.
+    fn entry(&mut self, key: u64, code: &[Instruction]) -> &CompiledProgram {
+        let hit = self
+            .map
+            .get(&key)
+            .and_then(|bucket| bucket.iter().position(|(c, _)| **c == *code));
+        if hit.is_none() && self.len() >= Self::CAPACITY {
+            self.map.clear();
+        }
+        let bucket = self.map.entry(key).or_default();
+        let i = match hit {
+            Some(i) => i,
             None => {
-                let cp = Arc::new(compile(program, pre));
-                bucket.push((insts.into(), Arc::clone(&cp)));
-                cp
+                bucket.push((code.into(), compile(code)));
+                bucket.len() - 1
             }
         };
-        self.by_id.insert(program.id(), Arc::clone(&cp));
-        cp
+        &bucket[i].1
+    }
+
+    /// Distinct streams held.
+    fn len(&self) -> usize {
+        self.map.values().map(Vec::len).sum()
     }
 }
 
@@ -355,10 +346,6 @@ mod tests {
     use super::*;
     use crate::{Core, CoreConfig};
     use quetzal_isa::*;
-
-    fn compile_program(p: &Program) -> CompiledProgram {
-        compile(p, &Predecode::of(p))
-    }
 
     /// Runs `p` on a cold cycle-level [`Core`] under `budget` and
     /// `page_budget`, returning the retired count (or error) and the
@@ -382,20 +369,24 @@ mod tests {
     /// architectural digest — are bit-equal.
     fn assert_engines_agree(p: &Program, budget: u64) {
         let (ri, core) = run_cycle(p, budget, None);
-        let si = core.state();
         let mut sc = ArchState::new(CoreConfig::a64fx_like().qz);
-        let rc = run_compiled(&compile_program(p), &mut sc, budget);
+        let rc = run_compiled(&compile(p.instructions()), &mut sc, budget);
         assert_eq!(ri, rc, "engines disagree at budget {budget}");
+        assert_states_agree(core.state(), &sc, &format!("budget {budget}"));
+    }
+
+    /// Asserts an architectural digest of two states is bit-equal.
+    fn assert_states_agree(si: &ArchState, sc: &ArchState, ctx: &str) {
         for i in 0..32 {
             assert_eq!(
                 si.x(XReg::new(i)),
                 sc.x(XReg::new(i)),
-                "x{i} diverged at budget {budget}"
+                "x{i} diverged at {ctx}"
             );
             assert_eq!(
                 si.v_lanes64(VReg::new(i)),
                 sc.v_lanes64(VReg::new(i)),
-                "v{i} diverged at budget {budget}"
+                "v{i} diverged at {ctx}"
             );
         }
         for i in 0..8 {
@@ -425,7 +416,7 @@ mod tests {
         // InstLimit boundary semantics, including the halt edge case.
         let p = loop_program();
         let mut s = ArchState::new(CoreConfig::a64fx_like().qz);
-        let total = run_compiled(&compile_program(&p), &mut s, u64::MAX).unwrap();
+        let total = run_compiled(&compile(p.instructions()), &mut s, u64::MAX).unwrap();
         for budget in 0..=total + 1 {
             assert_engines_agree(&p, budget);
         }
@@ -526,7 +517,7 @@ mod tests {
         let (ri, _) = run_cycle(&p, u64::MAX, Some(8));
         let mut sc = ArchState::new(CoreConfig::a64fx_like().qz);
         sc.mem.set_page_budget(8);
-        let rc = run_compiled(&compile_program(&p), &mut sc, u64::MAX);
+        let rc = run_compiled(&compile(p.instructions()), &mut sc, u64::MAX);
         assert!(matches!(ri, Err(SimError::MemoryFault { .. })));
         assert_eq!(ri, rc);
     }
@@ -574,7 +565,7 @@ mod tests {
             ],
             "chain",
         );
-        let cp = compile_program(&p);
+        let cp = compile(p.instructions());
         assert_eq!(cp.blocks[0].insts, 5, "entry superblock covers the chain");
         assert!(matches!(cp.blocks[0].term, Terminator::Halt));
         for budget in 0..7 {
@@ -582,48 +573,97 @@ mod tests {
         }
     }
 
+    /// Runs a compiled program from a cold state; returns its x1.
+    fn x1_after(cp: &CompiledProgram) -> u64 {
+        let mut s = ArchState::new(CoreConfig::a64fx_like().qz);
+        run_compiled(cp, &mut s, u64::MAX).unwrap();
+        s.x(X1)
+    }
+
     #[test]
     fn compiled_cache_reuses_and_bounds_entries() {
         let p = loop_program();
         let mut cache = CompiledCache::default();
-        let a = cache.get(&p, &Predecode::of(&p));
-        let b = cache.get(&p, &Predecode::of(&p));
-        assert!(Arc::ptr_eq(&a, &b), "same program id must hit the cache");
-
-        for i in 0..(CompiledCache::CAPACITY * 2) {
-            let mut pb = ProgramBuilder::new();
-            pb.mov_imm(X0, i as i64);
-            pb.halt();
-            let q = pb.build().unwrap();
-            cache.get(&q, &Predecode::of(&q));
+        let a: *const CompiledProgram = cache.get(p.instructions());
+        assert_eq!(a, cache.get(p.instructions()) as *const _);
+        assert_eq!(cache.len(), 1);
+        // Past CAPACITY distinct streams the cache flushes wholesale,
+        // both under real keys and with every stream forced under one.
+        let mut forced = CompiledCache::default();
+        for i in 0..2 * CompiledCache::CAPACITY as i64 {
+            let code = [Instruction::MovImm { rd: X1, imm: i }, Instruction::Halt];
+            assert_eq!(x1_after(cache.get(&code)), i as u64);
+            assert_eq!(x1_after(forced.entry(7, &code)), i as u64);
+            assert!(cache.len().max(forced.len()) <= CompiledCache::CAPACITY);
         }
-        assert!(cache.by_id.len() <= CompiledCache::CAPACITY);
-        assert!(cache.by_content.len() <= CompiledCache::CAPACITY);
     }
 
     #[test]
     fn compiled_cache_shares_identical_content_across_program_ids() {
-        // Two programs staged separately (distinct ids) with identical
-        // instruction streams — the per-pair driver pattern — must
-        // share one compiled table.
-        let p = loop_program();
-        let q = loop_program();
+        // Two fresh builds of the same code (distinct ids) — the
+        // per-pair driver pattern — share one compiled table.
+        let (p, q) = (loop_program(), loop_program());
         assert_ne!(p.id(), q.id(), "staged programs get fresh ids");
-        assert_eq!(p.instructions(), q.instructions());
         let mut cache = CompiledCache::default();
-        let a = cache.get(&p, &Predecode::of(&p));
-        let b = cache.get(&q, &Predecode::of(&q));
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "identical content must share a compiled program across ids"
-        );
+        let a: *const CompiledProgram = cache.get(p.instructions());
+        assert_eq!(a, cache.get(q.instructions()) as *const _);
+        // A one-immediate difference (trip count 10 -> 11) does not
+        // alias, nor do two streams forced under one key: every hit
+        // compares the stored stream.
+        let mut eleven = p.instructions().to_vec();
+        eleven[2] = Instruction::MovImm { rd: X2, imm: 11 };
+        let mut forced = CompiledCache::default();
+        for _ in 0..2 {
+            assert_eq!(x1_after(cache.get(p.instructions())), 45);
+            assert_eq!(x1_after(cache.get(&eleven)), 55);
+            assert_eq!(x1_after(forced.entry(7, p.instructions())), 45);
+            assert_eq!(x1_after(forced.entry(7, &eleven)), 55);
+        }
+        assert_eq!((cache.len(), forced.len()), (2, 2));
+    }
 
-        // Different content must not alias.
-        let mut pb = ProgramBuilder::new();
-        pb.mov_imm(X0, 7);
-        pb.halt();
-        let r = pb.build().unwrap();
-        let c = cache.get(&r, &Predecode::of(&r));
-        assert!(!Arc::ptr_eq(&a, &c));
+    #[test]
+    fn cached_programs_match_the_cycle_engine_across_flushes() {
+        // More distinct programs than the cache holds, each revisited as
+        // a fresh build in interleaved order, so entries flush and
+        // recompile between visits. Every run on the one long-lived
+        // functional core must match a cold cycle-level run: a stale or
+        // misindexed compiled program diverges here.
+        let program = |i: usize| {
+            let mut b = ProgramBuilder::new();
+            let top = b.label();
+            b.mov_imm(X9, 1 + (i % 4) as i64);
+            b.mov_imm(X2, 0x4000);
+            b.ptrue(P0, ElemSize::B64);
+            b.bind(top);
+            for k in (i..).step_by(3).take(1 + i % 11) {
+                let (x, v) = (XReg::new(3 + (k % 6) as u8), VReg::new((k % 7) as u8));
+                match k % 6 {
+                    0 => b.mov_imm(x, k as i64),
+                    1 => b.alu_rr(SAluOp::Mul, x, x, X0),
+                    2 => b.load(x, X2, 8 * (k % 4) as i64, MemSize::B4),
+                    3 => b.store(x, X2, 8 * (k % 4) as i64, MemSize::B8),
+                    4 => b.index(V7, X0, 1, ElemSize::B64),
+                    _ => b.vgather(v, X2, V7, P0, ElemSize::B64, MemSize::B8, 8),
+                };
+                b.vreduce(RedOp::Max, x, v, P0, ElemSize::B64);
+            }
+            b.alu_ri(SAluOp::Add, X0, X0, 1);
+            b.branch(BranchCond::Lt, X0, X9, top);
+            b.halt();
+            b.build().unwrap()
+        };
+        let n = CompiledCache::CAPACITY + 29;
+        let mut functional = Core::new(CoreConfig::a64fx_like());
+        for visit in 0..3 * n {
+            let i = (visit * 37) % n;
+            let (ri, cycle) = run_cycle(&program(i), u64::MAX, None);
+            assert!(ri.is_ok(), "program {i}: {ri:?}");
+            functional.reset();
+            functional.set_exec_mode(ExecMode::Functional);
+            let rf = functional.run(&program(i)).map(|s| s.instructions);
+            assert_eq!(ri, rf, "visit {visit}");
+            assert_states_agree(cycle.state(), functional.state(), &format!("visit {visit}"));
+        }
     }
 }

@@ -19,7 +19,7 @@
 use crate::config::CoreConfig;
 use crate::functional::{CompiledCache, ExecMode};
 use crate::ooo::{DynInst, OooTiming};
-use crate::predecode::{DecodeCache, Predecode};
+use crate::predecode::Predecode;
 use crate::probe::{NullProbe, Probe};
 use crate::state::{
     active, by_width, first_n, lane, lane_i64, lane_mask, set_lane, ArchState, VValue,
@@ -711,10 +711,8 @@ pub struct Core<P: Probe = NullProbe> {
     state: ArchState,
     timing: OooTiming<P>,
     budget: u64,
-    /// Per-program predecode tables, keyed by [`Program::id`].
-    decode: DecodeCache,
-    /// Per-program compiled superblocks for the functional tier, keyed
-    /// by [`Program::id`] alongside the predecode tables.
+    /// Compiled superblocks for the functional tier, keyed by
+    /// instruction-stream content.
     compiled: CompiledCache,
     /// Which engine [`run`](Core::run) drives (default: cycle-level).
     mode: ExecMode,
@@ -741,7 +739,6 @@ impl<P: Probe> Core<P> {
             state: ArchState::new(cfg.qz),
             timing: OooTiming::with_probe(cfg, probe),
             budget: Self::DEFAULT_BUDGET,
-            decode: DecodeCache::default(),
             compiled: CompiledCache::default(),
             mode: ExecMode::default(),
             scratch: DynInst::default(),
@@ -758,31 +755,20 @@ impl<P: Probe> Core<P> {
         self.timing.probe_mut()
     }
 
-    /// Resolves future predecode misses through a shared
-    /// [`PredecodeRegistry`](crate::predecode::PredecodeRegistry), so
-    /// sibling cores (batch shards) decode each program once between
-    /// them. Timing-neutral: a shared table is identical to a locally
-    /// decoded one.
-    pub fn set_predecode_registry(&mut self, registry: crate::predecode::PredecodeRegistry) {
-        self.decode.set_registry(registry);
-    }
-
     /// Cold-boots the core in place: architectural state, accelerator
     /// and the whole timing engine (clock, caches, predictor) return to
     /// power-on values while the big allocations — cache tag arrays,
-    /// predecode cache, scratch buffers — are reused. Behaviourally
-    /// identical to building a fresh core with the same configuration:
-    /// the budget returns to its default. The
-    /// decode cache and any attached predecode registry survive —
-    /// predecode is pure, so stale entries cannot exist.
+    /// the compiled-program cache, scratch buffers — are reused.
+    /// Behaviourally identical to building a fresh core with the same
+    /// configuration: the budget returns to its default. The compiled
+    /// cache survives — compilation is a pure function of the
+    /// instruction stream, so stale entries cannot exist.
     pub fn reset(&mut self) {
         self.state.reset();
         self.timing.reset();
         self.budget = Self::DEFAULT_BUDGET;
         // Cold boot selects the timing engine; batch pools re-apply
-        // their configured mode after every reset. The compiled cache
-        // survives for the same reason the decode cache does:
-        // compilation is pure.
+        // their configured mode after every reset.
         self.mode = ExecMode::default();
     }
 
@@ -842,31 +828,32 @@ impl<P: Probe> Core<P> {
                 ..RunStats::default()
             });
         }
+        // Predecode per run: drivers stage a fresh `Program` per item,
+        // and hashing the stream to find a cached table costs more than
+        // decoding it (see DESIGN.md "Predecode & hot-path invariants").
+        let pre = Predecode::of(program);
         let Core {
             state,
             timing,
             budget,
-            decode,
             scratch,
             ..
         } = self;
-        let pre = decode.get(program);
         if P::ENABLED {
             timing.probe_mut().on_program(program.id(), program.name());
         }
         timing.begin_run();
-        run_timed(state, program, pre, timing, *budget, scratch)?;
+        run_timed(state, program, &pre, timing, *budget, scratch)?;
         Ok(timing.end_run())
     }
 
     /// Runs a program on the compiled functional tier (no timing): each
-    /// basic block of the recovered CFG is lifted to a flat step table
-    /// over the predecode records, chained into superblocks, and
-    /// cached per [`Program::id`] alongside the decode cache (see
-    /// [`crate::functional`]). Architectural results, the instruction
-    /// budget and the typed error taxonomy are bit-identical to a timed
-    /// run; only the clock is absent. Returns the executed instruction
-    /// count.
+    /// basic block of the recovered CFG is lifted to a flat step table,
+    /// chained into superblocks, and cached by instruction-stream
+    /// content (see [`crate::functional`]). Architectural results, the
+    /// instruction budget and the typed error taxonomy are bit-identical
+    /// to a timed run; only the clock is absent. Returns the executed
+    /// instruction count.
     ///
     /// # Errors
     ///
@@ -875,13 +862,11 @@ impl<P: Probe> Core<P> {
         let Core {
             state,
             budget,
-            decode,
             compiled,
             ..
         } = self;
-        let pre = decode.get(program);
-        let cp = compiled.get(program, pre);
-        crate::functional::run_compiled(&cp, state, *budget)
+        let cp = compiled.get(program.instructions());
+        crate::functional::run_compiled(cp, state, *budget)
     }
 }
 

@@ -62,7 +62,7 @@ pub mod wheel;
 pub use config::{CacheConfig, CoreConfig, MemConfig};
 pub use functional::ExecMode;
 pub use interp::{Core, SimError};
-pub use predecode::{DecodeCache, MicroOp, Predecode, PredecodeRegistry};
+pub use predecode::{MicroOp, Predecode};
 pub use probe::{MemLevelMix, NullProbe, Probe, RetireEvent};
 pub use state::{ArchState, SimMemory};
 pub use stats::{RunStats, StallCat};

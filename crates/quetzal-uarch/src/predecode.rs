@@ -175,112 +175,6 @@ impl Predecode {
     }
 }
 
-/// A process-wide, thread-safe registry of [`Predecode`] tables shared
-/// by many cores.
-///
-/// [`Predecode::of`] is pure — the table depends only on the program
-/// text — so decoding the same program on every batch shard is wasted
-/// work. A registry hands out `Arc<Predecode>` clones keyed by
-/// [`Program::id`]; the batch runner attaches one registry per run so
-/// all shards share a single decode of each kernel. Sharing is
-/// invisible to timing: a cache hit and a fresh decode yield identical
-/// tables, so results stay bit-identical for any thread count.
-///
-/// Bounded like [`DecodeCache`]: past [`DecodeCache::CAPACITY`]
-/// distinct programs the registry flushes wholesale (cores keep their
-/// local `Arc`s alive, so in-flight tables are unaffected).
-#[derive(Debug, Clone, Default)]
-pub struct PredecodeRegistry {
-    map:
-        std::sync::Arc<std::sync::Mutex<std::collections::HashMap<u64, std::sync::Arc<Predecode>>>>,
-}
-
-impl PredecodeRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> PredecodeRegistry {
-        PredecodeRegistry::default()
-    }
-
-    /// Returns the shared table for `program`, decoding it on first
-    /// sight (under the lock; decode is cheap relative to simulation).
-    pub fn get_or_decode(&self, program: &Program) -> std::sync::Arc<Predecode> {
-        // Poison recovery: predecode tables are pure functions of an
-        // immutable program, so a panic elsewhere cannot have left the
-        // map inconsistent — a healthy shard keeps going.
-        let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());
-        if map.len() >= DecodeCache::CAPACITY && !map.contains_key(&program.id()) {
-            map.clear();
-        }
-        map.entry(program.id())
-            .or_insert_with(|| std::sync::Arc::new(Predecode::of(program)))
-            .clone()
-    }
-
-    /// Number of distinct programs currently registered.
-    pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Whether the registry holds no programs.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A small program-keyed cache of [`Predecode`] tables.
-///
-/// Keys are [`Program::id`] (process-unique, shared by clones of the
-/// same build). The cache is flushed wholesale when it exceeds
-/// [`DecodeCache::CAPACITY`] distinct programs — a core that cycles
-/// through unboundedly many programs (test harnesses) stays flat in
-/// memory, while the common shapes (one staging program plus one kernel
-/// program resubmitted per pair) always hit.
-///
-/// With [`DecodeCache::set_registry`] the cache resolves misses through
-/// a shared [`PredecodeRegistry`] instead of decoding locally, so
-/// sibling cores reuse one table per program.
-#[derive(Debug, Clone, Default)]
-pub struct DecodeCache {
-    map: std::collections::HashMap<u64, std::sync::Arc<Predecode>>,
-    shared: Option<PredecodeRegistry>,
-}
-
-impl DecodeCache {
-    /// Distinct programs kept before the cache is flushed.
-    pub const CAPACITY: usize = 64;
-
-    /// Routes future misses through `registry` (hits keep their table).
-    pub fn set_registry(&mut self, registry: PredecodeRegistry) {
-        self.shared = Some(registry);
-    }
-
-    /// Returns the table for `program`, decoding it on first sight.
-    pub fn get(&mut self, program: &Program) -> &Predecode {
-        if self.map.len() >= Self::CAPACITY && !self.map.contains_key(&program.id()) {
-            self.map.clear();
-        }
-        let shared = &self.shared;
-        let table = self
-            .map
-            .entry(program.id())
-            .or_insert_with(|| match shared {
-                Some(registry) => registry.get_or_decode(program),
-                None => std::sync::Arc::new(Predecode::of(program)),
-            });
-        table
-    }
-
-    /// Number of cached programs.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,121 +249,5 @@ mod tests {
         assert!(MicroOp::decode(&br).is_cond_branch);
         assert!(!MicroOp::decode(&jmp).is_cond_branch);
         assert_eq!(MicroOp::decode(&jmp).class, InstClass::Branch);
-    }
-
-    #[test]
-    fn cache_hits_by_program_identity_and_stays_bounded() {
-        let build = || {
-            let mut b = ProgramBuilder::new();
-            b.mov_imm(X0, 1);
-            b.halt();
-            b.build().unwrap()
-        };
-        let mut cache = DecodeCache::default();
-        let p = build();
-        cache.get(&p);
-        cache.get(&p.clone()); // clone shares the id -> no new entry
-        assert_eq!(cache.len(), 1);
-        for _ in 0..(DecodeCache::CAPACITY * 2) {
-            cache.get(&build());
-        }
-        assert!(
-            cache.len() <= DecodeCache::CAPACITY,
-            "cache must stay bounded"
-        );
-
-        // More distinct programs than the cache holds, revisited in an
-        // interleaved order across flushes, half of them decoded first
-        // by a sibling cache sharing the registry. Every table served —
-        // local, cached, or shared — must hold exactly the reference
-        // decode of its own program at every pc: a stale or misindexed
-        // table fails here.
-        let program = |i: usize| {
-            let mut b = ProgramBuilder::new();
-            let top = b.label();
-            b.bind(top);
-            for j in 0..1 + i % 11 {
-                let (k, r) = (i + 3 * j, ((i + j) % 16) as u8);
-                let (x, v) = (XReg::new(r), VReg::new(r));
-                match k % 8 {
-                    0 => b.mov_imm(x, k as i64),
-                    1 => b.alu_rr(SAluOp::Mul, x, X1, x),
-                    2 => b.load(x, X2, 8, MemSize::B4),
-                    3 => b.vstore(v, X3, P1, ElemSize::B16),
-                    4 => b.vgather(v, X4, V1, P0, ElemSize::B64, MemSize::B8, 8),
-                    5 => b.branch(BranchCond::Ne, x, X0, top),
-                    6 => b.qzload(v, V2, QBufSel::Q1, P2),
-                    _ => b.vreduce(RedOp::Max, x, v, P3, ElemSize::B8),
-                };
-            }
-            b.halt();
-            b.build().unwrap()
-        };
-        let programs: Vec<Program> = (0..DecodeCache::CAPACITY + 29).map(program).collect();
-        let registry = PredecodeRegistry::new();
-        let mut sibling = DecodeCache::default();
-        let mut shared = DecodeCache::default();
-        sibling.set_registry(registry.clone());
-        shared.set_registry(registry);
-        let mut local = DecodeCache::default();
-        let n = programs.len();
-        for visit in 0..3 * n {
-            let p = &programs[(visit * 37) % n];
-            if visit % 2 == 0 {
-                sibling.get(p);
-            }
-            for cache in [&mut shared, &mut local] {
-                let table = cache.get(p);
-                assert_eq!(table.len(), p.len(), "table length, visit {visit}");
-                for (pc, inst) in p.instructions().iter().enumerate() {
-                    assert_eq!(
-                        *table.op(pc),
-                        MicroOp::decode(inst),
-                        "visit {visit} pc {pc}"
-                    );
-                }
-            }
-        }
-        assert!(shared.len() <= DecodeCache::CAPACITY);
-        assert!(local.len() <= DecodeCache::CAPACITY);
-    }
-
-    #[test]
-    fn registry_shares_one_table_across_caches() {
-        let mut b = ProgramBuilder::new();
-        b.mov_imm(X0, 1);
-        b.halt();
-        let p = b.build().unwrap();
-
-        let registry = PredecodeRegistry::new();
-        let mut a = DecodeCache::default();
-        let mut c = DecodeCache::default();
-        a.set_registry(registry.clone());
-        c.set_registry(registry.clone());
-        let ta = a.get(&p) as *const Predecode;
-        let tc = c.get(&p) as *const Predecode;
-        assert_eq!(ta, tc, "both caches must hold the same shared table");
-        assert_eq!(registry.len(), 1);
-
-        // Sharing must not change the table itself.
-        let local = Predecode::of(&p);
-        assert_eq!(local.len(), a.get(&p).len());
-        assert_eq!(local.op(0), a.get(&p).op(0));
-    }
-
-    #[test]
-    fn registry_stays_bounded() {
-        let build = || {
-            let mut b = ProgramBuilder::new();
-            b.mov_imm(X0, 1);
-            b.halt();
-            b.build().unwrap()
-        };
-        let registry = PredecodeRegistry::new();
-        for _ in 0..(DecodeCache::CAPACITY * 2) {
-            registry.get_or_decode(&build());
-        }
-        assert!(registry.len() <= DecodeCache::CAPACITY);
-        assert!(!registry.is_empty());
     }
 }

@@ -231,10 +231,9 @@ impl BatchRunner {
     /// For simulation work the context is a machine checked out of a
     /// [`MachinePool`] (`init = || pool.checkout()`): simulated caches
     /// and QBUFFERs are then warm across the items *within* a shard and
-    /// cold at every shard boundary, and all machines of the pool share
-    /// one [`PredecodeRegistry`](crate::PredecodeRegistry). A shard that
-    /// panics drops its checkout while unwinding, which quarantines the
-    /// machine instead of returning it to the pool.
+    /// cold at every shard boundary. A shard that panics drops its
+    /// checkout while unwinding, which quarantines the machine instead
+    /// of returning it to the pool.
     ///
     /// # Errors
     ///
@@ -324,9 +323,9 @@ impl BatchRunner {
     /// never returned to the pool, so later items and shards cannot
     /// inherit poisoned state.
     ///
-    /// Machines (and the pool's shared predecode registry) survive
-    /// across calls, so repeated batches on one configuration pay
-    /// machine construction once. The pool's [`ExecMode`] governs every
+    /// Machines (and their compiled-program caches) survive across
+    /// calls, so repeated batches on one configuration pay machine
+    /// construction once. The pool's [`ExecMode`] governs every
     /// checkout; recycled machines are reset to cold-boot state, keeping
     /// results bit-identical to a fresh pool at any thread count. An
     /// empty `items` slice checks nothing out.

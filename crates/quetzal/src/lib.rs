@@ -62,8 +62,8 @@ pub use pool::{Budgets, FailureCause, ItemFailure, MachinePool, PoolStats, Poole
 pub use quetzal_accel::{PortCount, QzConfig};
 pub use quetzal_isa::Program;
 pub use quetzal_uarch::{
-    Core, CoreConfig, ExecMode, MemLevelMix, NullProbe, PredecodeRegistry, Probe, RetireEvent,
-    RunStats, SimError, StallCat,
+    Core, CoreConfig, ExecMode, MemLevelMix, NullProbe, Probe, RetireEvent, RunStats, SimError,
+    StallCat,
 };
 
 /// Derives the verifier's per-class worst-case retire latencies from a
@@ -249,19 +249,13 @@ impl<P: Probe> Machine<P> {
         self.core.exec_mode()
     }
 
-    /// Routes predecode misses through a shared registry, so machines
-    /// of one batch decode each program once between them (see
-    /// [`PredecodeRegistry`]).
-    pub fn set_predecode_registry(&mut self, registry: PredecodeRegistry) {
-        self.core.set_predecode_registry(registry);
-    }
-
     /// Cold-boots the machine in place: registers, memory, caches,
     /// QBUFFERs, clock and the heap allocator return to power-on
-    /// values, while the big allocations (cache tag arrays, predecode
-    /// tables) are reused. Behaviourally identical to constructing a
-    /// fresh machine with the same configuration — the batch runner's
-    /// machine pool relies on this, and `tests/parallel.rs` pins it.
+    /// values, while the big allocations (cache tag arrays, the
+    /// compiled-program cache) are reused. Behaviourally identical to
+    /// constructing a fresh machine with the same configuration — the
+    /// batch runner's machine pool relies on this, and
+    /// `tests/parallel.rs` pins it.
     pub fn reset(&mut self) {
         self.core.reset();
         self.heap = HEAP_BASE;

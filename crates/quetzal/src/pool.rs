@@ -41,7 +41,7 @@
 //! Code that calls [`Machine::reset`] directly must likewise re-apply
 //! any budget it cares about afterwards.
 
-use crate::{ExecMode, Machine, MachineConfig, PredecodeRegistry, SimError};
+use crate::{ExecMode, Machine, MachineConfig, SimError};
 use quetzal_uarch::state::DEFAULT_PAGE_BUDGET;
 use quetzal_verify::ResourceBound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -206,7 +206,6 @@ pub struct PoolStats {
 /// pool.
 pub struct MachinePool {
     config: MachineConfig,
-    registry: PredecodeRegistry,
     /// Engine every pooled machine runs on. Applied after construction
     /// *and* after every reset ([`Machine::reset`] restores the
     /// cold-boot default, [`ExecMode::Cycle`]).
@@ -228,7 +227,6 @@ impl MachinePool {
     pub fn new(config: &MachineConfig, exec_mode: ExecMode) -> MachinePool {
         MachinePool {
             config: config.clone(),
-            registry: PredecodeRegistry::new(),
             exec_mode,
             built: AtomicU64::new(0),
             free: Mutex::new(Vec::new()),
@@ -269,12 +267,10 @@ impl MachinePool {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A brand-new machine (never pooled) sharing the pool's predecode
-    /// registry and execution mode.
+    /// A brand-new machine (never pooled) on the pool's execution mode.
     fn fresh(&self) -> Machine {
         self.built.fetch_add(1, Ordering::Relaxed);
         let mut machine = Machine::new(self.config.clone());
-        machine.set_predecode_registry(self.registry.clone());
         machine.set_exec_mode(self.exec_mode);
         machine
     }

@@ -208,45 +208,16 @@ cmp results_run_all.txt "$out_dir/full.txt" \
     || { echo "FAIL: results_run_all.txt is stale; regenerate with run_all"; exit 1; }
 
 echo "==> perf trajectory: BENCH_uarch.json (simulated MIPS, both engines)"
+# bench_uarch writes the artifact, then gates the two floors it computed
+# and exits non-zero if either trips:
+# * the cycle engine's geomean must clear 6.0 sim-MIPS at the default
+#   config (the event-driven timing wheel must not cost throughput).
+#   The floor sits well below the measured geomean so it only trips on
+#   structural regressions, e.g. a per-retire cost that scales with the
+#   configured widths, not on a slow runner;
+# * the functional tier must beat the cycle engine by >= 2x geomean
+#   sim-MIPS over the kernel grid, or it is dead weight.
 cargo run -q --release --offline -p quetzal-bench --bin bench_uarch \
     > BENCH_uarch.json
-
-echo "==> cycle engine clears the sim-MIPS floor (timing-wheel perf gate)"
-# The event-driven timing wheel must not cost cycle-engine throughput
-# at the default config. The floor is set well below the measured
-# geomean (12-20 sim-MIPS depending on host load) so it only trips on
-# structural regressions — e.g. reintroducing a per-retire cost that
-# scales with the configured widths — not on a slow runner.
-awk '
-  /"geomean_sim_mips":/ {
-    gsub(/[^0-9.]/, "", $2); geo = $2 + 0; found = 1
-  }
-  END {
-    if (!found) { print "FAIL: no geomean_sim_mips in BENCH_uarch.json"; exit 1 }
-    if (geo < 6.0) {
-      printf "FAIL: cycle engine at %.2f geomean sim-MIPS (floor: 6.0)\n", geo
-      exit 1
-    }
-    printf "cycle engine geomean: %.2f sim-MIPS (floor: 6.0)\n", geo
-  }
-' BENCH_uarch.json
-
-echo "==> functional tier is fast enough to be worth having (>= 2x geomean)"
-# The whole point of the no-timing-model tier: it must beat the
-# cycle-level engine by at least 2x geomean simulated MIPS on the
-# Fig. 3 / Fig. 4 kernel grid, or it is dead weight.
-awk '
-  /"functional_speedup_geomean"/ {
-    gsub(/[^0-9.]/, "", $2); speedup = $2 + 0; found = 1
-  }
-  END {
-    if (!found) { print "FAIL: no functional_speedup_geomean in BENCH_uarch.json"; exit 1 }
-    if (speedup < 2.0) {
-      printf "FAIL: functional tier only %.2fx over cycle-level (need >= 2x)\n", speedup
-      exit 1
-    }
-    printf "functional tier speedup: %.2fx (gate: >= 2x)\n", speedup
-  }
-' BENCH_uarch.json
 
 echo "CI OK"

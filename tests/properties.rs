@@ -362,7 +362,6 @@ fn simulated_wfa_is_exact() {
 #[test]
 fn functional_tier_is_exact_on_exhaustive_short_inputs() {
     use std::collections::HashMap;
-    use std::hash::{Hash, Hasher};
     use std::sync::Mutex;
 
     // The build observer is process-wide and permanent, and sibling
@@ -387,7 +386,9 @@ fn functional_tier_is_exact_on_exhaustive_short_inputs() {
         latencies: quetzal::class_latencies(&MachineConfig::default().core),
         ..quetzal::verify::VerifyConfig::default()
     };
-    let mut proven: HashMap<u64, u64> = HashMap::new();
+    // Keyed by the instruction stream itself, so two kernels can never
+    // share a bound through a hash collision.
+    let mut proven: HashMap<Vec<quetzal::isa::Instruction>, u64> = HashMap::new();
     let mut verified = 0usize;
 
     let seqs = all_seqs(4);
@@ -409,16 +410,16 @@ fn functional_tier_is_exact_on_exhaustive_short_inputs() {
             let staged = std::mem::take(&mut *STAGED.lock().unwrap());
             assert_eq!(staged.len(), 1, "wfa_sim stages one kernel per pair");
             let program = &staged[0];
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            program.instructions().hash(&mut h);
-            let bound = *proven.entry(h.finish()).or_insert_with(|| {
-                verified += 1;
-                let report = quetzal::verify::verify_with(program, &vconfig);
-                report
-                    .bound()
-                    .instructions
-                    .unwrap_or_else(|| panic!("staged kernel has no finite bound\n{report}"))
-            });
+            let bound = *proven
+                .entry(program.instructions().to_vec())
+                .or_insert_with(|| {
+                    verified += 1;
+                    let report = quetzal::verify::verify_with(program, &vconfig);
+                    report
+                        .bound()
+                        .instructions
+                        .unwrap_or_else(|| panic!("staged kernel has no finite bound\n{report}"))
+                });
             assert!(
                 out.stats.instructions <= bound,
                 "a={} b={}: retired {} instructions, proven bound {bound}",
