@@ -81,8 +81,6 @@ pub struct LoopInfo {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cfg {
     blocks: Vec<CfgBlock>,
-    /// `block_of[pc]` = index of the block containing `pc`.
-    block_of: Vec<usize>,
 }
 
 impl Cfg {
@@ -91,10 +89,7 @@ impl Cfg {
     pub fn of(insts: &[Instruction]) -> Cfg {
         let len = insts.len();
         if len == 0 {
-            return Cfg {
-                blocks: Vec::new(),
-                block_of: Vec::new(),
-            };
+            return Cfg { blocks: Vec::new() };
         }
 
         // Leaders: entry, in-range targets, instruction after control.
@@ -153,7 +148,7 @@ impl Cfg {
             }
         }
 
-        Cfg { blocks, block_of }
+        Cfg { blocks }
     }
 
     /// Recovers the CFG of a program.
@@ -164,52 +159,6 @@ impl Cfg {
     /// The basic blocks, ordered by start pc.
     pub fn blocks(&self) -> &[CfgBlock] {
         &self.blocks
-    }
-
-    /// The index of the block containing `pc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pc` is outside the program.
-    pub fn block_of(&self, pc: usize) -> usize {
-        self.block_of[pc]
-    }
-
-    /// The longest superblock chain starting at block `start`: a list
-    /// of distinct block indices `start, b1, b2, …` (at most
-    /// `max_blocks` long) where every block except the last transfers
-    /// control *unconditionally* to its unique in-program successor —
-    /// i.e. it ends in a jump or falls through, never in a conditional
-    /// branch, a halt, or an out-of-program edge. Chains stop before
-    /// revisiting a block, so they are loop-free; a functional tier can
-    /// dispatch a whole chain with a single lookup (tail duplication is
-    /// allowed — a block may appear in many chains).
-    ///
-    /// `insts` must be the instruction image this CFG was built from.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not a valid block index or `insts` is
-    /// shorter than the program the CFG was recovered from.
-    pub fn chain_from(&self, start: usize, insts: &[Instruction], max_blocks: usize) -> Vec<usize> {
-        let mut chain = vec![start];
-        let mut cur = start;
-        while chain.len() < max_blocks {
-            let block = &self.blocks[cur];
-            let last = &insts[block.end - 1];
-            if matches!(last, Instruction::Halt | Instruction::Branch { .. }) {
-                break;
-            }
-            let [Succ::Block(next)] = block.succs[..] else {
-                break;
-            };
-            if chain.contains(&next) {
-                break;
-            }
-            chain.push(next);
-            cur = next;
-        }
-        chain
     }
 
     /// Per-block predecessor lists over in-program edges (the reverse
@@ -432,7 +381,6 @@ mod tests {
         assert_eq!(blocks[0].succs, vec![Succ::Block(1)]);
         assert_eq!(blocks[1].succs, vec![Succ::Block(2), Succ::Block(1)]);
         assert!(blocks[2].succs.is_empty());
-        assert_eq!(cfg.block_of(2), 1);
         assert_eq!(cfg.reachable(), vec![true; 3]);
     }
 
@@ -470,38 +418,6 @@ mod tests {
         let cfg = Cfg::of(&[]);
         assert!(cfg.blocks().is_empty());
         assert!(cfg.reachable().is_empty());
-    }
-
-    #[test]
-    fn chain_follows_unconditional_edges_only() {
-        let p = loop_program();
-        let cfg = Cfg::build(&p);
-        // Block 0 falls through into the loop head; the head ends in a
-        // conditional branch, so the chain stops there.
-        assert_eq!(cfg.chain_from(0, p.instructions(), 8), vec![0, 1]);
-        assert_eq!(cfg.chain_from(1, p.instructions(), 8), vec![1]);
-        assert_eq!(cfg.chain_from(2, p.instructions(), 8), vec![2]);
-        // The cap truncates the chain.
-        assert_eq!(cfg.chain_from(0, p.instructions(), 1), vec![0]);
-    }
-
-    #[test]
-    fn chain_stops_at_revisit_and_out_of_program() {
-        // 0: jump 1 / 1: jump 0 — an unconditional two-block loop.
-        let p = Program::from_raw(
-            vec![
-                Instruction::Jump { target: 1 },
-                Instruction::Jump { target: 0 },
-            ],
-            "jump-loop",
-        );
-        let cfg = Cfg::build(&p);
-        assert_eq!(cfg.chain_from(0, p.instructions(), 8), vec![0, 1]);
-
-        // Falling off the end is an out-of-program edge: no chaining.
-        let t = Program::from_raw(vec![Instruction::MovImm { rd: X0, imm: 1 }], "trunc");
-        let tcfg = Cfg::build(&t);
-        assert_eq!(tcfg.chain_from(0, t.instructions(), 8), vec![0]);
     }
 
     #[test]

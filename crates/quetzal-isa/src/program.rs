@@ -132,13 +132,6 @@ impl Program {
         self.insts[pc]
     }
 
-    /// Instruction at `pc`, or `None` when `pc` is outside the program
-    /// — the fallible fetch used by the simulator so a truncated image
-    /// or corrupted branch target becomes a typed decode fault.
-    pub fn get(&self, pc: usize) -> Option<Instruction> {
-        self.insts.get(pc).copied()
-    }
-
     /// Builds a program directly from raw instructions, bypassing the
     /// builder's structural validation (trailing-`halt` check, label
     /// resolution). Exists for fault injection: truncated and mutated

@@ -12,11 +12,11 @@
 //!
 //! # Tenancy
 //!
-//! Each tenant owns one long-lived [`MachinePool`]: machines (and their
-//! compiled-program caches) are recycled across that tenant's jobs but
-//! never cross tenants, so a hostile tenant's quarantine churn
-//! cannot poison or starve another tenant's machines. Pools are created
-//! on first use, capped by [`DaemonConfig::max_tenants`].
+//! Each tenant owns one long-lived [`MachinePool`]: machines are
+//! recycled across that tenant's jobs but never cross tenants, so a
+//! hostile tenant's quarantine churn cannot poison or starve another
+//! tenant's machines. Pools are created on first use, capped by
+//! [`DaemonConfig::max_tenants`].
 //!
 //! # Shutdown
 //!

@@ -1,23 +1,24 @@
-//! Instruction semantics, the cycle-level interpreter loop, and the
-//! [`Core`] facade.
+//! Instruction semantics, the dispatch loop, and the [`Core`] facade.
 //!
-//! `step` is the single implementation of the ISA's data semantics
-//! (vector instructions really compute), shared by both engines. The
-//! cycle-level loop fetches each instruction, resolves control flow,
-//! executes the rest through `step` and retires one [`DynInst`] per
+//! Both engines run one per-instruction loop: it fetches each
+//! instruction, resolves control flow, executes the rest through `step`
+//! (the single implementation of the ISA's data semantics; vector
+//! instructions really compute) and reports every retirement to an
+//! `Effects` sink. The sink is the only difference between the
+//! engines. The cycle engine's sink retires one [`DynInst`] per
 //! instruction into [`OooTiming`], yielding an execution-driven,
-//! cycle-level simulation. The compiled functional tier
-//! ([`crate::functional`]) drives the same `step` with its timing
-//! hooks compiled out.
+//! cycle-level simulation; the functional tier ([`ExecMode::Functional`])
+//! passes `()`, so every timing hook compiles out.
 //!
-//! Because the engines share `step`, the differential suites between
-//! them check decode, dispatch, control flow and budget accounting, not
-//! semantics. Semantics are checked against independent oracles: the
-//! Rust restatements in this module's seeded `proptests`, the 116k-pair
-//! host-DP sweep in `tests/properties.rs`, and `tests/accelerator.rs`.
+//! Because the engines share dispatch and semantics, agreement between
+//! them checks only that the timing sink leaves architectural state
+//! alone. Dispatch is pinned against hand-computed results in this
+//! module's tests. Semantics are checked against independent oracles:
+//! the Rust restatements in this module's seeded `proptests`, the
+//! 116k-pair host-DP sweep in `tests/properties.rs`, and
+//! `tests/accelerator.rs`.
 
 use crate::config::CoreConfig;
-use crate::functional::{CompiledCache, ExecMode};
 use crate::ooo::{DynInst, OooTiming};
 use crate::predecode::Predecode;
 use crate::probe::{NullProbe, Probe};
@@ -204,55 +205,101 @@ fn active_lane_pairs<'a>(
     &buf[..n]
 }
 
-/// Per-instruction facts the timing model needs beyond architectural
-/// state: the demand memory accesses an instruction made and the
-/// latency its QUETZAL operation reported. [`step`] reports them here;
-/// [`DynInst`] records them for [`OooTiming::retire`], and `()` discards
-/// them, so the functional tier compiles the hooks out.
+/// What separates the two engines. The dispatch [`run`] loop reports
+/// each instruction's lifecycle here, and [`step`] reports the demand
+/// memory accesses and QUETZAL latencies it makes. [`Timed`] feeds them
+/// to the out-of-order model; `()` discards them, so the functional tier
+/// compiles every hook out and has no clock.
 pub(crate) trait Effects {
+    /// The instruction at `pc` was fetched and is about to execute.
+    fn begin(&mut self, pc: usize);
     /// One demand access of `bytes` bytes at `addr`. Unit-stride vector
     /// accesses report one range; gather/scatter report one access per
     /// active lane, in lane order.
     fn mem(&mut self, addr: u64, bytes: u32);
     /// The functionally determined latency of a QUETZAL operation.
     fn qz_latency(&mut self, lat: u64);
-}
-
-impl Effects for DynInst {
-    #[inline]
-    fn mem(&mut self, addr: u64, bytes: u32) {
-        self.mem.push((addr, bytes));
-    }
-
-    #[inline]
-    fn qz_latency(&mut self, lat: u64) {
-        self.qz_latency = lat;
-    }
+    /// The instruction begun last retired; `taken` is set for a taken
+    /// branch or a jump.
+    fn retire(&mut self, taken: bool);
+    /// The cycle budget, once the clock has passed it.
+    fn cycle_limit(&self) -> Option<u64>;
 }
 
 impl Effects for () {
+    #[inline]
+    fn begin(&mut self, _pc: usize) {}
+
     #[inline]
     fn mem(&mut self, _addr: u64, _bytes: u32) {}
 
     #[inline]
     fn qz_latency(&mut self, _lat: u64) {}
+
+    #[inline]
+    fn retire(&mut self, _taken: bool) {}
+
+    #[inline]
+    fn cycle_limit(&self) -> Option<u64> {
+        None
+    }
 }
 
-/// The cycle engine's interpreter loop: fetch, resolve control flow,
-/// execute everything else through [`step`], and retire each
-/// instruction into the timing model with its predecoded
-/// [`MicroOp`](crate::predecode::MicroOp). `d` is caller-provided
-/// scratch: its `mem` buffer is reused across every dynamic instruction
-/// (and, via [`Core`], across runs), so the loop allocates nothing per
-/// instruction.
-fn run_timed<P: Probe>(
+/// The cycle engine's sink: records each instruction in a recycled
+/// [`DynInst`] and retires it into the timing model with its predecoded
+/// [`MicroOp`](crate::predecode::MicroOp). `d`'s `mem` buffer is reused
+/// across every dynamic instruction (and, via [`Core`], across runs), so
+/// the loop allocates nothing per instruction.
+struct Timed<'a, P: Probe> {
+    timing: &'a mut OooTiming<P>,
+    pre: &'a Predecode,
+    d: &'a mut DynInst,
+}
+
+impl<P: Probe> Effects for Timed<'_, P> {
+    #[inline]
+    fn begin(&mut self, pc: usize) {
+        self.d.reset(pc);
+    }
+
+    #[inline]
+    fn mem(&mut self, addr: u64, bytes: u32) {
+        self.d.mem.push((addr, bytes));
+    }
+
+    #[inline]
+    fn qz_latency(&mut self, lat: u64) {
+        self.d.qz_latency = lat;
+    }
+
+    #[inline]
+    fn retire(&mut self, taken: bool) {
+        self.d.taken = taken;
+        self.timing.retire(self.pre.op(self.d.pc), self.d);
+    }
+
+    #[inline]
+    fn cycle_limit(&self) -> Option<u64> {
+        self.timing.cycle_budget_exceeded()
+    }
+}
+
+/// The one dispatch loop both engines run: check the budget, fetch,
+/// resolve control flow, execute everything else through [`step`], and
+/// retire into `fx`. Returns the executed instruction count (halt
+/// included).
+///
+/// The order is the error contract: budget exhaustion
+/// ([`SimError::InstLimit`]) wins over a fetch outside the program
+/// ([`SimError::DecodeError`]), and the cycle watchdog is checked after
+/// retire so the clock reflects the instruction; a halt returns before
+/// it.
+fn run(
     state: &mut ArchState,
-    program: &Program,
-    pre: &Predecode,
-    timing: &mut OooTiming<P>,
+    insts: &[Instruction],
     budget: u64,
-    d: &mut DynInst,
-) -> Result<(), SimError> {
+    fx: &mut impl Effects,
+) -> Result<u64, SimError> {
     let mut pc = 0usize;
     let mut executed = 0u64;
 
@@ -262,12 +309,13 @@ fn run_timed<P: Probe>(
         }
         // Fallible fetch: a truncated program image or a corrupted
         // branch target surfaces as a typed decode fault, not a panic.
-        let Some(inst) = program.get(pc) else {
+        let Some(&inst) = insts.get(pc) else {
             return Err(SimError::DecodeError { pc });
         };
         executed += 1;
-        d.reset(pc);
+        fx.begin(pc);
         let mut next_pc = pc + 1;
+        let mut taken = false;
 
         match inst {
             Instruction::Branch {
@@ -276,27 +324,25 @@ fn run_timed<P: Probe>(
                 rm,
                 target,
             } => {
-                d.taken = cond.eval(state.x(rn) as i64, state.x(rm) as i64);
-                if d.taken {
+                taken = cond.eval(state.x(rn) as i64, state.x(rm) as i64);
+                if taken {
                     next_pc = target;
                 }
             }
             Instruction::Jump { target } => {
-                d.taken = true;
+                taken = true;
                 next_pc = target;
             }
             Instruction::Halt => {
-                timing.retire(pre.op(pc), d);
-                return Ok(());
+                fx.retire(false);
+                return Ok(executed);
             }
-            _ => step(pc, inst, state, d)?,
+            _ => step(pc, inst, state, fx)?,
         }
 
-        timing.retire(pre.op(pc), d);
-        // Timing-side watchdog: the engine reports when its clock passed
-        // the configured cycle budget (see [`SimError::CycleLimit`]).
-        // Checked after retire so the clock reflects this instruction.
-        if let Some(cycles) = timing.cycle_budget_exceeded() {
+        fx.retire(taken);
+        // Timing-side watchdog (see [`SimError::CycleLimit`]).
+        if let Some(cycles) = fx.cycle_limit() {
             return Err(SimError::CycleLimit { budget: cycles });
         }
         pc = next_pc;
@@ -306,13 +352,11 @@ fn run_timed<P: Probe>(
 /// Executes one instruction's data semantics against `state` — the
 /// single implementation both engines share. `pc` is used only for
 /// fault attribution. Memory accesses and QUETZAL latencies are reported
-/// to `fx` where they occur: the cycle engine passes its [`DynInst`]
-/// record, the functional tier passes `()`.
+/// to `fx` where they occur.
 ///
-/// Control flow stays with each engine's loop: `Jump` is a counted
-/// no-op here, and `Branch`/`Halt` must be resolved by the caller.
-/// Always inlined: each engine's hot loop dispatches the match
-/// directly, with no call per instruction.
+/// Control flow stays with [`run`]: `Jump` is a counted no-op here, and
+/// `Branch`/`Halt` must be resolved by the caller. Always inlined: the
+/// loop dispatches the match directly, with no call per instruction.
 #[allow(clippy::too_many_lines)]
 #[inline(always)]
 pub(crate) fn step(
@@ -700,6 +744,17 @@ pub(crate) fn step(
     Ok(())
 }
 
+/// Which execution engine [`Core::run`] drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ExecMode {
+    /// The cycle-level out-of-order engine (timing ground truth).
+    #[default]
+    Cycle,
+    /// The functional tier: identical architectural results, no clock —
+    /// `RunStats` carries only the instruction count.
+    Functional,
+}
+
 /// One simulated core: architectural state plus the out-of-order timing
 /// engine. Cache and accelerator state persist across `run` calls, so a
 /// workload can be submitted as many consecutive kernels.
@@ -711,9 +766,6 @@ pub struct Core<P: Probe = NullProbe> {
     state: ArchState,
     timing: OooTiming<P>,
     budget: u64,
-    /// Compiled superblocks for the functional tier, keyed by
-    /// instruction-stream content.
-    compiled: CompiledCache,
     /// Which engine [`run`](Core::run) drives (default: cycle-level).
     mode: ExecMode,
     /// Recycled dynamic-instruction record; its `mem` buffer keeps its
@@ -739,7 +791,6 @@ impl<P: Probe> Core<P> {
             state: ArchState::new(cfg.qz),
             timing: OooTiming::with_probe(cfg, probe),
             budget: Self::DEFAULT_BUDGET,
-            compiled: CompiledCache::default(),
             mode: ExecMode::default(),
             scratch: DynInst::default(),
         }
@@ -758,11 +809,9 @@ impl<P: Probe> Core<P> {
     /// Cold-boots the core in place: architectural state, accelerator
     /// and the whole timing engine (clock, caches, predictor) return to
     /// power-on values while the big allocations — cache tag arrays,
-    /// the compiled-program cache, scratch buffers — are reused.
-    /// Behaviourally identical to building a fresh core with the same
-    /// configuration: the budget returns to its default. The compiled
-    /// cache survives — compilation is a pure function of the
-    /// instruction stream, so stale entries cannot exist.
+    /// scratch buffers — are reused. Behaviourally identical to building
+    /// a fresh core with the same configuration: the budget returns to
+    /// its default.
     pub fn reset(&mut self) {
         self.state.reset();
         self.timing.reset();
@@ -773,8 +822,8 @@ impl<P: Probe> Core<P> {
     }
 
     /// Selects which engine [`run`](Core::run) drives: the cycle-level
-    /// out-of-order model (default) or the compiled functional tier,
-    /// which produces bit-identical architectural results under the
+    /// out-of-order model (default) or the functional tier, which
+    /// produces bit-identical architectural results under the
     /// same instruction and page budgets but models no clock — its
     /// [`RunStats`] carries only the instruction count.
     /// [`reset`](Core::reset) restores the default.
@@ -812,17 +861,26 @@ impl<P: Probe> Core<P> {
         self.timing.set_cycle_budget(cycles);
     }
 
-    /// Runs a program with full timing; returns this run's statistics.
+    /// Runs a program on the selected engine; returns this run's
+    /// statistics. Both engines run the same dispatch loop and differ
+    /// only in the sink it reports to: a functional run touches no
+    /// probe and no timing state, and its [`RunStats`] carry only the
+    /// retired-instruction count.
     ///
     /// # Errors
     ///
     /// Returns [`SimError`] on budget exhaustion or invalid `qzconf`.
     pub fn run(&mut self, program: &Program) -> Result<RunStats, SimError> {
-        if self.mode == ExecMode::Functional {
-            // The functional tier has no clock and no observability:
-            // probes, timing state and every `RunStats` field except
-            // the retired-instruction count stay untouched.
-            let instructions = self.run_functional(program)?;
+        let Core {
+            state,
+            timing,
+            budget,
+            mode,
+            scratch,
+        } = self;
+        let insts = program.instructions();
+        if *mode == ExecMode::Functional {
+            let instructions = run(state, insts, *budget, &mut ())?;
             return Ok(RunStats {
                 instructions,
                 ..RunStats::default()
@@ -832,46 +890,22 @@ impl<P: Probe> Core<P> {
         // and hashing the stream to find a cached table costs more than
         // decoding it (see DESIGN.md "Predecode & hot-path invariants").
         let pre = Predecode::of(program);
-        let Core {
-            state,
-            timing,
-            budget,
-            scratch,
-            ..
-        } = self;
         if P::ENABLED {
             timing.probe_mut().on_program(program.id(), program.name());
         }
         timing.begin_run();
-        run_timed(state, program, &pre, timing, *budget, scratch)?;
+        let mut sink = Timed {
+            timing,
+            pre: &pre,
+            d: scratch,
+        };
+        run(state, insts, *budget, &mut sink)?;
         Ok(timing.end_run())
-    }
-
-    /// Runs a program on the compiled functional tier (no timing): each
-    /// basic block of the recovered CFG is lifted to a flat step table,
-    /// chained into superblocks, and cached by instruction-stream
-    /// content (see [`crate::functional`]). Architectural results, the
-    /// instruction budget and the typed error taxonomy are bit-identical
-    /// to a timed run; only the clock is absent. Returns the executed
-    /// instruction count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on budget exhaustion or invalid `qzconf`.
-    pub fn run_functional(&mut self, program: &Program) -> Result<u64, SimError> {
-        let Core {
-            state,
-            budget,
-            compiled,
-            ..
-        } = self;
-        let cp = compiled.get(program.instructions());
-        crate::functional::run_compiled(cp, state, *budget)
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use quetzal_isa::*;
 
@@ -1100,9 +1134,10 @@ mod tests {
         b.dup_imm(V2, 5, ElemSize::B64);
         b.qzload(V3, V2, QBufSel::Q0, P0);
         b.halt();
-        let (c, _) = run(&mut b);
+        let (out, snap) = run_both_engines(&|_| {}, &b.build().unwrap(), &[]);
+        assert_eq!(out, Ok(()));
         assert_eq!(
-            c.state().v_elem(V3, 0, ElemSize::B64),
+            u64::from_le_bytes(snap.1[3][..8].try_into().unwrap()),
             8,
             "eight lanes accumulated into bin 5"
         );
@@ -1114,12 +1149,8 @@ mod tests {
         b.mov_imm(X0, 1).mov_imm(X1, 1).mov_imm(X2, 7);
         b.qzconf(X0, X1, X2);
         b.halt();
-        let mut c = core();
-        let p = b.build().unwrap();
-        assert!(matches!(
-            c.run(&p),
-            Err(SimError::InvalidQzConf { esiz: 7, .. })
-        ));
+        let (out, _) = run_both_engines(&|_| {}, &b.build().unwrap(), &[]);
+        assert_eq!(out, Err(SimError::InvalidQzConf { esiz: 7, pc: 3 }));
     }
 
     #[test]
@@ -1155,11 +1186,8 @@ mod tests {
             ],
             "bad-lane",
         );
-        let mut c = core();
-        assert!(matches!(
-            c.run(&p),
-            Err(SimError::InvalidRegister { index: 60, pc: 0 })
-        ));
+        let (out, _) = run_both_engines(&|_| {}, &p, &[]);
+        assert_eq!(out, Err(SimError::InvalidRegister { index: 60, pc: 0 }));
         let p = Program::from_raw(
             vec![
                 Instruction::VInsert {
@@ -1172,10 +1200,8 @@ mod tests {
             ],
             "bad-lane-insert",
         );
-        assert!(matches!(
-            c.run(&p),
-            Err(SimError::InvalidRegister { index: 200, pc: 0 })
-        ));
+        let (out, _) = run_both_engines(&|_| {}, &p, &[]);
+        assert_eq!(out, Err(SimError::InvalidRegister { index: 200, pc: 0 }));
     }
 
     #[test]
@@ -1208,9 +1234,18 @@ mod tests {
         b.alu_ri(SAluOp::Add, X0, X0, 1 << 16);
         b.jump(top);
         b.halt();
+        let p = b.build().unwrap();
+        let (out, snap) = run_both_engines(&|st| st.mem.set_page_budget(16), &p, &[]);
+        assert_eq!(
+            out,
+            Err(SimError::MemoryFault {
+                addr: 16 << 16,
+                pc: 2
+            })
+        );
+        assert_eq!(snap.3, 16, "the budget's pages are resident");
         let mut c = core();
         c.state_mut().mem.set_page_budget(16);
-        let p = b.build().unwrap();
         assert!(matches!(c.run(&p), Err(SimError::MemoryFault { .. })));
         // Reset restores the default budget: the same core afterwards
         // hits the *instruction* budget instead, proving the fault came
@@ -1286,13 +1321,13 @@ mod tests {
 
     /// Architectural state visible after a unit-stride run: registers,
     /// resident page count, and the bytes around each probed address.
-    type Snapshot = (Vec<u64>, Vec<VValue>, Vec<u64>, usize, Vec<Vec<u8>>);
+    pub(crate) type Snapshot = (Vec<u64>, Vec<VValue>, Vec<u64>, usize, Vec<Vec<u8>>);
 
     /// Runs `p` after `stage` on a fresh core per engine, asserts that
     /// the cycle engine and the functional tier agree on the outcome and
     /// on a [`Snapshot`] covering 256 bytes around each probe, and
     /// returns them.
-    fn run_both_engines(
+    pub(crate) fn run_both_engines(
         stage: &dyn Fn(&mut ArchState),
         p: &Program,
         probes: &[u64],
@@ -1440,8 +1475,86 @@ mod tests {
         let mut c1 = core();
         c1.run(&p).unwrap();
         let mut c2 = core();
-        c2.run_functional(&p).unwrap();
+        c2.set_exec_mode(ExecMode::Functional);
+        c2.run(&p).unwrap();
         assert_eq!(c1.state().x(X1), c2.state().x(X1));
+    }
+
+    /// Asserts, on both engines, that `p` stops with `InstLimit` at every
+    /// budget below `n` and ends in `outcome` (the retired count, or the
+    /// error) at `n` and above.
+    pub(crate) fn assert_budget_sweep(p: &Program, n: u64, outcome: Result<u64, SimError>) {
+        for mode in [ExecMode::Cycle, ExecMode::Functional] {
+            for budget in 0..=n + 2 {
+                let mut c = core();
+                c.set_exec_mode(mode);
+                c.set_budget(budget);
+                let want = if budget < n {
+                    Err(SimError::InstLimit { budget })
+                } else {
+                    outcome.clone()
+                };
+                let got = c.run(p).map(|s| s.instructions);
+                assert_eq!(got, want, "{} {mode:?} at budget {budget}", p.name());
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_program_targets_fault_after_the_budget_check() {
+        // Falling off the end, and a wild jump: the fetch faults only
+        // when the budget still allows one more instruction.
+        let trunc = Program::from_raw(vec![Instruction::MovImm { rd: X0, imm: 1 }], "trunc");
+        assert_budget_sweep(&trunc, 2, Err(SimError::DecodeError { pc: 1 }));
+        let wild = Program::from_raw(
+            vec![Instruction::Jump { target: 99 }, Instruction::Halt],
+            "wild",
+        );
+        assert_budget_sweep(&wild, 2, Err(SimError::DecodeError { pc: 99 }));
+        // A wild branch target: taken, it faults; not taken, the halt
+        // retires as the fourth instruction.
+        for (imm, outcome) in [(1, Err(SimError::DecodeError { pc: 77 })), (0, Ok(4))] {
+            let p = Program::from_raw(
+                vec![
+                    Instruction::MovImm { rd: X0, imm },
+                    Instruction::MovImm { rd: X1, imm: 1 },
+                    Instruction::Branch {
+                        cond: BranchCond::Eq,
+                        rn: X0,
+                        rm: X1,
+                        target: 77,
+                    },
+                    Instruction::Halt,
+                ],
+                "wild-branch",
+            );
+            assert_budget_sweep(&p, 4, outcome);
+        }
+    }
+
+    #[test]
+    fn empty_program_faults_after_the_budget_check() {
+        let p = Program::from_raw(Vec::new(), "empty");
+        assert_budget_sweep(&p, 1, Err(SimError::DecodeError { pc: 0 }));
+    }
+
+    #[test]
+    fn vector_kernel_computes_on_both_engines() {
+        let mut b = ProgramBuilder::new();
+        b.mov_imm(X0, 0x2000);
+        b.mov_imm(X1, 7);
+        b.ptrue(P0, ElemSize::B64);
+        b.index(V0, X0, 3, ElemSize::B64);
+        b.dup(V1, X1, ElemSize::B64);
+        b.valu_vv(VAluOp::Add, V2, V0, V1, P0, ElemSize::B64);
+        b.vstore(V2, X0, P0, ElemSize::B64);
+        b.vload(V3, X0, P0, ElemSize::B64);
+        b.vreduce(RedOp::Add, X2, V3, P0, ElemSize::B64);
+        b.halt();
+        let (out, snap) = run_both_engines(&|_| {}, &b.build().unwrap(), &[0x2000]);
+        assert_eq!(out, Ok(()));
+        // Lanes 0x2000 + 3i + 7 for i in 0..8, summed.
+        assert_eq!(snap.0[2], 8 * 0x2007 + 3 * 28);
     }
 }
 

@@ -49,7 +49,7 @@
 
 pub mod cache;
 pub mod config;
-pub mod functional;
+mod functional;
 pub mod interp;
 pub mod multicore;
 pub mod ooo;
@@ -60,8 +60,7 @@ pub mod stats;
 pub mod wheel;
 
 pub use config::{CacheConfig, CoreConfig, MemConfig};
-pub use functional::ExecMode;
-pub use interp::{Core, SimError};
+pub use interp::{Core, ExecMode, SimError};
 pub use predecode::{MicroOp, Predecode};
 pub use probe::{MemLevelMix, NullProbe, Probe, RetireEvent};
 pub use state::{ArchState, SimMemory};

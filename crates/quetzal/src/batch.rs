@@ -199,7 +199,7 @@ impl BatchRunner {
 
     /// Selects the execution engine callers build their
     /// [`MachinePool`] with: the cycle-level timing model (default) or
-    /// the compiled functional tier. The pool applies the mode to every
+    /// the functional tier. The pool applies the mode to every
     /// machine it hands out — fresh, recycled and fault-replaced alike —
     /// so a whole batch runs on one engine regardless of sharding.
     #[must_use]
@@ -323,9 +323,9 @@ impl BatchRunner {
     /// never returned to the pool, so later items and shards cannot
     /// inherit poisoned state.
     ///
-    /// Machines (and their compiled-program caches) survive across
-    /// calls, so repeated batches on one configuration pay machine
-    /// construction once. The pool's [`ExecMode`] governs every
+    /// Machines (and their cache tag arrays) survive across calls, so
+    /// repeated batches on one configuration pay machine construction
+    /// once. The pool's [`ExecMode`] governs every
     /// checkout; recycled machines are reset to cold-boot state, keeping
     /// results bit-identical to a fresh pool at any thread count. An
     /// empty `items` slice checks nothing out.

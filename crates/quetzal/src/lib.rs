@@ -222,24 +222,10 @@ impl<P: Probe> Machine<P> {
         self.core.run(program)
     }
 
-    /// Submits a kernel to the compiled functional tier directly (no
-    /// timing model): bit-identical architectural results and the same
-    /// typed [`SimError`] boundary, budget enforcement included, but no
-    /// clock. Returns the executed instruction count. Unlike
-    /// [`set_exec_mode`](Machine::set_exec_mode) this is a one-off —
-    /// the machine's configured engine is untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on instruction-budget exhaustion or invalid
-    /// `qzconf`.
-    pub fn run_functional(&mut self, program: &Program) -> Result<u64, SimError> {
-        self.core.run_functional(program)
-    }
-
     /// Selects which engine [`run`](Machine::run) drives: the
-    /// cycle-level out-of-order model (default) or the compiled
-    /// functional tier. [`reset`](Machine::reset) restores the default.
+    /// cycle-level out-of-order model (default) or the functional tier,
+    /// which runs the same dispatch loop without the timing model.
+    /// [`reset`](Machine::reset) restores the default.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.core.set_exec_mode(mode);
     }
@@ -251,11 +237,10 @@ impl<P: Probe> Machine<P> {
 
     /// Cold-boots the machine in place: registers, memory, caches,
     /// QBUFFERs, clock and the heap allocator return to power-on
-    /// values, while the big allocations (cache tag arrays, the
-    /// compiled-program cache) are reused. Behaviourally identical to
-    /// constructing a fresh machine with the same configuration — the
-    /// batch runner's machine pool relies on this, and
-    /// `tests/parallel.rs` pins it.
+    /// values, while the big allocations (cache tag arrays, scratch
+    /// buffers) are reused. Behaviourally identical to constructing a
+    /// fresh machine with the same configuration — the batch runner's
+    /// machine pool relies on this, and `tests/parallel.rs` pins it.
     pub fn reset(&mut self) {
         self.core.reset();
         self.heap = HEAP_BASE;

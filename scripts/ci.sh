@@ -35,12 +35,13 @@ cargo test -q --offline --workspace
 echo "==> fault-injection sweep (release + debug assertions, fixed seed)"
 # Release speed with overflow/invariant checks live: any panic escaping
 # the machine boundary — not a typed SimError — fails this step. Every
-# case is also replayed on the compiled functional tier and must match
-# the cycle-level outcome bit-exactly (or raise the same typed error).
-# Both engines execute instructions through one shared `step`, so this
-# differential gate pins dispatch, budget accounting and fault ordering;
-# semantics are pinned by the independent oracles (the 116k-pair
-# host-DP sweep, the interp proptests and tests/accelerator.rs).
+# case is also replayed on the functional tier and must match the
+# cycle-level outcome bit-exactly (or raise the same typed error).
+# Both engines run one dispatch loop and one `step`, so this gate pins
+# that the timing sink leaves architectural results alone; dispatch is
+# pinned by hand-computed interp tests, semantics by the independent
+# oracles (the 116k-pair host-DP sweep, the interp proptests and
+# tests/accelerator.rs).
 # The sweep (plus its 4k random-program fuzz) also pins resource-bound
 # soundness: any program with an unconditional proven bound that
 # retires more instructions, touches more pages, or burns more cycles
@@ -60,10 +61,10 @@ CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
 
 echo "==> functional tier: differential check vs cycle-level engine"
 # The Fig. 3 grid replayed on both execution engines with per-pair
-# architectural-state equality. The engines share one implementation
-# of instruction semantics, so this checks superblock dispatch, control
-# flow and budget accounting; the exhaustive 116k-pair host-DP oracle
-# sweep (inside --test properties) checks the semantics.
+# architectural-state equality. The engines share one dispatch loop and
+# one implementation of instruction semantics, so this checks that the
+# timing sink changes no architectural fact; the exhaustive 116k-pair
+# host-DP oracle sweep (inside --test properties) checks the semantics.
 CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     cargo test -q --offline --release -p quetzal-integration \
     --test functional_equiv

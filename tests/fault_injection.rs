@@ -21,7 +21,7 @@
 //!   (at the faulting pc, for the pc-precise kinds).
 //!
 //! Since PR 6 the sweep is additionally the **differential oracle for
-//! the compiled functional tier**: every case is replayed on
+//! the functional tier**: every case is replayed on
 //! [`ExecMode::Functional`] with the same staging and budgets, and must
 //! either match the cycle-level run bit-exactly (retire count plus the
 //! complete architectural state) or fail with the *identical* typed

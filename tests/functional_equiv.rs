@@ -1,22 +1,21 @@
-//! Functional-tier differential oracle.
+//! The timing sink changes no architectural fact.
 //!
-//! The compiled functional tier (`quetzal::uarch::functional`) promises
-//! *bit-identical architectural results* to the cycle-level out-of-order
-//! model: same alignment scores, same register and memory outcomes, same
-//! retired-instruction counts, same typed [`SimError`]s — it only drops
-//! the clock. This suite replays the full Fig. 3 workload grid — every
-//! Table II dataset (both alphabets, short and long reads), the three
-//! modern algorithms, at the baseline, hand-vectorised and fully
-//! accelerated tiers — once per engine, and asserts per-pair equality of
+//! Both engines run one dispatch loop and one implementation of
+//! instruction semantics (`interp::step`); they differ only in the sink
+//! the loop reports each instruction to. The cycle engine's sink drives
+//! the out-of-order timing model, the functional tier's sink is `()`.
+//! This suite checks that the timing sink leaves every architectural
+//! fact unchanged: same alignment scores, same register and memory
+//! outcomes, same retired-instruction counts, same typed [`SimError`]s.
+//! It replays the full Fig. 3 workload grid — every Table II dataset
+//! (both alphabets, short and long reads), the three modern algorithms,
+//! at all four tiers — once per engine, and asserts per-pair equality of
 //! the algorithm's value and the complete architectural machine state.
 //!
-//! The two engines share one implementation of instruction semantics
-//! (`interp::step`) but not dispatch: the interpreter steps one
-//! instruction at a time while the functional tier runs flat-step-table
-//! superblocks with whole-block budget accounting. Agreement here is a
-//! differential check of superblock formation, control flow, budget
-//! accounting and fault ordering. Semantics themselves are checked
-//! against independent oracles: the 116k-pair host-DP sweep in
+//! Dispatch itself (budget accounting, fault ordering, control flow) is
+//! pinned against hand-computed results in `interp`'s unit tests, since
+//! agreement between two runs of one loop cannot test it. Semantics are
+//! checked against independent oracles: the 116k-pair host-DP sweep in
 //! `tests/properties.rs`, the seeded `proptests` in `interp.rs`, and
 //! `tests/accelerator.rs`.
 
@@ -27,9 +26,8 @@ use quetzal_algos::Tier;
 use quetzal_bench::workloads::{run_algo_pairs, table2_workloads, try_simulate_pair_outcome, Algo};
 
 /// The replayed grid: the paper's three modern algorithms at every tier
-/// the simulator implements.
+/// the simulator implements ([`Tier::all`]).
 const ALGOS: [Algo; 3] = [Algo::Wfa, Algo::BiWfa, Algo::Ss];
-const TIERS: [Tier; 3] = [Tier::Base, Tier::Vec, Tier::QuetzalC];
 const SCALE: f64 = 0.1;
 
 /// Every architectural fact a kernel can leave behind: the algorithm's
@@ -72,7 +70,7 @@ fn functional_tier_matches_cycle_level_on_fig03_grid() {
         let alphabet = wl.spec.alphabet;
         let threshold = wl.ss_threshold();
         for algo in ALGOS {
-            for tier in TIERS {
+            for tier in Tier::all() {
                 combos += 1;
                 for (i, pair) in wl.pairs.iter().enumerate() {
                     let label = format!("{algo}/{}/{tier}/pair{i}", wl.spec.name);
@@ -115,7 +113,7 @@ fn functional_tier_matches_cycle_level_on_fig03_grid() {
             }
         }
     }
-    assert_eq!(combos, 4 * ALGOS.len() * TIERS.len());
+    assert_eq!(combos, 4 * ALGOS.len() * Tier::all().len());
 }
 
 /// The batch runner drives the functional tier deterministically: the
@@ -130,7 +128,7 @@ fn batched_functional_runs_are_deterministic_and_retire_identically() {
     let threaded_fn = BatchRunner::new(4).with_exec_mode(ExecMode::Functional);
 
     for algo in [Algo::Wfa, Algo::Ss] {
-        for tier in TIERS {
+        for tier in Tier::all() {
             let cycle = run_algo_pairs(&serial_cycle, &cfg, algo, wl, tier);
             let f1 = run_algo_pairs(&serial_fn, &cfg, algo, wl, tier);
             let f4 = run_algo_pairs(&threaded_fn, &cfg, algo, wl, tier);
@@ -148,25 +146,27 @@ fn batched_functional_runs_are_deterministic_and_retire_identically() {
     }
 }
 
-/// `Machine::run_functional` is a one-off: it drives the compiled tier
-/// without flipping the machine's configured engine, and `reset`
-/// restores the cycle-level default after an explicit mode switch.
+/// The engine is selected per machine and only through `set_exec_mode`;
+/// `reset` restores the cycle-level default. The same program retires
+/// the same count on either engine, and only the cycle engine ticks.
 #[test]
 fn exec_mode_selection_round_trips() {
     let mut m = Machine::default();
     assert_eq!(m.exec_mode(), ExecMode::Cycle);
     m.set_exec_mode(ExecMode::Functional);
     assert_eq!(m.exec_mode(), ExecMode::Functional);
-    m.reset();
-    assert_eq!(m.exec_mode(), ExecMode::Cycle);
 
     let mut b = quetzal::isa::ProgramBuilder::new();
     b.mov_imm(quetzal::isa::X0, 7).halt();
     let p = b.build().expect("build");
-    let executed = m.run_functional(&p).expect("functional run");
-    assert_eq!(executed, 2);
-    assert_eq!(m.exec_mode(), ExecMode::Cycle, "one-off must not latch");
+    let functional = m.run(&p).expect("functional run");
+    assert_eq!(functional.instructions, 2);
+    assert_eq!(functional.cycles, 0, "the functional tier has no clock");
+    assert_eq!(m.exec_mode(), ExecMode::Functional, "the mode latches");
+
+    m.reset();
+    assert_eq!(m.exec_mode(), ExecMode::Cycle);
     let stats = m.run(&p).expect("cycle run");
-    assert_eq!(stats.instructions, executed);
+    assert_eq!(stats.instructions, functional.instructions);
     assert!(stats.cycles > 0);
 }

@@ -342,7 +342,7 @@ fn simulated_wfa_is_exact() {
 
 /// The functional execution tier validated against the *algorithmic*
 /// oracle on the exhaustive short-input space: the simulated WFA kernel
-/// run on the compiled tier computes the Levenshtein distance for every
+/// run on the functional tier computes the Levenshtein distance for every
 /// non-empty DNA pair up to length 4 (340² = 115_600 pairs). This is an
 /// end-to-end independent check — the oracle is host-side DP, not the
 /// cycle-level simulator — so a semantics bug shared by both engines
