@@ -84,12 +84,6 @@ impl QzConfig {
     pub fn bytes_per_buffer(&self) -> usize {
         self.kib_per_buffer * 1024
     }
-
-    /// Maximum sequence length (in bases) one QBUFFER can hold with
-    /// 2-bit encoding (the paper quotes up to 32.7 Kbp for 8 KB).
-    pub fn max_encoded_bases(&self) -> usize {
-        self.bytes_per_buffer() * 4
-    }
 }
 
 impl Default for QzConfig {
@@ -121,8 +115,9 @@ mod tests {
     fn capacity_covers_hifi_reads() {
         // §VI: each 8 KB buffer stores up to 32.7 Kbp with 2-bit encoding,
         // covering both Illumina (100 bp) and HiFi PacBio (10-30 Kbp).
-        assert_eq!(QzConfig::QZ_8P.max_encoded_bases(), 32_768);
-        assert!(QzConfig::QZ_8P.max_encoded_bases() >= 30_000);
+        let bases = QzConfig::QZ_8P.bytes_per_buffer() * 8 / 2;
+        assert_eq!(bases, 32_768);
+        assert!(bases >= 30_000);
     }
 
     #[test]

@@ -232,17 +232,6 @@ impl BankProfile {
     pub fn serialisation(&self) -> u64 {
         self.per_bank.iter().copied().max().unwrap_or(0).max(1)
     }
-
-    /// Cycles lost to conflicts beyond the first access (0 when the
-    /// vector is conflict-free).
-    pub fn conflict_cycles(&self) -> u64 {
-        self.serialisation() - 1
-    }
-
-    /// Number of banks receiving at least one request.
-    pub fn banks_touched(&self) -> usize {
-        self.per_bank.iter().filter(|&&n| n > 0).count()
-    }
 }
 
 /// The accelerator state visible to the core: two QBUFFERs plus the
@@ -691,8 +680,6 @@ mod tests {
 
         let p = q.write_profile(0, &conflict);
         assert_eq!(p.serialisation(), 8);
-        assert_eq!(p.conflict_cycles(), 7);
-        assert_eq!(p.banks_touched(), 1);
         // Profiling is pure: the buffer is still zero.
         assert!(q.buf(0).words().iter().all(|&w| w == 0));
         // And the executed store reports exactly the profiled latency.
@@ -700,8 +687,6 @@ mod tests {
 
         let p = q.write_profile(0, &spread);
         assert_eq!(p.serialisation(), 1);
-        assert_eq!(p.conflict_cycles(), 0);
-        assert_eq!(p.banks_touched(), 8);
         assert_eq!(q.update(0, QzOp::Add, &spread), 1);
 
         assert_eq!(BankProfile::default().serialisation(), 1);

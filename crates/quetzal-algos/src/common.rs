@@ -28,6 +28,28 @@ impl Tier {
     pub fn uses_quetzal(self) -> bool {
         matches!(self, Tier::Quetzal | Tier::QuetzalC)
     }
+
+    /// The tier's external name, as spelled on the wire and on every
+    /// command line; [`FromStr`](std::str::FromStr) parses it back.
+    pub fn code(self) -> &'static str {
+        match self {
+            Tier::Base => "base",
+            Tier::Vec => "vec",
+            Tier::Quetzal => "quetzal",
+            Tier::QuetzalC => "quetzal+c",
+        }
+    }
+}
+
+impl std::str::FromStr for Tier {
+    type Err = String;
+
+    fn from_str(code: &str) -> Result<Tier, String> {
+        Tier::all()
+            .into_iter()
+            .find(|t| t.code() == code)
+            .ok_or_else(|| format!("unknown tier '{code}' (base|vec|quetzal|quetzal+c)"))
+    }
 }
 
 impl std::fmt::Display for Tier {
@@ -162,6 +184,19 @@ mod tests {
     use quetzal::MachineConfig;
     use quetzal_genomics::packed::Packed2;
     use quetzal_genomics::Alphabet;
+
+    #[test]
+    fn tier_codes_round_trip() {
+        let codes: Vec<&str> = Tier::all().iter().map(|t| t.code()).collect();
+        assert_eq!(codes, ["base", "vec", "quetzal", "quetzal+c"]);
+        for tier in Tier::all() {
+            assert_eq!(tier.code().parse(), Ok(tier));
+        }
+        assert_eq!(
+            "warp".parse::<Tier>(),
+            Err("unknown tier 'warp' (base|vec|quetzal|quetzal+c)".to_string())
+        );
+    }
 
     #[test]
     fn tier_display_and_predicates() {

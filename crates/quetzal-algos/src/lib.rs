@@ -17,12 +17,11 @@
 //!    submits the kernels, and bit-compares the simulated result with
 //!    the scalar reference (the paper's validation methodology, §V-B).
 //!
-//! Algorithms: Wavefront Alignment ([`wfa`], plus the gap-affine mode
-//! in [`wfa_affine`]), bidirectional WFA ([`biwfa`]), SneakySnake
-//! edit-distance filtering ([`sneakysnake`], plus the Shouji-style
-//! filter in [`shouji`]), classical DP alignment ([`nw`], [`swg`]), the
-//! combined filter+align pipeline ([`pipeline`]), and the two
-//! non-genomics kernels of §VII-F ([`histogram`], [`spmv`]).
+//! Algorithms: Wavefront Alignment ([`wfa`]), bidirectional WFA
+//! ([`biwfa`]), SneakySnake edit-distance filtering ([`sneakysnake`]),
+//! classical DP alignment ([`nw`], [`swg`]), the combined filter+align
+//! pipeline ([`pipeline`]), and the two non-genomics kernels of §VII-F
+//! ([`histogram`], [`spmv`]).
 
 pub mod biwfa;
 pub mod common;
@@ -30,12 +29,10 @@ pub mod dp_sim;
 pub mod histogram;
 pub mod nw;
 pub mod pipeline;
-pub mod shouji;
 pub mod sneakysnake;
 pub mod spmv;
 pub mod swg;
 pub mod wfa;
-pub mod wfa_affine;
 pub mod wfa_sim;
 
 pub use common::{SimOutcome, Tier};

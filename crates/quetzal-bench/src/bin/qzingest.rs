@@ -53,50 +53,6 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn dataset_by_name(name: &str) -> DatasetSpec {
-    match name {
-        "100bp_1" => DatasetSpec::d100(),
-        "250bp_1" => DatasetSpec::d250(),
-        "10Kbp" => DatasetSpec::d10k(),
-        "30Kbp" => DatasetSpec::d30k(),
-        "10Kbp_hifi" => DatasetSpec::d10k_hifi(),
-        "protein" => DatasetSpec::protein(),
-        other => fail(&format!(
-            "unknown dataset '{other}' (100bp_1|250bp_1|10Kbp|30Kbp|10Kbp_hifi|protein)"
-        )),
-    }
-}
-
-fn parse_algo(code: &str) -> Algo {
-    match code {
-        "wfa" => Algo::Wfa,
-        "biwfa" => Algo::BiWfa,
-        "ss" => Algo::Ss,
-        "sw" => Algo::Sw,
-        "nw" => Algo::Nw,
-        other => fail(&format!("unknown algo '{other}'")),
-    }
-}
-
-fn parse_tier(code: &str) -> Tier {
-    match code {
-        "base" => Tier::Base,
-        "vec" => Tier::Vec,
-        "quetzal" => Tier::Quetzal,
-        "quetzal+c" => Tier::QuetzalC,
-        other => fail(&format!("unknown tier '{other}'")),
-    }
-}
-
-fn parse_alphabet(code: &str) -> Alphabet {
-    match code {
-        "dna" => Alphabet::Dna,
-        "rna" => Alphabet::Rna,
-        "protein" => Alphabet::Protein,
-        other => fail(&format!("unknown alphabet '{other}'")),
-    }
-}
-
 struct Options {
     dataset: String,
     pairs: u64,
@@ -156,6 +112,16 @@ fn next_arg(iter: &mut impl Iterator<Item = String>, flag: &str) -> String {
         .unwrap_or_else(|| fail(&format!("{flag} needs an argument")))
 }
 
+/// Parses a flag's argument through its type's [`FromStr`](std::str::FromStr) codec.
+fn code<T: std::str::FromStr<Err = String>>(
+    iter: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> T {
+    next_arg(iter, flag)
+        .parse()
+        .unwrap_or_else(|e: String| fail(&e))
+}
+
 fn num<T: std::str::FromStr>(iter: &mut impl Iterator<Item = String>, flag: &str) -> T {
     next_arg(iter, flag)
         .parse()
@@ -180,9 +146,9 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Options {
             "--input" => opts.input = Some(PathBuf::from(next_arg(&mut args, "--input"))),
             "--ckpt" => opts.ckpt = Some(PathBuf::from(next_arg(&mut args, "--ckpt"))),
             "--output" => opts.output = Some(PathBuf::from(next_arg(&mut args, "--output"))),
-            "--algo" => opts.algo = parse_algo(&next_arg(&mut args, "--algo")),
-            "--tier" => opts.tier = parse_tier(&next_arg(&mut args, "--tier")),
-            "--alphabet" => opts.alphabet = parse_alphabet(&next_arg(&mut args, "--alphabet")),
+            "--algo" => opts.algo = code(&mut args, "--algo"),
+            "--tier" => opts.tier = code(&mut args, "--tier"),
+            "--alphabet" => opts.alphabet = code(&mut args, "--alphabet"),
             "--threshold" => opts.threshold = num(&mut args, "--threshold"),
             "--shard" => opts.shard = num(&mut args, "--shard"),
             "--chunk" => opts.chunk = num(&mut args, "--chunk"),
@@ -218,7 +184,7 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Options {
 /// Streams `--pairs` generated pairs into a pair file, one pair in
 /// memory at a time.
 fn run_stage(opts: &Options) {
-    let spec = dataset_by_name(&opts.dataset);
+    let spec = DatasetSpec::by_name(&opts.dataset).unwrap_or_else(|e| fail(&e));
     let out = opts
         .out
         .as_ref()

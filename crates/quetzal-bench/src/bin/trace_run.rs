@@ -48,21 +48,18 @@ fn parse_args() -> Result<Args, ExitCode> {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "wfa" => args.algo = Algo::Wfa,
-            "biwfa" => args.algo = Algo::BiWfa,
-            "ss" => args.algo = Algo::Ss,
-            "sw" => args.algo = Algo::Sw,
-            "nw" => args.algo = Algo::Nw,
-            "base" => args.tier = Tier::Base,
-            "vec" => args.tier = Tier::Vec,
-            "quetzal" => args.tier = Tier::Quetzal,
-            "quetzal+c" | "quetzalc" => args.tier = Tier::QuetzalC,
             "--dataset" => args.dataset = Some(it.next().ok_or_else(usage)?),
             "--top" => {
                 args.top = it.next().and_then(|v| v.parse().ok()).ok_or_else(usage)?;
             }
             "--chrome" => args.chrome_out = Some(it.next().ok_or_else(usage)?),
-            _ => return Err(usage()),
+            code => {
+                if let Ok(algo) = code.parse() {
+                    args.algo = algo;
+                } else {
+                    args.tier = code.parse().map_err(|_| usage())?;
+                }
+            }
         }
     }
     Ok(args)

@@ -1,10 +1,11 @@
 //! Fig. 13b — multicore scalability of QUETZAL+C (1–16 cores).
 //!
 //! Paper: scaling is near-linear while working sets fit the caches and
-//! bends when off-chip bandwidth saturates (long reads). We use the
-//! surrogate-core model of `quetzal-uarch::multicore`: each core runs a
-//! fixed per-core workload against its 1/n share of the L2 and memory
-//! bandwidth, so `speedup(n) = n × T(1) / T(n)` (weak-scaling form).
+//! bends when off-chip bandwidth saturates (long reads). We use a
+//! surrogate-core model: each core runs a fixed per-core workload
+//! against its 1/n share of the L2 and memory bandwidth
+//! ([`CoreConfig::share_of`]), so `speedup(n) = n × T(1) / T(n)`
+//! (weak-scaling form).
 
 use crate::report::{num, Table};
 use crate::workloads::{Workload, SEED};

@@ -38,18 +38,6 @@ impl Table {
     pub fn note(&mut self, line: impl Into<String>) {
         self.notes.push(line.into());
     }
-
-    /// Tab-separated form (machine-readable).
-    pub fn to_tsv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join("\t"));
-        out.push('\n');
-        for r in &self.rows {
-            out.push_str(&r.join("\t"));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl std::fmt::Display for Table {
@@ -123,7 +111,6 @@ mod tests {
         let s = t.to_string();
         assert!(s.contains("Fig. X"));
         assert!(s.contains("note: hello"));
-        assert_eq!(t.to_tsv(), "a\tbbbb\n1\t2\n");
     }
 
     #[test]

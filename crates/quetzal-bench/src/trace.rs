@@ -23,14 +23,7 @@ use quetzal_trace::{CpiStack, RecordingProbe};
 
 /// Label for one traced kernel, e.g. `wfa/100bp_1/vec`.
 pub fn kernel_label(algo: Algo, wl: &Workload, tier: Tier) -> String {
-    let algo = match algo {
-        Algo::Wfa => "wfa",
-        Algo::BiWfa => "biwfa",
-        Algo::Ss => "ss",
-        Algo::Sw => "sw",
-        Algo::Nw => "nw",
-    };
-    format!("{algo}/{}/{tier}", wl.spec.name).to_lowercase()
+    format!("{}/{}/{}", algo.code(), wl.spec.name, tier.code()).to_lowercase()
 }
 
 /// Replays `algo` at `tier` over every pair of the workload on one

@@ -123,6 +123,30 @@ impl Algo {
             Algo::Nw => "NW (parasail)",
         }
     }
+
+    /// The algorithm's external name, as spelled on the wire and on
+    /// every command line; [`FromStr`](std::str::FromStr) parses it
+    /// back.
+    pub fn code(self) -> &'static str {
+        match self {
+            Algo::Wfa => "wfa",
+            Algo::BiWfa => "biwfa",
+            Algo::Ss => "ss",
+            Algo::Sw => "sw",
+            Algo::Nw => "nw",
+        }
+    }
+}
+
+impl std::str::FromStr for Algo {
+    type Err = String;
+
+    fn from_str(code: &str) -> Result<Algo, String> {
+        Algo::all()
+            .into_iter()
+            .find(|a| a.code() == code)
+            .ok_or_else(|| format!("unknown algo '{code}' (wfa|biwfa|ss|sw|nw)"))
+    }
 }
 
 impl std::fmt::Display for Algo {
@@ -387,23 +411,23 @@ pub fn try_simulate_pair_outcome<P: Probe>(
     Ok(outcome)
 }
 
-/// Base pairs processed by one run of `algo` over `wl` (for throughput
-/// figures): the pattern lengths actually aligned.
-pub fn bases_processed(algo: Algo, wl: &Workload) -> u64 {
-    wl.pairs
-        .iter()
-        .map(|p| match algo {
-            Algo::Nw => p.pattern.len().min(NW_WINDOW) as u64,
-            Algo::Sw => p.pattern.len().min(SW_WINDOW) as u64,
-            _ => p.pattern.len() as u64,
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use quetzal_genomics::Alphabet;
+
+    #[test]
+    fn algo_codes_round_trip() {
+        let codes: Vec<&str> = Algo::all().iter().map(|a| a.code()).collect();
+        assert_eq!(codes, ["wfa", "biwfa", "ss", "sw", "nw"]);
+        for algo in Algo::all() {
+            assert_eq!(algo.code().parse(), Ok(algo));
+        }
+        assert_eq!(
+            "blast".parse::<Algo>(),
+            Err("unknown algo 'blast' (wfa|biwfa|ss|sw|nw)".to_string())
+        );
+    }
 
     #[test]
     fn workloads_are_deterministic_and_scaled() {

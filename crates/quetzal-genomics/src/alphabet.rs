@@ -12,8 +12,9 @@
 ///
 /// ```
 /// use quetzal_genomics::Alphabet;
-/// assert_eq!(Alphabet::Dna.bits_per_symbol(), 2);
-/// assert_eq!(Alphabet::Protein.bits_per_symbol(), 8);
+/// assert_eq!("dna".parse(), Ok(Alphabet::Dna));
+/// assert_eq!(Alphabet::Protein.code(), "protein");
+/// assert!(Alphabet::Rna.contains(b'U'));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Alphabet {
@@ -29,26 +30,22 @@ pub enum Alphabet {
 pub const AMINO_ACIDS: &[u8; 20] = b"ACDEFGHIKLMNPQRSTVWY";
 
 impl Alphabet {
+    /// The alphabet's external name, as spelled on the wire and on every
+    /// command line; [`FromStr`](std::str::FromStr) parses it back.
+    pub fn code(self) -> &'static str {
+        match self {
+            Alphabet::Dna => "dna",
+            Alphabet::Rna => "rna",
+            Alphabet::Protein => "protein",
+        }
+    }
+
     /// The symbols of this alphabet, as uppercase ASCII bytes.
     pub fn symbols(self) -> &'static [u8] {
         match self {
             Alphabet::Dna => b"ACGT",
             Alphabet::Rna => b"ACGU",
             Alphabet::Protein => AMINO_ACIDS,
-        }
-    }
-
-    /// Number of distinct symbols (4 for nucleic acids, 20 for proteins).
-    pub fn cardinality(self) -> usize {
-        self.symbols().len()
-    }
-
-    /// Bits required by QUETZAL's data encoder for one symbol: 2 for
-    /// DNA/RNA, 8 for proteins (paper §IV-A).
-    pub fn bits_per_symbol(self) -> u32 {
-        match self {
-            Alphabet::Dna | Alphabet::Rna => 2,
-            Alphabet::Protein => 8,
         }
     }
 
@@ -82,6 +79,17 @@ impl Alphabet {
     }
 }
 
+impl std::str::FromStr for Alphabet {
+    type Err = String;
+
+    fn from_str(code: &str) -> Result<Alphabet, String> {
+        [Alphabet::Dna, Alphabet::Rna, Alphabet::Protein]
+            .into_iter()
+            .find(|a| a.code() == code)
+            .ok_or_else(|| format!("unknown alphabet '{code}' (dna|rna|protein)"))
+    }
+}
+
 impl std::fmt::Display for Alphabet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
@@ -99,9 +107,9 @@ mod tests {
 
     #[test]
     fn symbol_counts() {
-        assert_eq!(Alphabet::Dna.cardinality(), 4);
-        assert_eq!(Alphabet::Rna.cardinality(), 4);
-        assert_eq!(Alphabet::Protein.cardinality(), 20);
+        assert_eq!(Alphabet::Dna.symbols().len(), 4);
+        assert_eq!(Alphabet::Rna.symbols().len(), 4);
+        assert_eq!(Alphabet::Protein.symbols().len(), 20);
     }
 
     #[test]
@@ -139,6 +147,20 @@ mod tests {
     fn complement_rejects_foreign_bytes() {
         assert_eq!(Alphabet::Dna.complement(b'N'), None);
         assert_eq!(Alphabet::Rna.complement(b'T'), None);
+    }
+
+    #[test]
+    fn codes_round_trip() {
+        let all = [Alphabet::Dna, Alphabet::Rna, Alphabet::Protein];
+        let codes: Vec<&str> = all.iter().map(|a| a.code()).collect();
+        assert_eq!(codes, ["dna", "rna", "protein"]);
+        for alphabet in all {
+            assert_eq!(alphabet.code().parse(), Ok(alphabet));
+        }
+        assert_eq!(
+            "DNA".parse::<Alphabet>(),
+            Err("unknown alphabet 'DNA' (dna|rna|protein)".to_string())
+        );
     }
 
     #[test]

@@ -41,22 +41,6 @@ impl CigarOp {
             _ => None,
         }
     }
-
-    /// How many pattern symbols this operation consumes (0 or 1).
-    pub fn pattern_advance(self) -> usize {
-        match self {
-            CigarOp::Match | CigarOp::Mismatch | CigarOp::Insertion => 1,
-            CigarOp::Deletion => 0,
-        }
-    }
-
-    /// How many text symbols this operation consumes (0 or 1).
-    pub fn text_advance(self) -> usize {
-        match self {
-            CigarOp::Match | CigarOp::Mismatch | CigarOp::Deletion => 1,
-            CigarOp::Insertion => 0,
-        }
-    }
 }
 
 /// Gap-affine scoring penalties (all non-negative; lower score is better).
@@ -174,22 +158,6 @@ impl Cigar {
         for &(n, op) in &other.runs {
             self.push_run(n, op);
         }
-    }
-
-    /// Number of pattern symbols consumed.
-    pub fn pattern_len(&self) -> usize {
-        self.runs
-            .iter()
-            .map(|&(n, op)| n as usize * op.pattern_advance())
-            .sum()
-    }
-
-    /// Number of text symbols consumed.
-    pub fn text_len(&self) -> usize {
-        self.runs
-            .iter()
-            .map(|&(n, op)| n as usize * op.text_advance())
-            .sum()
     }
 
     /// Unit-cost edit distance implied by the alignment (mismatches +
@@ -466,8 +434,6 @@ mod tests {
         // pattern AC, text AGC: A matches, G deleted (text-only), C matches.
         let c = cigar("1=1D1=");
         assert!(c.validate(b"AC", b"AGC").is_ok());
-        assert_eq!(c.pattern_len(), 2);
-        assert_eq!(c.text_len(), 3);
     }
 
     #[test]

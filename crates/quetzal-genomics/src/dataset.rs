@@ -168,6 +168,27 @@ impl DatasetSpec {
         ]
     }
 
+    /// The dataset whose [`name`](DatasetSpec::name) is `name`, searched
+    /// over every constructor above.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message listing the known names when none matches.
+    pub fn by_name(name: &str) -> Result<DatasetSpec, String> {
+        let all = [
+            DatasetSpec::d100(),
+            DatasetSpec::d250(),
+            DatasetSpec::d10k(),
+            DatasetSpec::d30k(),
+            DatasetSpec::d10k_hifi(),
+            DatasetSpec::protein(),
+        ];
+        let names: Vec<&str> = all.iter().map(|s| s.name).collect();
+        all.into_iter()
+            .find(|s| s.name == name)
+            .ok_or_else(|| format!("unknown dataset '{name}' ({})", names.join("|")))
+    }
+
     /// Whether the read length classifies as a long read (≥ 1 Kbp) in the
     /// paper's short/long split.
     pub fn is_long(&self) -> bool {
@@ -252,6 +273,25 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::distance::levenshtein;
+
+    #[test]
+    fn by_name_finds_every_dataset() {
+        for name in [
+            "100bp_1",
+            "250bp_1",
+            "10Kbp",
+            "30Kbp",
+            "10Kbp_hifi",
+            "protein",
+        ] {
+            assert_eq!(DatasetSpec::by_name(name).unwrap().name, name);
+        }
+        assert_eq!(DatasetSpec::by_name("protein"), Ok(DatasetSpec::protein()));
+        assert_eq!(
+            DatasetSpec::by_name("1Mbp"),
+            Err("unknown dataset '1Mbp' (100bp_1|250bp_1|10Kbp|30Kbp|10Kbp_hifi|protein)".into())
+        );
+    }
 
     #[test]
     fn generation_is_deterministic() {

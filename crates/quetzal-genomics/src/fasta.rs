@@ -1,9 +1,9 @@
-//! Minimal FASTA and pair-file I/O.
+//! Pair-file I/O.
 //!
 //! The generators in [`crate::dataset`] stand in for the paper's input
-//! files, but real data can be used instead: plain FASTA for sequence
-//! collections and the SneakySnake-style *pair file* (one tab-separated
-//! `pattern text` pair per line) for filter/alignment workloads.
+//! files, but real data can be used instead through the
+//! SneakySnake-style *pair file*: one tab-separated `pattern text` pair
+//! per line, the input of every filter/alignment front end.
 
 use std::io::{self, BufRead, Write};
 
@@ -11,28 +11,19 @@ use crate::alphabet::Alphabet;
 use crate::dataset::SeqPair;
 use crate::sequence::{Seq, SeqError};
 
-/// A FASTA record: a header line (without `>`) and a sequence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FastaRecord {
-    /// Header text following the `>` marker.
-    pub id: String,
-    /// The sequence.
-    pub seq: Seq,
-}
-
-/// Error reading FASTA or pair files.
+/// Error reading a pair file.
 #[derive(Debug)]
 pub enum FastaError {
     /// Underlying I/O failure.
     Io(io::Error),
     /// A sequence contained symbols outside the expected alphabet.
     Seq {
-        /// 1-based line number of the offending record.
+        /// 1-based line number of the offending pair.
         line: usize,
         /// The validation failure.
         source: SeqError,
     },
-    /// Structural problem (e.g. sequence data before any header).
+    /// Structural problem (e.g. a line with a single sequence).
     Format {
         /// 1-based line number.
         line: usize,
@@ -65,131 +56,6 @@ impl From<io::Error> for FastaError {
     fn from(e: io::Error) -> Self {
         FastaError::Io(e)
     }
-}
-
-/// Streaming FASTA reader: an iterator of records that holds **one
-/// record in memory at a time** — the genome-scale ingestion path
-/// feeds shards from this without ever materialising the collection.
-///
-/// [`read_fasta`] is this iterator collected.
-#[derive(Debug)]
-pub struct FastaReader<R> {
-    reader: R,
-    alphabet: Alphabet,
-    /// 1-based number of the next line to read.
-    line: usize,
-    /// Header and start line of the record being accumulated.
-    pending: Option<(String, Vec<u8>, usize)>,
-    /// A fatal error or EOF was reached; yield nothing further.
-    finished: bool,
-}
-
-impl<R: BufRead> FastaReader<R> {
-    /// Wraps a buffered reader.
-    pub fn new(reader: R, alphabet: Alphabet) -> FastaReader<R> {
-        FastaReader {
-            reader,
-            alphabet,
-            line: 0,
-            pending: None,
-            finished: false,
-        }
-    }
-
-    fn seal(&self, pending: (String, Vec<u8>, usize)) -> Result<FastaRecord, FastaError> {
-        let (id, bytes, start) = pending;
-        Ok(FastaRecord {
-            id,
-            seq: Seq::new(bytes, self.alphabet).map_err(|source| FastaError::Seq {
-                line: start,
-                source,
-            })?,
-        })
-    }
-}
-
-impl<R: BufRead> Iterator for FastaReader<R> {
-    type Item = Result<FastaRecord, FastaError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.finished {
-            return None;
-        }
-        let mut buf = String::new();
-        loop {
-            buf.clear();
-            match self.reader.read_line(&mut buf) {
-                Err(e) => {
-                    self.finished = true;
-                    return Some(Err(FastaError::Io(e)));
-                }
-                Ok(0) => {
-                    self.finished = true;
-                    return self.pending.take().map(|p| self.seal(p));
-                }
-                Ok(_) => {}
-            }
-            self.line += 1;
-            let line = buf.trim_end();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(id) = line.strip_prefix('>') {
-                let sealed = self.pending.take().map(|p| self.seal(p));
-                self.pending = Some((id.trim().to_string(), Vec::new(), self.line));
-                if let Some(record) = sealed {
-                    if record.is_err() {
-                        self.finished = true;
-                    }
-                    return Some(record);
-                }
-            } else {
-                match &mut self.pending {
-                    Some((_, bytes, _)) => bytes.extend_from_slice(line.as_bytes()),
-                    None => {
-                        self.finished = true;
-                        return Some(Err(FastaError::Format {
-                            line: self.line,
-                            message: "sequence data before first '>' header".into(),
-                        }));
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Reads all records from FASTA-formatted input.
-///
-/// Multi-line sequences are concatenated; blank lines are ignored.
-/// This is [`FastaReader`] collected — use the iterator directly when
-/// the input may not fit in memory.
-///
-/// # Errors
-///
-/// Returns [`FastaError`] on I/O failure, on sequence data appearing
-/// before the first header, or on symbols outside `alphabet`.
-pub fn read_fasta<R: BufRead>(
-    reader: R,
-    alphabet: Alphabet,
-) -> Result<Vec<FastaRecord>, FastaError> {
-    FastaReader::new(reader, alphabet).collect()
-}
-
-/// Writes records as FASTA with 70-column wrapping.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `writer`.
-pub fn write_fasta<W: Write>(mut writer: W, records: &[FastaRecord]) -> io::Result<()> {
-    for r in records {
-        writeln!(writer, ">{}", r.id)?;
-        for chunk in r.seq.as_bytes().chunks(70) {
-            writer.write_all(chunk)?;
-            writeln!(writer)?;
-        }
-    }
-    Ok(())
 }
 
 /// Streaming pair-file reader: an iterator of [`SeqPair`]s that holds
@@ -305,44 +171,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fasta_round_trip() {
-        let records = vec![
-            FastaRecord {
-                id: "read1".into(),
-                seq: Seq::dna(b"ACGTACGT").unwrap(),
-            },
-            FastaRecord {
-                id: "read2 extra".into(),
-                seq: Seq::dna(&b"A".repeat(150)[..]).unwrap(),
-            },
-        ];
-        let mut buf = Vec::new();
-        write_fasta(&mut buf, &records).unwrap();
-        let parsed = read_fasta(&buf[..], Alphabet::Dna).unwrap();
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn fasta_multiline_and_blank_lines() {
-        let input = b">r1\nACGT\n\nACGT\n>r2\nTTTT\n";
-        let recs = read_fasta(&input[..], Alphabet::Dna).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].seq.as_bytes(), b"ACGTACGT");
-    }
-
-    #[test]
-    fn fasta_rejects_headerless_data() {
-        let err = read_fasta(&b"ACGT\n"[..], Alphabet::Dna).unwrap_err();
-        assert!(matches!(err, FastaError::Format { line: 1, .. }));
-    }
-
-    #[test]
-    fn fasta_rejects_bad_symbols_with_line() {
-        let err = read_fasta(&b">r1\nACGN\n"[..], Alphabet::Dna).unwrap_err();
-        assert!(matches!(err, FastaError::Seq { line: 1, .. }));
-    }
-
-    #[test]
     fn pairs_round_trip() {
         let pairs = vec![SeqPair {
             pattern: Seq::dna(b"ACGT").unwrap(),
@@ -379,19 +207,5 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(streamed, read_pairs(&clean[..], Alphabet::Dna).unwrap());
-    }
-
-    #[test]
-    fn streaming_fasta_reader_matches_collected() {
-        let input = b">r1\nACGT\nACGT\n>r2\nTTTT\n";
-        let streamed: Vec<FastaRecord> = FastaReader::new(&input[..], Alphabet::Dna)
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(streamed, read_fasta(&input[..], Alphabet::Dna).unwrap());
-        // Errors carry the record's start line and fuse the iterator.
-        let bad = b">r1\nACGN\n>r2\nTTTT\n";
-        let items: Vec<_> = FastaReader::new(&bad[..], Alphabet::Dna).collect();
-        assert_eq!(items.len(), 1);
-        assert!(matches!(items[0], Err(FastaError::Seq { line: 1, .. })));
     }
 }

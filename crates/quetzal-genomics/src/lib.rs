@@ -4,8 +4,8 @@
 //! about biological sequences, independent of any micro-architecture:
 //!
 //! * [`Alphabet`] — DNA / RNA / protein alphabets and their properties.
-//! * [`Seq`] — validated, owned sequences with the usual genomics helpers
-//!   (reverse complement, sub-sequences, …).
+//! * [`Seq`] — validated, owned sequences (sub-sequences, 2-bit
+//!   packing).
 //! * [`packed`] — 2-bit packing used by QUETZAL's data encoder
 //!   (paper §IV-A): DNA/RNA bases are stored as `(byte >> 1) & 3`.
 //! * [`cigar`] — alignment description (CIGAR strings), scoring and
@@ -16,11 +16,10 @@
 //! * [`dataset`] — deterministic read-pair generators reproducing the
 //!   paper's Table II datasets (100 bp, 250 bp, 10 Kbp, 30 Kbp) and a
 //!   BAliBASE-like protein set.
-//! * [`rng`] — seeded, bit-stable in-tree PRNGs (SplitMix64,
-//!   xoshiro256**) so nothing in the workspace needs an external
-//!   randomness crate.
-//! * [`fasta`] — minimal FASTA and pair-file I/O so real data can be used
-//!   in place of the generators.
+//! * [`rng`] — a seeded, bit-stable in-tree PRNG (SplitMix64) so nothing
+//!   in the workspace needs an external randomness crate.
+//! * [`fasta`] — pair-file I/O so real data can be used in place of the
+//!   generators.
 //!
 //! # Example
 //!

@@ -1,73 +1,13 @@
-//! Self-contained, seeded pseudo-random number generators.
+//! A self-contained, seeded pseudo-random number generator.
 //!
 //! The workspace has a zero-external-dependency policy (it must build
 //! hermetically offline), so dataset generation, property tests and the
-//! differential interpreter tests all draw their randomness from the
-//! two small, well-studied generators in this module:
+//! differential interpreter tests all draw their randomness from
+//! [`SplitMix64`] — Steele, Lea & Flood's 64-bit mixer: one word of
+//! state, passes BigCrush.
 //!
-//! * [`SplitMix64`] — Steele, Lea & Flood's 64-bit mixer. One word of
-//!   state, passes BigCrush, and is the standard seeder for the
-//!   xoshiro family. The default generator everywhere in this
-//!   workspace.
-//! * [`Xoshiro256StarStar`] — Blackman & Vigna's xoshiro256**, for
-//!   callers that want a longer period (2^256 − 1) or independent
-//!   streams via [`Xoshiro256StarStar::jump`].
-//!
-//! Both are bit-stable across platforms, which is what makes every
+//! It is bit-stable across platforms, which is what makes every
 //! generated dataset and every experiment table reproducible.
-
-/// Implements the distribution helpers shared by both generators in
-/// terms of an inherent `next_u64`.
-macro_rules! impl_rng_helpers {
-    ($ty:ty) => {
-        impl $ty {
-            /// Uniform integer in `[0, bound)` (unbiased by rejection).
-            ///
-            /// # Panics
-            ///
-            /// Panics if `bound == 0`.
-            pub fn below(&mut self, bound: u64) -> u64 {
-                assert!(bound > 0, "bound must be positive");
-                let zone = u64::MAX - (u64::MAX % bound);
-                loop {
-                    let v = self.next_u64();
-                    if v < zone {
-                        return v % bound;
-                    }
-                }
-            }
-
-            /// Uniform float in `[0, 1)`.
-            pub fn f64(&mut self) -> f64 {
-                (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-            }
-
-            /// Uniform integer in `[lo, hi)` as `i64`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `lo >= hi`.
-            pub fn i64_in(&mut self, lo: i64, hi: i64) -> i64 {
-                assert!(lo < hi, "empty range");
-                lo.wrapping_add(self.below(hi.wrapping_sub(lo) as u64) as i64)
-            }
-
-            /// A uniformly chosen element of a non-empty slice.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `items` is empty.
-            pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-                &items[self.below(items.len() as u64) as usize]
-            }
-
-            /// `true` with probability `p` (clamped to `[0, 1]`).
-            pub fn chance(&mut self, p: f64) -> bool {
-                self.f64() < p
-            }
-        }
-    };
-}
 
 /// A tiny, high-quality, self-contained PRNG (SplitMix64): one `u64` of
 /// state, an additive Weyl sequence through a 64-bit finalising mixer.
@@ -90,67 +30,52 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-}
 
-impl_rng_helpers!(SplitMix64);
-
-/// Blackman & Vigna's xoshiro256**: four `u64` of state, period
-/// 2^256 − 1, with a `jump` function for 2^128 non-overlapping
-/// subsequences. Seeded through [`SplitMix64`], as its authors
-/// prescribe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Xoshiro256StarStar {
-    s: [u64; 4],
-}
-
-impl Xoshiro256StarStar {
-    /// Creates a generator from a seed (expanded via [`SplitMix64`]).
-    pub fn new(seed: u64) -> Xoshiro256StarStar {
-        let mut sm = SplitMix64::new(seed);
-        Xoshiro256StarStar {
-            s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
-        }
-    }
-
-    /// Next 64 uniformly random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
-        let t = self.s[1] << 17;
-        self.s[2] ^= self.s[0];
-        self.s[3] ^= self.s[1];
-        self.s[1] ^= self.s[2];
-        self.s[0] ^= self.s[3];
-        self.s[2] ^= t;
-        self.s[3] = self.s[3].rotate_left(45);
-        result
-    }
-
-    /// Advances the state by 2^128 steps: calling `jump` `n` times on
-    /// clones of one seed yields `n` non-overlapping streams (one per
-    /// worker shard, for example).
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_2618_E03F_C9AA,
-            0x39AB_DC45_29B1_661C,
-        ];
-        let mut acc = [0u64; 4];
-        for j in JUMP {
-            for b in 0..64 {
-                if (j >> b) & 1 != 0 {
-                    for (a, s) in acc.iter_mut().zip(self.s) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
+    /// Uniform integer in `[0, bound)` (unbiased by rejection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound == 0`.
+    pub fn below(&mut self, bound: u64) -> u64 {
+        assert!(bound > 0, "bound must be positive");
+        let zone = u64::MAX - (u64::MAX % bound);
+        loop {
+            let v = self.next_u64();
+            if v < zone {
+                return v % bound;
             }
         }
-        self.s = acc;
+    }
+
+    /// Uniform float in `[0, 1)`.
+    pub fn f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform integer in `[lo, hi)` as `i64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lo >= hi`.
+    pub fn i64_in(&mut self, lo: i64, hi: i64) -> i64 {
+        assert!(lo < hi, "empty range");
+        lo.wrapping_add(self.below(hi.wrapping_sub(lo) as u64) as i64)
+    }
+
+    /// A uniformly chosen element of a non-empty slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` is empty.
+    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+        &items[self.below(items.len() as u64) as usize]
+    }
+
+    /// `true` with probability `p` (clamped to `[0, 1]`).
+    pub fn chance(&mut self, p: f64) -> bool {
+        self.f64() < p
     }
 }
-
-impl_rng_helpers!(Xoshiro256StarStar);
 
 #[cfg(test)]
 mod tests {
@@ -169,33 +94,10 @@ mod tests {
     }
 
     #[test]
-    fn xoshiro_is_deterministic_and_differs_from_splitmix() {
-        let mut a = Xoshiro256StarStar::new(42);
-        let mut b = Xoshiro256StarStar::new(42);
-        let xs: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
-        assert_eq!(xs, ys);
-        let mut sm = SplitMix64::new(42);
-        assert!(xs.iter().any(|&x| x != sm.next_u64()));
-    }
-
-    #[test]
-    fn xoshiro_jump_decorrelates_streams() {
-        let mut a = Xoshiro256StarStar::new(7);
-        let mut b = a.clone();
-        b.jump();
-        let xs: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
-    }
-
-    #[test]
-    fn below_is_in_range_for_both() {
+    fn below_is_in_range() {
         let mut s = SplitMix64::new(99);
-        let mut x = Xoshiro256StarStar::new(99);
         for _ in 0..1000 {
             assert!(s.below(7) < 7);
-            assert!(x.below(7) < 7);
         }
     }
 

@@ -36,7 +36,7 @@ impl std::error::Error for SeqError {}
 /// let s = Seq::dna(b"acag")?;
 /// assert_eq!(s.as_bytes(), b"ACAG");
 /// assert_eq!(s.alphabet(), Alphabet::Dna);
-/// assert_eq!(s.reverse_complement().as_bytes(), b"CTGT");
+/// assert_eq!(s.reversed().as_bytes(), b"GACA");
 /// # Ok::<(), quetzal_genomics::SeqError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -137,28 +137,6 @@ impl Seq {
         }
     }
 
-    /// Watson-Crick reverse complement.
-    ///
-    /// # Panics
-    ///
-    /// Panics for protein sequences, which have no complement.
-    pub fn reverse_complement(&self) -> Seq {
-        let bytes = self
-            .bytes
-            .iter()
-            .rev()
-            .map(|&b| {
-                self.alphabet
-                    .complement(b)
-                    .expect("protein sequences have no complement")
-            })
-            .collect();
-        Seq {
-            bytes,
-            alphabet: self.alphabet,
-        }
-    }
-
     /// Consumes the sequence and returns the underlying byte buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.bytes
@@ -201,31 +179,6 @@ mod tests {
         let s = Seq::dna(b"").unwrap();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-    }
-
-    #[test]
-    fn reverse_complement_dna() {
-        let s = Seq::dna(b"ACAG").unwrap();
-        assert_eq!(s.reverse_complement().as_bytes(), b"CTGT");
-    }
-
-    #[test]
-    fn reverse_complement_is_involutive() {
-        let s = Seq::dna(b"GATTACA").unwrap();
-        assert_eq!(s.reverse_complement().reverse_complement(), s);
-    }
-
-    #[test]
-    fn rna_reverse_complement() {
-        let s = Seq::rna(b"ACGU").unwrap();
-        assert_eq!(s.reverse_complement().as_bytes(), b"ACGU");
-    }
-
-    #[test]
-    #[should_panic(expected = "no complement")]
-    fn protein_reverse_complement_panics() {
-        let s = Seq::protein(b"MW").unwrap();
-        let _ = s.reverse_complement();
     }
 
     #[test]

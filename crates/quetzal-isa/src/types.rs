@@ -85,15 +85,6 @@ impl EncSize {
         64 / self.bits()
     }
 
-    /// Encoding of the `Esiz` field of `qzconf`.
-    pub fn to_field(self) -> u64 {
-        match self {
-            EncSize::E2 => 0,
-            EncSize::E8 => 1,
-            EncSize::E64 => 2,
-        }
-    }
-
     /// Decodes the `Esiz` field of `qzconf`.
     pub fn from_field(v: u64) -> Option<EncSize> {
         match v {
@@ -189,8 +180,8 @@ mod tests {
 
     #[test]
     fn enc_size_fields_round_trip() {
-        for e in [EncSize::E2, EncSize::E8, EncSize::E64] {
-            assert_eq!(EncSize::from_field(e.to_field()), Some(e));
+        for (v, e) in [(0, EncSize::E2), (1, EncSize::E8), (2, EncSize::E64)] {
+            assert_eq!(EncSize::from_field(v), Some(e));
         }
         assert_eq!(EncSize::from_field(3), None);
     }

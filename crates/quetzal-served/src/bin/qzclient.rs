@@ -55,49 +55,6 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-fn dataset_by_name(name: &str) -> DatasetSpec {
-    match name {
-        "100bp_1" => DatasetSpec::d100(),
-        "250bp_1" => DatasetSpec::d250(),
-        "10Kbp" => DatasetSpec::d10k(),
-        "30Kbp" => DatasetSpec::d30k(),
-        "10Kbp_hifi" => DatasetSpec::d10k_hifi(),
-        other => fail(&format!(
-            "unknown dataset '{other}' (100bp_1|250bp_1|10Kbp|30Kbp|10Kbp_hifi)"
-        )),
-    }
-}
-
-fn parse_algo(code: &str) -> Algo {
-    match code {
-        "wfa" => Algo::Wfa,
-        "biwfa" => Algo::BiWfa,
-        "ss" => Algo::Ss,
-        "sw" => Algo::Sw,
-        "nw" => Algo::Nw,
-        other => fail(&format!("unknown algo '{other}'")),
-    }
-}
-
-fn parse_tier(code: &str) -> Tier {
-    match code {
-        "base" => Tier::Base,
-        "vec" => Tier::Vec,
-        "quetzal" => Tier::Quetzal,
-        "quetzal+c" => Tier::QuetzalC,
-        other => fail(&format!("unknown tier '{other}'")),
-    }
-}
-
-fn parse_alphabet(code: &str) -> Alphabet {
-    match code {
-        "dna" => Alphabet::Dna,
-        "rna" => Alphabet::Rna,
-        "protein" => Alphabet::Protein,
-        other => fail(&format!("unknown alphabet '{other}'")),
-    }
-}
-
 struct Options {
     addr: Option<String>,
     tenant: String,
@@ -153,14 +110,24 @@ fn next_arg(iter: &mut impl Iterator<Item = String>, flag: &str) -> String {
         .unwrap_or_else(|| fail(&format!("{flag} needs an argument")))
 }
 
+/// Parses a flag's argument through its type's [`FromStr`](std::str::FromStr) codec.
+fn code<T: std::str::FromStr<Err = String>>(
+    iter: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> T {
+    next_arg(iter, flag)
+        .parse()
+        .unwrap_or_else(|e: String| fail(&e))
+}
+
 fn parse_options(mut args: impl Iterator<Item = String>) -> Options {
     let mut opts = Options::default();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--addr" => opts.addr = Some(next_arg(&mut args, "--addr")),
             "--tenant" => opts.tenant = next_arg(&mut args, "--tenant"),
-            "--algo" => opts.algo = parse_algo(&next_arg(&mut args, "--algo")),
-            "--tier" => opts.tier = parse_tier(&next_arg(&mut args, "--tier")),
+            "--algo" => opts.algo = code(&mut args, "--algo"),
+            "--tier" => opts.tier = code(&mut args, "--tier"),
             "--dataset" => opts.dataset = next_arg(&mut args, "--dataset"),
             "--pairs" => {
                 opts.pairs = next_arg(&mut args, "--pairs")
@@ -184,7 +151,7 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Options {
             "--input" => opts.input = Some(next_arg(&mut args, "--input")),
             "--ckpt" => opts.ckpt = Some(next_arg(&mut args, "--ckpt")),
             "--output" => opts.output = Some(next_arg(&mut args, "--output")),
-            "--alphabet" => opts.alphabet = parse_alphabet(&next_arg(&mut args, "--alphabet")),
+            "--alphabet" => opts.alphabet = code(&mut args, "--alphabet"),
             "--threshold" => {
                 opts.threshold = next_arg(&mut args, "--threshold")
                     .parse()
@@ -232,7 +199,7 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Options {
 /// Stages the Fig. 3 workload slice: `n` generated pairs of the chosen
 /// Table II dataset, with the experiment harness's own SS threshold.
 fn stage_align_job(opts: &Options) -> JobSpec {
-    let spec = dataset_by_name(&opts.dataset);
+    let spec = DatasetSpec::by_name(&opts.dataset).unwrap_or_else(|e| fail(&e));
     let wl = Workload {
         pairs: spec.generate_n(SEED, opts.pairs.max(1)),
         spec,

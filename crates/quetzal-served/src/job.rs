@@ -37,7 +37,7 @@ use quetzal::{
     MachinePool, RunReport,
 };
 use quetzal_algos::Tier;
-use quetzal_bench::workloads::try_simulate_pair_outcome;
+use quetzal_bench::workloads::{try_simulate_pair_outcome, Algo};
 use quetzal_genomics::dataset::SeqPair;
 use quetzal_genomics::fasta::PairReader;
 use quetzal_genomics::{Alphabet, Seq};
@@ -89,7 +89,7 @@ pub enum JobSpec {
     /// Align (or filter) a batch of sequence pairs.
     Align {
         /// The algorithm (WFA, BiWFA, SS, SW, NW).
-        algo: quetzal_bench::workloads::Algo,
+        algo: Algo,
         /// The acceleration tier.
         tier: Tier,
         /// Sequence alphabet of every pair.
@@ -121,7 +121,7 @@ pub enum JobSpec {
         /// Optional daemon-local path for the final concatenated report.
         output: Option<String>,
         /// The algorithm (WFA, BiWFA, SS, SW, NW).
-        algo: quetzal_bench::workloads::Algo,
+        algo: Algo,
         /// The acceleration tier.
         tier: Tier,
         /// Sequence alphabet of the pair file.
@@ -143,67 +143,6 @@ pub enum JobSpec {
     },
 }
 
-fn algo_code(algo: quetzal_bench::workloads::Algo) -> &'static str {
-    use quetzal_bench::workloads::Algo;
-    match algo {
-        Algo::Wfa => "wfa",
-        Algo::BiWfa => "biwfa",
-        Algo::Ss => "ss",
-        Algo::Sw => "sw",
-        Algo::Nw => "nw",
-    }
-}
-
-fn parse_algo(code: &str) -> Result<quetzal_bench::workloads::Algo, String> {
-    use quetzal_bench::workloads::Algo;
-    match code {
-        "wfa" => Ok(Algo::Wfa),
-        "biwfa" => Ok(Algo::BiWfa),
-        "ss" => Ok(Algo::Ss),
-        "sw" => Ok(Algo::Sw),
-        "nw" => Ok(Algo::Nw),
-        other => Err(format!("unknown algo '{other}' (wfa|biwfa|ss|sw|nw)")),
-    }
-}
-
-fn tier_code(tier: Tier) -> &'static str {
-    match tier {
-        Tier::Base => "base",
-        Tier::Vec => "vec",
-        Tier::Quetzal => "quetzal",
-        Tier::QuetzalC => "quetzal+c",
-    }
-}
-
-fn parse_tier(code: &str) -> Result<Tier, String> {
-    match code {
-        "base" => Ok(Tier::Base),
-        "vec" => Ok(Tier::Vec),
-        "quetzal" => Ok(Tier::Quetzal),
-        "quetzal+c" => Ok(Tier::QuetzalC),
-        other => Err(format!(
-            "unknown tier '{other}' (base|vec|quetzal|quetzal+c)"
-        )),
-    }
-}
-
-fn alphabet_code(alphabet: Alphabet) -> &'static str {
-    match alphabet {
-        Alphabet::Dna => "dna",
-        Alphabet::Rna => "rna",
-        Alphabet::Protein => "protein",
-    }
-}
-
-fn parse_alphabet(code: &str) -> Result<Alphabet, String> {
-    match code {
-        "dna" => Ok(Alphabet::Dna),
-        "rna" => Ok(Alphabet::Rna),
-        "protein" => Ok(Alphabet::Protein),
-        other => Err(format!("unknown alphabet '{other}' (dna|rna|protein)")),
-    }
-}
-
 fn str_field<'v>(v: &'v Value, key: &str) -> Result<&'v str, String> {
     v.get(key)
         .and_then(Value::as_str)
@@ -214,6 +153,59 @@ fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing integer field '{key}'"))
+}
+
+/// The fields align and ingest jobs share: algorithm, tier, alphabet,
+/// SneakySnake threshold (default 100) and optional budgets.
+fn pair_job_fields(v: &Value) -> Result<(Algo, Tier, Alphabet, u32, Budgets), String> {
+    let algo = str_field(v, "algo")?.parse()?;
+    let tier = str_field(v, "tier")?.parse()?;
+    let alphabet = str_field(v, "alphabet")?.parse()?;
+    let ss_threshold = match v.get("ss_threshold") {
+        None => 100,
+        Some(t) => u32::try_from(t.as_u64().ok_or("'ss_threshold' must be an integer")?)
+            .map_err(|_| "'ss_threshold' out of range".to_string())?,
+    };
+    let budgets = match v.get("budgets") {
+        None => Budgets::default(),
+        Some(b) => Budgets {
+            insts: b.get("insts").and_then(Value::as_u64),
+            cycles: b.get("cycles").and_then(Value::as_u64),
+            pages: b.get("pages").and_then(Value::as_u64).map(|n| n as usize),
+        },
+    };
+    Ok((algo, tier, alphabet, ss_threshold, budgets))
+}
+
+/// The wire form of [`pair_job_fields`]; `budgets` only when set.
+fn pair_job_value(
+    algo: Algo,
+    tier: Tier,
+    alphabet: Alphabet,
+    ss_threshold: u32,
+    budgets: &Budgets,
+) -> Vec<(String, Value)> {
+    let mut fields = vec![
+        ("algo".to_string(), Value::from(algo.code())),
+        ("tier".to_string(), Value::from(tier.code())),
+        ("alphabet".to_string(), Value::from(alphabet.code())),
+        (
+            "ss_threshold".to_string(),
+            Value::from(u64::from(ss_threshold)),
+        ),
+    ];
+    if !budgets.is_default() {
+        let b = [
+            ("insts", budgets.insts),
+            ("cycles", budgets.cycles),
+            ("pages", budgets.pages.map(|n| n as u64)),
+        ]
+        .into_iter()
+        .filter_map(|(key, n)| Some((key.to_string(), Value::from(n?))))
+        .collect();
+        fields.push(("budgets".to_string(), b));
+    }
+    fields
 }
 
 impl JobSpec {
@@ -227,24 +219,7 @@ impl JobSpec {
     pub fn from_value(v: &Value) -> Result<JobSpec, String> {
         match str_field(v, "kind")? {
             "align" => {
-                let algo = parse_algo(str_field(v, "algo")?)?;
-                let tier = parse_tier(str_field(v, "tier")?)?;
-                let alphabet = parse_alphabet(str_field(v, "alphabet")?)?;
-                let ss_threshold = match v.get("ss_threshold") {
-                    None => 100,
-                    Some(t) => {
-                        u32::try_from(t.as_u64().ok_or("'ss_threshold' must be an integer")?)
-                            .map_err(|_| "'ss_threshold' out of range".to_string())?
-                    }
-                };
-                let budgets = match v.get("budgets") {
-                    None => Budgets::default(),
-                    Some(b) => Budgets {
-                        insts: b.get("insts").and_then(Value::as_u64),
-                        cycles: b.get("cycles").and_then(Value::as_u64),
-                        pages: b.get("pages").and_then(Value::as_u64).map(|n| n as usize),
-                    },
-                };
+                let (algo, tier, alphabet, ss_threshold, budgets) = pair_job_fields(v)?;
                 let raw_pairs = v
                     .get("pairs")
                     .and_then(Value::as_array)
@@ -297,24 +272,7 @@ impl JobSpec {
                     None => None,
                     Some(o) => Some(o.as_str().ok_or("'output' must be a string")?.to_string()),
                 };
-                let algo = parse_algo(str_field(v, "algo")?)?;
-                let tier = parse_tier(str_field(v, "tier")?)?;
-                let alphabet = parse_alphabet(str_field(v, "alphabet")?)?;
-                let ss_threshold = match v.get("ss_threshold") {
-                    None => 100,
-                    Some(t) => {
-                        u32::try_from(t.as_u64().ok_or("'ss_threshold' must be an integer")?)
-                            .map_err(|_| "'ss_threshold' out of range".to_string())?
-                    }
-                };
-                let budgets = match v.get("budgets") {
-                    None => Budgets::default(),
-                    Some(b) => Budgets {
-                        insts: b.get("insts").and_then(Value::as_u64),
-                        cycles: b.get("cycles").and_then(Value::as_u64),
-                        pages: b.get("pages").and_then(Value::as_u64).map(|n| n as usize),
-                    },
-                };
+                let (algo, tier, alphabet, ss_threshold, budgets) = pair_job_fields(v)?;
                 let shard_items = match v.get("shard_items") {
                     None => 256,
                     Some(n) => {
@@ -379,33 +337,9 @@ impl JobSpec {
                         .collect()
                     })
                     .collect();
-                let mut fields = vec![
-                    ("kind".to_string(), Value::from("align")),
-                    ("algo".to_string(), Value::from(algo_code(*algo))),
-                    ("tier".to_string(), Value::from(tier_code(*tier))),
-                    (
-                        "alphabet".to_string(),
-                        Value::from(alphabet_code(*alphabet)),
-                    ),
-                    (
-                        "ss_threshold".to_string(),
-                        Value::from(u64::from(*ss_threshold)),
-                    ),
-                    ("pairs".to_string(), Value::Array(pair_values)),
-                ];
-                if !budgets.is_default() {
-                    let mut b = Vec::new();
-                    if let Some(n) = budgets.insts {
-                        b.push(("insts".to_string(), Value::from(n)));
-                    }
-                    if let Some(n) = budgets.cycles {
-                        b.push(("cycles".to_string(), Value::from(n)));
-                    }
-                    if let Some(n) = budgets.pages {
-                        b.push(("pages".to_string(), Value::from(n)));
-                    }
-                    fields.push(("budgets".to_string(), b.into_iter().collect()));
-                }
+                let mut fields = pair_job_value(*algo, *tier, *alphabet, *ss_threshold, budgets);
+                fields.push(("kind".to_string(), Value::from("align")));
+                fields.push(("pairs".to_string(), Value::Array(pair_values)));
                 fields.into_iter().collect()
             }
             JobSpec::Fault { seed, cases } => [
@@ -432,25 +366,16 @@ impl JobSpec {
                 shard_insts,
                 retry_quarantined,
             } => {
-                let mut fields = vec![
+                let mut fields = pair_job_value(*algo, *tier, *alphabet, *ss_threshold, budgets);
+                fields.extend([
                     ("kind".to_string(), Value::from("ingest")),
                     ("input".to_string(), Value::from(input.clone())),
                     (
                         "checkpoint_dir".to_string(),
                         Value::from(checkpoint_dir.clone()),
                     ),
-                    ("algo".to_string(), Value::from(algo_code(*algo))),
-                    ("tier".to_string(), Value::from(tier_code(*tier))),
-                    (
-                        "alphabet".to_string(),
-                        Value::from(alphabet_code(*alphabet)),
-                    ),
-                    (
-                        "ss_threshold".to_string(),
-                        Value::from(u64::from(*ss_threshold)),
-                    ),
                     ("shard_items".to_string(), Value::from(*shard_items)),
-                ];
+                ]);
                 if let Some(path) = output {
                     fields.push(("output".to_string(), Value::from(path.clone())));
                 }
@@ -462,19 +387,6 @@ impl JobSpec {
                 }
                 if *retry_quarantined {
                     fields.push(("retry_quarantined".to_string(), Value::from(true)));
-                }
-                if !budgets.is_default() {
-                    let mut b = Vec::new();
-                    if let Some(n) = budgets.insts {
-                        b.push(("insts".to_string(), Value::from(n)));
-                    }
-                    if let Some(n) = budgets.cycles {
-                        b.push(("cycles".to_string(), Value::from(n)));
-                    }
-                    if let Some(n) = budgets.pages {
-                        b.push(("pages".to_string(), Value::from(n)));
-                    }
-                    fields.push(("budgets".to_string(), b.into_iter().collect()));
                 }
                 fields.into_iter().collect()
             }
@@ -856,7 +768,6 @@ pub fn execute(
 mod tests {
     use super::*;
     use quetzal::{ExecMode, MachineConfig};
-    use quetzal_bench::workloads::Algo;
     use quetzal_genomics::dataset::DatasetSpec;
 
     fn align_spec(n: usize) -> JobSpec {
@@ -878,11 +789,59 @@ mod tests {
             seed: 0xF4417,
             cases: vec![0, 3, 11],
         };
-        for spec in [align, fault] {
+        let ingest = |algo, tier, alphabet, budgets| JobSpec::Ingest {
+            input: "pairs.tsv".into(),
+            checkpoint_dir: "ck".into(),
+            output: Some("out.jsonl".into()),
+            algo,
+            tier,
+            alphabet,
+            ss_threshold: 7,
+            budgets,
+            shard_items: 16,
+            deadline_ms: Some(250),
+            shard_insts: Some(1 << 20),
+            retry_quarantined: true,
+        };
+        let budgets = Budgets {
+            insts: Some(1000),
+            cycles: None,
+            pages: Some(64),
+        };
+        let mut specs = vec![align, fault];
+        for (algo, tier) in Algo::all().into_iter().zip(Tier::all().into_iter().cycle()) {
+            for alphabet in [Alphabet::Dna, Alphabet::Rna, Alphabet::Protein] {
+                specs.push(ingest(algo, tier, alphabet, budgets));
+            }
+        }
+        for spec in &specs {
             let wire = spec.to_value().dump();
             let back = JobSpec::from_value(&Value::parse(&wire).unwrap()).unwrap();
-            assert_eq!(back, spec);
+            assert_eq!(&back, spec);
         }
+        // The wire spellings, byte for byte.
+        let pair = SeqPair {
+            pattern: Seq::new(&b"ACGU"[..], Alphabet::Rna).unwrap(),
+            text: Seq::new(&b"AGGU"[..], Alphabet::Rna).unwrap(),
+        };
+        let align = JobSpec::Align {
+            algo: Algo::BiWfa,
+            tier: Tier::QuetzalC,
+            alphabet: Alphabet::Rna,
+            ss_threshold: 3,
+            budgets,
+            pairs: vec![pair],
+        };
+        assert_eq!(
+            align.to_value().dump(),
+            r#"{"algo":"biwfa","alphabet":"rna","budgets":{"insts":1000,"pages":64},"kind":"align","pairs":[{"pattern":"ACGU","text":"AGGU"}],"ss_threshold":3,"tier":"quetzal+c"}"#
+        );
+        assert_eq!(
+            ingest(Algo::Nw, Tier::Vec, Alphabet::Protein, Budgets::default())
+                .to_value()
+                .dump(),
+            r#"{"algo":"nw","alphabet":"protein","checkpoint_dir":"ck","deadline_ms":250,"input":"pairs.tsv","kind":"ingest","output":"out.jsonl","retry_quarantined":true,"shard_insts":1048576,"shard_items":16,"ss_threshold":7,"tier":"vec"}"#
+        );
     }
 
     #[test]
@@ -891,8 +850,16 @@ mod tests {
             (r#"{"kind":"teleport"}"#, "unknown job kind"),
             (r#"{"kind":"align"}"#, "missing string field 'algo'"),
             (
+                r#"{"kind":"align","algo":"blast","tier":"vec","alphabet":"dna","pairs":[]}"#,
+                "unknown algo 'blast' (wfa|biwfa|ss|sw|nw)",
+            ),
+            (
                 r#"{"kind":"align","algo":"wfa","tier":"warp","alphabet":"dna","pairs":[]}"#,
-                "unknown tier",
+                "unknown tier 'warp' (base|vec|quetzal|quetzal+c)",
+            ),
+            (
+                r#"{"kind":"ingest","input":"x","checkpoint_dir":"y","algo":"ss","tier":"vec","alphabet":"amino"}"#,
+                "unknown alphabet 'amino' (dna|rna|protein)",
             ),
             (
                 r#"{"kind":"align","algo":"wfa","tier":"vec","alphabet":"dna","pairs":[]}"#,

@@ -185,8 +185,8 @@ impl CoreConfig {
     }
 
     /// Scales the shared-L2 capacity and memory bandwidth to this core's
-    /// share when `n` cores run concurrently (used by the multicore
-    /// model).
+    /// share when `n` cores run concurrently: the surrogate core of the
+    /// Fig. 13b multicore scaling model.
     pub fn share_of(mut self, n: usize) -> CoreConfig {
         assert!(n > 0, "core count must be positive");
         // Keep at least one way and a sane minimum capacity.
@@ -251,5 +251,73 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn share_of_zero_panics() {
         let _ = CoreConfig::a64fx_like().share_of(0);
+    }
+
+    /// Speedup at 1, 2, 4, 8 cores of a workload split into `n` equal
+    /// shards, one surrogate core per count running shard 0 against its
+    /// `share_of(n)` of the shared resources.
+    fn speedups(cfg: &CoreConfig, shard: impl Fn(usize) -> quetzal_isa::Program) -> Vec<f64> {
+        let cycles: Vec<u64> = [1, 2, 4, 8]
+            .into_iter()
+            .map(|n| {
+                let mut core = crate::Core::new(cfg.clone().share_of(n));
+                core.run(&shard(n)).unwrap().cycles.max(1)
+            })
+            .collect();
+        cycles
+            .iter()
+            .map(|&c| cycles[0] as f64 / c as f64)
+            .collect()
+    }
+
+    /// A trivially parallel compute workload: speedup should be ~linear.
+    #[test]
+    fn compute_bound_workload_scales_linearly() {
+        use quetzal_isa::*;
+        let s = speedups(&CoreConfig::a64fx_like(), |shards| {
+            let iters = 8000 / shards as i64;
+            let mut b = ProgramBuilder::new();
+            let top = b.label();
+            b.mov_imm(X0, 0);
+            b.mov_imm(X2, iters);
+            b.bind(top);
+            b.alu_ri(SAluOp::Add, X0, X0, 1);
+            b.branch(BranchCond::Lt, X0, X2, top);
+            b.halt();
+            b.build().unwrap()
+        });
+        assert!(s[3] > 5.0, "compute-bound speedup at 8 cores: {}", s[3]);
+    }
+
+    /// A streaming workload larger than the L2 share: bandwidth division
+    /// must bend the curve away from linear.
+    #[test]
+    fn bandwidth_bound_workload_saturates() {
+        use quetzal_isa::*;
+        let mut cfg = CoreConfig::a64fx_like();
+        // Make bandwidth scarce so the effect is visible at small scale.
+        cfg.mem.bytes_per_cycle = 4.0;
+        cfg.prefetch_degree = 0;
+        let total_bytes = 4 << 20; // 4 MiB stream
+        let s = speedups(&cfg, |shards| {
+            let lines = (total_bytes / shards / 64) as i64;
+            let mut b = ProgramBuilder::new();
+            let top = b.label();
+            b.mov_imm(X0, 0);
+            b.mov_imm(X1, 1 << 26);
+            b.mov_imm(X2, lines);
+            b.bind(top);
+            b.load(X3, X1, 0, MemSize::B8);
+            b.alu_ri(SAluOp::Add, X1, X1, 64);
+            b.alu_ri(SAluOp::Add, X0, X0, 1);
+            b.branch(BranchCond::Lt, X0, X2, top);
+            b.halt();
+            b.build().unwrap()
+        });
+        assert!(
+            s[3] < 6.0,
+            "bandwidth-bound speedup must be sub-linear at 8 cores: {}",
+            s[3]
+        );
     }
 }

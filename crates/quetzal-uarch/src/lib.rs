@@ -19,8 +19,10 @@
 //!   memory;
 //! * per-cycle **stall attribution** so the paper's execution-time
 //!   breakdown (Fig. 4) can be regenerated;
-//! * a **multicore scaling model** ([`multicore`]) sharing L2 capacity
-//!   and DRAM bandwidth across cores (Fig. 13b).
+//! * a per-core **share of the shared resources**
+//!   ([`CoreConfig::share_of`]: L2 capacity and DRAM bandwidth divided
+//!   across `n` cores), from which the bench harness builds the Fig. 13b
+//!   multicore scaling curve.
 //!
 //! The entry point is [`Core`]: load data into [`SimMemory`], run a
 //! [`Program`](quetzal_isa::Program), read back results and
@@ -51,7 +53,6 @@ pub mod cache;
 pub mod config;
 mod functional;
 pub mod interp;
-pub mod multicore;
 pub mod ooo;
 pub mod predecode;
 pub mod probe;

@@ -101,20 +101,10 @@ pub struct RetireEvent {
 }
 
 impl RetireEvent {
-    /// Cycles spent waiting on operands beyond dispatch.
-    pub fn operand_wait(&self) -> u64 {
-        self.ops_ready.saturating_sub(self.dispatch)
-    }
-
     /// Cycles spent waiting for an execution resource after operands
     /// were ready (FU/port busy, gather-crack overhead).
     pub fn resource_wait(&self) -> u64 {
         self.issue.saturating_sub(self.ops_ready.max(self.dispatch))
-    }
-
-    /// Execution latency (issue to writeback).
-    pub fn exec_latency(&self) -> u64 {
-        self.complete.saturating_sub(self.issue)
     }
 }
 
@@ -182,9 +172,7 @@ mod tests {
             qz_latency: 0,
             mispredicted: false,
         };
-        assert_eq!(ev.operand_wait(), 4);
         assert_eq!(ev.resource_wait(), 2);
-        assert_eq!(ev.exec_latency(), 1);
         assert!(!ev.mem.any());
     }
 }

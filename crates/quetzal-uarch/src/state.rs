@@ -143,17 +143,6 @@ impl SimMemory {
         Ok(())
     }
 
-    /// Writes one byte.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resident-page budget is exceeded (host-staging API;
-    /// guest writes go through [`try_write_u8`](Self::try_write_u8)).
-    pub fn write_u8(&mut self, addr: u64, value: u8) {
-        self.try_write_u8(addr, value)
-            .expect("simulated memory page budget exceeded");
-    }
-
     /// Reads `n ≤ 8` bytes little-endian, zero-extended.
     ///
     /// Fast path: an access contained in one page costs a single page
@@ -423,17 +412,6 @@ impl ArchState {
         by_width!(esize, |B| set_lane::<B>(self.v_mut(r), i, value));
     }
 
-    /// Whether element `i` (at `esize`) is active under predicate `pg`.
-    pub fn lane_active(&self, pg: PReg, i: usize, esize: ElemSize) -> bool {
-        by_width!(esize, |B| active::<B>(self.p(pg), i))
-    }
-
-    /// Builds a predicate word with the first `n` elements (at `esize`)
-    /// active.
-    pub fn pred_first_n(n: usize, esize: ElemSize) -> u64 {
-        by_width!(esize, |B| first_n::<B>(n))
-    }
-
     /// Counts active elements of a predicate at `esize`.
     pub fn pred_count(&self, pg: PReg, esize: ElemSize) -> u64 {
         by_width!(esize, |B| u64::from(
@@ -599,10 +577,10 @@ mod tests {
     #[test]
     fn predicates_at_element_granularity() {
         let mut s = ArchState::new(QzConfig::QZ_8P);
-        s.set_p(P0, ArchState::pred_first_n(3, ElemSize::B64));
-        assert!(s.lane_active(P0, 0, ElemSize::B64));
-        assert!(s.lane_active(P0, 2, ElemSize::B64));
-        assert!(!s.lane_active(P0, 3, ElemSize::B64));
+        s.set_p(P0, first_n::<8>(3));
+        assert!(active::<8>(s.p(P0), 0));
+        assert!(active::<8>(s.p(P0), 2));
+        assert!(!active::<8>(s.p(P0), 3));
         assert_eq!(s.pred_count(P0, ElemSize::B64), 3);
         assert_eq!(lane_mask::<1>(), u64::MAX);
         assert_eq!(lane_mask::<2>(), 0x5555_5555_5555_5555);

@@ -659,6 +659,37 @@ impl Emitter<'_> {
     }
 }
 
+/// The abstract state at entry to every block: the worklist fixpoint
+/// over the blocks reachable from the entry (`None` for the rest).
+fn entry_states(insts: &[Instruction], cfg: &Cfg) -> Vec<Option<State>> {
+    let mut entry: Vec<Option<State>> = vec![None; cfg.blocks().len()];
+    entry[0] = Some(State::entry());
+    let mut worklist = vec![0usize];
+    while let Some(b) = worklist.pop() {
+        let Some(mut state) = entry[b].clone() else {
+            continue;
+        };
+        let block = &cfg.blocks()[b];
+        for pc in block.pcs() {
+            state.step(&insts[pc]);
+        }
+        for succ in &block.succs {
+            let Succ::Block(s) = *succ else { continue };
+            let changed = match &mut entry[s] {
+                Some(existing) => existing.join_into(&state),
+                slot @ None => {
+                    *slot = Some(state.clone());
+                    true
+                }
+            };
+            if changed {
+                worklist.push(s);
+            }
+        }
+    }
+    entry
+}
+
 /// Verifies a program against explicit machine parameters.
 pub fn verify_with(program: &Program, config: &VerifyConfig) -> Report {
     let mut em = Emitter {
@@ -716,32 +747,7 @@ pub fn verify_with(program: &Program, config: &VerifyConfig) -> Report {
         }
     }
 
-    // Fixpoint over reachable blocks.
-    let mut entry: Vec<Option<State>> = vec![None; cfg.blocks().len()];
-    entry[0] = Some(State::entry());
-    let mut worklist = vec![0usize];
-    while let Some(b) = worklist.pop() {
-        let Some(mut state) = entry[b].clone() else {
-            continue;
-        };
-        let block = &cfg.blocks()[b];
-        for pc in block.pcs() {
-            state.step(&insts[pc]);
-        }
-        for succ in &block.succs {
-            let Succ::Block(s) = *succ else { continue };
-            let changed = match &mut entry[s] {
-                Some(existing) => existing.join_into(&state),
-                slot @ None => {
-                    *slot = Some(state.clone());
-                    true
-                }
-            };
-            if changed {
-                worklist.push(s);
-            }
-        }
-    }
+    let entry = entry_states(insts, &cfg);
 
     // Resource bounds from the relational (octagon) fixpoint plus the
     // vector-shape facts the main lattice already proved per block.
@@ -797,30 +803,7 @@ pub fn explain_bounds(program: &Program) -> Vec<String> {
     }
     let insts = program.instructions();
     let cfg = Cfg::build(program);
-    let mut entry: Vec<Option<State>> = vec![None; cfg.blocks().len()];
-    entry[0] = Some(State::entry());
-    let mut worklist = vec![0usize];
-    while let Some(b) = worklist.pop() {
-        let Some(mut state) = entry[b].clone() else {
-            continue;
-        };
-        for pc in cfg.blocks()[b].pcs() {
-            state.step(&insts[pc]);
-        }
-        for succ in &cfg.blocks()[b].succs {
-            let Succ::Block(s) = *succ else { continue };
-            let changed = match &mut entry[s] {
-                Some(existing) => existing.join_into(&state),
-                slot @ None => {
-                    *slot = Some(state.clone());
-                    true
-                }
-            };
-            if changed {
-                worklist.push(s);
-            }
-        }
-    }
+    let entry = entry_states(insts, &cfg);
     let ventry: Vec<Option<[VAbs; 32]>> = entry.iter().map(|s| s.as_ref().map(|st| st.v)).collect();
     bounds::explain_loops(program, &cfg, &ventry, Some(DEFAULT_STAGED_WORD_RANGE))
         .into_iter()
@@ -870,6 +853,14 @@ mod tests {
         let report = verify(&clean_loop());
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.verdict(), Verdict::Clean);
+    }
+
+    #[test]
+    fn explain_bounds_reports_each_loop_on_the_shared_fixpoint() {
+        assert_eq!(
+            explain_bounds(&clean_loop()),
+            ["loop @pc 2: scalar trips 10, vector trips -"]
+        );
     }
 
     #[test]

@@ -242,18 +242,6 @@ impl Octagon {
         (c != INF).then(|| -c.div_euclid(2))
     }
 
-    /// Caps register `r` from above (`x_r ≤ hi`) without forgetting.
-    pub fn cap_hi(&mut self, r: usize, hi: i64) {
-        self.put(pos(r), neg(r), clamp(2 * hi as i128));
-        self.close_via(&[pos(r), neg(r)]);
-    }
-
-    /// Caps register `r` from below (`x_r ≥ lo`) without forgetting.
-    pub fn cap_lo(&mut self, r: usize, lo: i64) {
-        self.put(neg(r), pos(r), clamp(-2 * lo as i128));
-        self.close_via(&[pos(r), neg(r)]);
-    }
-
     /// `x_r := c`.
     pub fn assign_const(&mut self, r: usize, c: i64) {
         self.forget(r);
@@ -544,7 +532,8 @@ mod tests {
         assert_eq!((j.lo(6), j.hi(6)), (Some(0), Some(3)));
         assert_eq!((j.lo(7), j.hi(7)), (Some(-3), Some(0)));
         // The sum constraint: capping x6 must re-bound x7 from below.
-        j.cap_hi(6, 1);
+        j.assign_const(5, 1);
+        j.refine_branch(BranchCond::Le, 6, 5, true);
         assert_eq!(j.lo(7), Some(-1));
     }
 

@@ -189,6 +189,15 @@ cmp "$out_dir/ingest-fresh.out" "$out_dir/ingest-torn.out" \
 grep -q "1 torn" "$out_dir/ingest-torn.log" \
     || { echo "FAIL: recovery never flagged the torn manifest"; exit 1; }
 
+echo "==> smoke: qz_align over the staged pair file, every algorithm"
+# The CLI aligner shares the pair path of qzingest/qzserved (windowed
+# classical DP, one cold machine per pair); any failed pair exits 1.
+for algo in wfa biwfa ss sw nw; do
+    ./target/release/qz_align "$out_dir/pairs.tsv" --algo "$algo" \
+        --tier quetzal+c > /dev/null 2>&1 \
+        || { echo "FAIL: qz_align --algo $algo exited non-zero"; exit 1; }
+done
+
 echo "==> smoke: trace_run probed replay + Chrome-trace JSON"
 QUETZAL_SCALE=0.25 \
     cargo run -q --release --offline -p quetzal-bench --bin trace_run -- \
