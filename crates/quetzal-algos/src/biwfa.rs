@@ -14,8 +14,8 @@
 
 use crate::common::{SimOutcome, Tier};
 use crate::wfa::{wfa_edit_align, WfaResult};
-use crate::wfa_sim::{wfa_sim, wfa_sim_bounded, WfaSimError};
-use quetzal::uarch::RunStats;
+use crate::wfa_sim::{wfa_sim, wfa_sim_bounded};
+use quetzal::uarch::{RunStats, SimError};
 use quetzal::{Machine, Probe};
 use quetzal_genomics::cigar::Cigar;
 use quetzal_genomics::distance::common_prefix_len;
@@ -189,14 +189,14 @@ pub fn biwfa_edit_align(pattern: &[u8], text: &[u8]) -> WfaResult {
 ///
 /// # Errors
 ///
-/// Returns [`WfaSimError`] if any kernel fails.
+/// Returns [`SimError`] if any kernel fails.
 pub fn biwfa_sim<P: Probe>(
     machine: &mut Machine<P>,
     pattern: &[u8],
     text: &[u8],
     alphabet: Alphabet,
     tier: Tier,
-) -> Result<SimOutcome, WfaSimError> {
+) -> Result<SimOutcome, SimError> {
     let mut stats = RunStats::default();
     let score = biwfa_sim_rec(machine, pattern, text, alphabet, tier, &mut stats)?;
     Ok(SimOutcome {
@@ -212,7 +212,7 @@ fn biwfa_sim_rec<P: Probe>(
     alphabet: Alphabet,
     tier: Tier,
     stats: &mut RunStats,
-) -> Result<u32, WfaSimError> {
+) -> Result<u32, SimError> {
     if pattern.len().min(text.len()) <= BASE_CASE {
         let out = wfa_sim(machine, pattern, text, alphabet, tier)?;
         stats.accumulate(&out.stats);

@@ -50,8 +50,10 @@ pub const DP_INF: i64 = 1 << 40;
 /// linear-gap global alignment score over anti-diagonals — the exact
 /// computation the simulated kernels perform.
 ///
-/// Returns `None` when no alignment stays within the band.
-pub fn banded_linear_score(
+/// Returns `None` when no alignment stays within the band. The DP and
+/// SWG tests' oracle.
+#[cfg(test)]
+pub(crate) fn banded_linear_score(
     pattern: &[u8],
     text: &[u8],
     costs: LinearCosts,

@@ -11,8 +11,8 @@
 use crate::common::Tier;
 use crate::sneakysnake::{ss_filter, ss_sim};
 use crate::wfa::wfa_edit_align;
-use crate::wfa_sim::{wfa_sim, WfaSimError};
-use quetzal::uarch::RunStats;
+use crate::wfa_sim::wfa_sim;
+use quetzal::uarch::{RunStats, SimError};
 use quetzal::{BatchRunner, Machine, MachineConfig, MachinePool, Probe};
 use quetzal_genomics::dataset::SeqPair;
 use quetzal_genomics::Alphabet;
@@ -54,14 +54,14 @@ pub fn pipeline_ref(pairs: &[SeqPair], threshold: u32) -> PipelineResult {
 ///
 /// # Errors
 ///
-/// Returns [`WfaSimError`] if any kernel fails.
+/// Returns [`SimError`] if any kernel fails.
 pub fn pipeline_sim<P: Probe>(
     machine: &mut Machine<P>,
     pairs: &[SeqPair],
     alphabet: Alphabet,
     threshold: u32,
     tier: Tier,
-) -> Result<(PipelineResult, RunStats), WfaSimError> {
+) -> Result<(PipelineResult, RunStats), SimError> {
     let mut stats = RunStats::default();
     let mut result = PipelineResult {
         accepted: 0,
@@ -70,7 +70,7 @@ pub fn pipeline_sim<P: Probe>(
     };
     for pair in pairs {
         let (p, t) = (pair.pattern.as_bytes(), pair.text.as_bytes());
-        let ss = ss_sim(machine, p, t, alphabet, threshold, tier).map_err(WfaSimError::Sim)?;
+        let ss = ss_sim(machine, p, t, alphabet, threshold, tier)?;
         stats.accumulate(&ss.stats);
         if ss.value as u32 <= threshold {
             let wfa = wfa_sim(machine, p, t, alphabet, tier)?;
@@ -94,7 +94,7 @@ pub fn pipeline_sim<P: Probe>(
 ///
 /// # Errors
 ///
-/// Returns [`WfaSimError`] if any kernel fails (the error of the
+/// Returns [`SimError`] if any kernel fails (the error of the
 /// lowest-numbered failing pair, deterministically).
 ///
 /// # Panics
@@ -107,17 +107,16 @@ pub fn pipeline_batch(
     alphabet: Alphabet,
     threshold: u32,
     tier: Tier,
-) -> Result<(PipelineResult, RunStats), WfaSimError> {
+) -> Result<(PipelineResult, RunStats), SimError> {
     let pool = MachinePool::new(config, runner.exec_mode());
     let per_pair = runner
         .run(
             pairs,
             || pool.checkout(),
-            |pooled, _i, pair| -> Result<(Option<u64>, RunStats), WfaSimError> {
+            |pooled, _i, pair| -> Result<(Option<u64>, RunStats), SimError> {
                 let machine = pooled.machine();
                 let (p, t) = (pair.pattern.as_bytes(), pair.text.as_bytes());
-                let ss =
-                    ss_sim(machine, p, t, alphabet, threshold, tier).map_err(WfaSimError::Sim)?;
+                let ss = ss_sim(machine, p, t, alphabet, threshold, tier)?;
                 let mut stats = ss.stats;
                 if ss.value as u32 <= threshold {
                     let wfa = wfa_sim(machine, p, t, alphabet, tier)?;

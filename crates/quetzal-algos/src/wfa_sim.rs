@@ -467,47 +467,25 @@ fn build_base_program(args: &WfaArgs) -> Program {
     b.build().expect("wfa base kernel builds")
 }
 
-/// Errors from the simulated WFA driver.
-#[derive(Debug)]
-pub enum WfaSimError {
-    /// The simulator reported an error.
-    Sim(SimError),
-    /// The kernel exceeded its score cap (driver bug — the cap is sized
-    /// from the true distance).
-    ScoreCapExceeded,
-}
-
-impl std::fmt::Display for WfaSimError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WfaSimError::Sim(e) => write!(f, "simulation error: {e}"),
-            WfaSimError::ScoreCapExceeded => f.write_str("wfa kernel exceeded its score cap"),
-        }
-    }
-}
-
-impl std::error::Error for WfaSimError {}
-
-impl From<SimError> for WfaSimError {
-    fn from(e: SimError) -> Self {
-        WfaSimError::Sim(e)
-    }
-}
-
 /// Runs the full WFA edit-distance alignment of one pair on the
 /// simulated machine at the given tier. Returns the score and the
 /// accumulated timing statistics.
 ///
 /// # Errors
 ///
-/// Returns [`WfaSimError`] if the simulation fails.
+/// Returns [`SimError`] if the simulation fails.
+///
+/// # Panics
+///
+/// Panics if the kernel exceeds its score cap — a driver bug, since the
+/// cap is sized from the true distance.
 pub fn wfa_sim<P: Probe>(
     machine: &mut Machine<P>,
     pattern: &[u8],
     text: &[u8],
     alphabet: Alphabet,
     tier: Tier,
-) -> Result<SimOutcome, WfaSimError> {
+) -> Result<SimOutcome, SimError> {
     wfa_sim_with_mode(machine, pattern, text, alphabet, tier, KernelMode::Full)
 }
 
@@ -518,7 +496,7 @@ pub fn wfa_sim<P: Probe>(
 ///
 /// # Errors
 ///
-/// Returns [`WfaSimError`] if the simulation fails.
+/// Returns [`SimError`] if the simulation fails.
 pub fn wfa_sim_bounded<P: Probe>(
     machine: &mut Machine<P>,
     pattern: &[u8],
@@ -526,7 +504,7 @@ pub fn wfa_sim_bounded<P: Probe>(
     alphabet: Alphabet,
     tier: Tier,
     bound: i64,
-) -> Result<SimOutcome, WfaSimError> {
+) -> Result<SimOutcome, SimError> {
     wfa_sim_with_mode(
         machine,
         pattern,
@@ -544,7 +522,7 @@ fn wfa_sim_with_mode<P: Probe>(
     alphabet: Alphabet,
     tier: Tier,
     mode: KernelMode,
-) -> Result<SimOutcome, WfaSimError> {
+) -> Result<SimOutcome, SimError> {
     // Size the wavefront arrays from the true distance (the role a
     // host-side `malloc` growth loop would play in a real
     // implementation; not timing-relevant).
@@ -615,9 +593,7 @@ fn wfa_sim_with_mode<P: Probe>(
     };
     let stats: RunStats = machine.run(&program)?;
     let score = machine.read_u64(result);
-    if score == FAILED {
-        return Err(WfaSimError::ScoreCapExceeded);
-    }
+    assert_ne!(score, FAILED, "wfa kernel exceeded its score cap");
     Ok(SimOutcome {
         value: score as i64,
         stats,

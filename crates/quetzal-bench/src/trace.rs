@@ -2,7 +2,7 @@
 //! for the experiment kernels.
 //!
 //! This module reruns exactly the kernels the experiment tables measure
-//! — same [`simulate_pair`] staging, windowing and thresholds — on a
+//! — same [`try_simulate_pair_outcome`] staging, windowing and thresholds — on a
 //! `Machine<RecordingProbe>`, and renders what the probe saw. By the
 //! probe-neutrality invariant (DESIGN.md §"Pipeline observability";
 //! pinned by `tests/probe_neutrality.rs`) the replay's `RunStats` are
@@ -15,7 +15,7 @@
 //! fresh-machine-per-shard timing, reproduced on a single machine so
 //! one probe aggregates the whole kernel.
 
-use crate::workloads::{simulate_pair, table2_workloads, Algo, Workload};
+use crate::workloads::{table2_workloads, try_simulate_pair_outcome, Algo, Workload};
 use quetzal::uarch::RunStats;
 use quetzal::{Machine, MachineConfig};
 use quetzal_algos::Tier;
@@ -45,14 +45,11 @@ pub fn trace_kernel(
     let mut per_pair = Vec::with_capacity(wl.pairs.len());
     for pair in &wl.pairs {
         machine.reset();
-        per_pair.push(simulate_pair(
-            &mut machine,
-            algo,
-            alphabet,
-            threshold,
-            pair,
-            tier,
-        ));
+        per_pair.push(
+            try_simulate_pair_outcome(&mut machine, algo, alphabet, threshold, pair, tier)
+                .expect("pair simulation failed")
+                .stats,
+        );
     }
     let probe = std::mem::take(machine.probe_mut());
     (probe, RunStats::merged(&per_pair))

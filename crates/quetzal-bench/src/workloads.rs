@@ -300,7 +300,8 @@ pub fn run_algo_pairs_pooled(
     let alphabet = wl.spec.alphabet;
     let report = runner
         .run_machines_report_pooled(pool, &wl.pairs, |machine, _i, pair| {
-            try_simulate_pair(machine, algo, alphabet, threshold, pair, tier)
+            try_simulate_pair_outcome(machine, algo, alphabet, threshold, pair, tier)
+                .map(|o| o.stats)
         })
         .expect("simulation infrastructure panicked");
     if !report.is_clean() {
@@ -322,57 +323,25 @@ pub fn run_algo_pairs_pooled(
     report.results.into_iter().flatten().collect()
 }
 
-/// Simulates one pair (the per-shard work item of [`run_algo_pairs`]).
+/// Simulates one pair (the per-shard work item of [`run_algo_pairs`]),
+/// returning the algorithm's architectural result (alignment score,
+/// filter verdict) alongside the statistics.
 ///
 /// Public and generic over the machine's [`Probe`] so observability
 /// tooling (`trace_run`, the `--cpi-stacks` summary) can replay exactly
 /// the kernels the experiment tables measure on a
 /// `Machine<RecordingProbe>` — same staging, same windowing, same
-/// thresholds.
-///
-/// # Panics
-///
-/// Panics if the simulation fails; use [`try_simulate_pair`] for the
-/// fault-tolerant variant.
-pub fn simulate_pair<P: Probe>(
-    machine: &mut Machine<P>,
-    algo: Algo,
-    alphabet: quetzal_genomics::Alphabet,
-    ss_threshold: u32,
-    pair: &SeqPair,
-    tier: Tier,
-) -> RunStats {
-    try_simulate_pair(machine, algo, alphabet, ss_threshold, pair, tier)
-        .expect("pair simulation failed")
-}
-
-/// Fallible [`simulate_pair`]: machine-level faults come back as typed
-/// [`SimError`]s so [`run_algo_pairs`] can degrade per pair instead of
-/// killing the batch. Algorithm-driver bugs that are not machine faults
-/// (e.g. a WFA score-cap overflow) still panic — they indicate a broken
-/// harness, not a misbehaving kernel, and the panic is caught at the
-/// same per-item boundary.
-pub fn try_simulate_pair<P: Probe>(
-    machine: &mut Machine<P>,
-    algo: Algo,
-    alphabet: quetzal_genomics::Alphabet,
-    ss_threshold: u32,
-    pair: &SeqPair,
-    tier: Tier,
-) -> Result<RunStats, SimError> {
-    try_simulate_pair_outcome(machine, algo, alphabet, ss_threshold, pair, tier)
-        .map(|outcome| outcome.stats)
-}
-
-/// [`try_simulate_pair`], but returning the full [`SimOutcome`] — the
-/// algorithm's architectural result (alignment score, filter verdict)
-/// alongside the statistics. The differential oracle in
-/// `tests/functional_equiv.rs` compares this value between the
-/// cycle-level and functional execution tiers.
+/// thresholds. The differential oracle in `tests/functional_equiv.rs`
+/// compares the value between the cycle-level and functional execution
+/// tiers.
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] if the simulated kernel faults.
+/// Returns [`SimError`] if the simulated kernel faults, so batch callers
+/// degrade per pair instead of killing the batch. Algorithm-driver bugs
+/// that are not machine faults (a WFA score-cap overflow) panic — they
+/// indicate a broken harness, not a misbehaving kernel, and the panic
+/// is caught at the same per-item boundary.
 pub fn try_simulate_pair_outcome<P: Probe>(
     machine: &mut Machine<P>,
     algo: Algo,
@@ -381,16 +350,10 @@ pub fn try_simulate_pair_outcome<P: Probe>(
     pair: &SeqPair,
     tier: Tier,
 ) -> Result<SimOutcome, SimError> {
-    use quetzal_algos::wfa_sim::WfaSimError;
-    let unwrap_wfa = |r: Result<quetzal_algos::SimOutcome, WfaSimError>| match r {
-        Ok(outcome) => Ok(outcome),
-        Err(WfaSimError::Sim(e)) => Err(e),
-        Err(e @ WfaSimError::ScoreCapExceeded) => panic!("wfa driver bug: {e}"),
-    };
     let (p, t) = (pair.pattern.as_bytes(), pair.text.as_bytes());
     let outcome = match algo {
-        Algo::Wfa => unwrap_wfa(wfa_sim(machine, p, t, alphabet, tier))?,
-        Algo::BiWfa => unwrap_wfa(biwfa_sim(machine, p, t, alphabet, tier))?,
+        Algo::Wfa => wfa_sim(machine, p, t, alphabet, tier)?,
+        Algo::BiWfa => biwfa_sim(machine, p, t, alphabet, tier)?,
         Algo::Ss => ss_sim(machine, p, t, alphabet, ss_threshold, tier)?,
         Algo::Sw => {
             let (pw, tw) = (windowed(p, SW_WINDOW), windowed(t, SW_WINDOW));

@@ -53,30 +53,6 @@ impl Alphabet {
     pub fn contains(self, byte: u8) -> bool {
         self.symbols().contains(&byte)
     }
-
-    /// Watson-Crick complement for nucleic-acid alphabets.
-    ///
-    /// Returns `None` for [`Alphabet::Protein`] or bytes outside the
-    /// alphabet.
-    pub fn complement(self, byte: u8) -> Option<u8> {
-        match self {
-            Alphabet::Dna => match byte {
-                b'A' => Some(b'T'),
-                b'T' => Some(b'A'),
-                b'C' => Some(b'G'),
-                b'G' => Some(b'C'),
-                _ => None,
-            },
-            Alphabet::Rna => match byte {
-                b'A' => Some(b'U'),
-                b'U' => Some(b'A'),
-                b'C' => Some(b'G'),
-                b'G' => Some(b'C'),
-                _ => None,
-            },
-            Alphabet::Protein => None,
-        }
-    }
 }
 
 impl std::str::FromStr for Alphabet {
@@ -113,27 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn dna_complement_is_involutive() {
-        for &b in Alphabet::Dna.symbols() {
-            let c = Alphabet::Dna.complement(b).unwrap();
-            assert_eq!(Alphabet::Dna.complement(c), Some(b));
-        }
-    }
-
-    #[test]
-    fn rna_complement_is_involutive() {
-        for &b in Alphabet::Rna.symbols() {
-            let c = Alphabet::Rna.complement(b).unwrap();
-            assert_eq!(Alphabet::Rna.complement(c), Some(b));
-        }
-    }
-
-    #[test]
-    fn protein_has_no_complement() {
-        assert_eq!(Alphabet::Protein.complement(b'A'), None);
-    }
-
-    #[test]
     fn membership() {
         assert!(Alphabet::Dna.contains(b'T'));
         assert!(!Alphabet::Dna.contains(b'U'));
@@ -141,12 +96,6 @@ mod tests {
         assert!(!Alphabet::Rna.contains(b'T'));
         assert!(Alphabet::Protein.contains(b'W'));
         assert!(!Alphabet::Protein.contains(b'B'));
-    }
-
-    #[test]
-    fn complement_rejects_foreign_bytes() {
-        assert_eq!(Alphabet::Dna.complement(b'N'), None);
-        assert_eq!(Alphabet::Rna.complement(b'T'), None);
     }
 
     #[test]

@@ -34,62 +34,6 @@ pub fn levenshtein(a: &[u8], b: &[u8]) -> u32 {
     prev[short.len()]
 }
 
-/// Banded (Ukkonen) edit distance with early exit.
-///
-/// Returns `Some(d)` if the edit distance is `d <= threshold`, `None`
-/// otherwise. This is the *exact* predicate that pre-alignment filters
-/// such as SneakySnake approximate from below, so it doubles as their
-/// correctness oracle: a filter may only reject a pair when this function
-/// returns `None`.
-pub fn banded_levenshtein(a: &[u8], b: &[u8], threshold: u32) -> Option<u32> {
-    let t = threshold as usize;
-    if a.len().abs_diff(b.len()) > t {
-        return None;
-    }
-    // DP over a band of half-width `t` around the main diagonal.
-    let width = 2 * t + 1;
-    const INF: u32 = u32::MAX / 2;
-    // row[k] corresponds to column j = i + (k as isize - t as isize).
-    let mut prev = vec![INF; width];
-    let mut curr = vec![INF; width];
-    // Row i = 0: D[0][j] = j for j in [0, t].
-    for (k, cell) in prev.iter_mut().enumerate() {
-        let j = k as isize - t as isize;
-        if (0..=b.len() as isize).contains(&j) {
-            *cell = j as u32;
-        }
-    }
-    for i in 1..=a.len() {
-        for k in 0..width {
-            let j = i as isize + k as isize - t as isize;
-            curr[k] = INF;
-            if j < 0 || j > b.len() as isize {
-                continue;
-            }
-            let j = j as usize;
-            if j == 0 {
-                curr[k] = i as u32;
-                continue;
-            }
-            // Deletion from `a` (move down): same column, previous row -> k+1.
-            let del = if k + 1 < width { prev[k + 1] + 1 } else { INF };
-            // Insertion (move right): previous column, same row -> k-1.
-            let ins = if k > 0 { curr[k - 1] + 1 } else { INF };
-            // Substitution/match: previous row and column -> same k.
-            let sub = prev[k] + u32::from(a[i - 1] != b[j - 1]);
-            curr[k] = del.min(ins).min(sub);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-        if prev.iter().all(|&v| v > threshold) {
-            return None;
-        }
-    }
-    // Final cell: row a.len(), column b.len().
-    let k = b.len() as isize - a.len() as isize + t as isize;
-    let d = prev[k as usize];
-    (d <= threshold).then_some(d)
-}
-
 /// Myers' bit-parallel edit distance (1999), blocked for arbitrary
 /// pattern lengths.
 ///
@@ -221,34 +165,6 @@ mod tests {
             levenshtein(b"GATTACA", b"GCAT"),
             levenshtein(b"GCAT", b"GATTACA")
         );
-    }
-
-    #[test]
-    fn banded_matches_full_when_within_threshold() {
-        let a = b"ACGTACGTAC";
-        let b = b"ACGAACGTTC";
-        let d = levenshtein(a, b);
-        assert_eq!(banded_levenshtein(a, b, d), Some(d));
-        assert_eq!(banded_levenshtein(a, b, d + 3), Some(d));
-    }
-
-    #[test]
-    fn banded_rejects_beyond_threshold() {
-        assert_eq!(banded_levenshtein(b"AAAA", b"TTTT", 3), None);
-        assert_eq!(banded_levenshtein(b"AAAA", b"TTTT", 4), Some(4));
-    }
-
-    #[test]
-    fn banded_length_difference_shortcut() {
-        assert_eq!(banded_levenshtein(b"A", b"AAAAA", 2), None);
-        assert_eq!(banded_levenshtein(b"A", b"AAAAA", 4), Some(4));
-    }
-
-    #[test]
-    fn banded_empty_inputs() {
-        assert_eq!(banded_levenshtein(b"", b"", 0), Some(0));
-        assert_eq!(banded_levenshtein(b"", b"AB", 2), Some(2));
-        assert_eq!(banded_levenshtein(b"", b"AB", 1), None);
     }
 
     #[test]

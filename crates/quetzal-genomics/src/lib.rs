@@ -10,9 +10,9 @@
 //!   (paper §IV-A): DNA/RNA bases are stored as `(byte >> 1) & 3`.
 //! * [`cigar`] — alignment description (CIGAR strings), scoring and
 //!   validation.
-//! * [`distance`] — exact edit-distance oracles (classic DP, banded
-//!   Ukkonen, and Myers' bit-parallel algorithm) used to validate the
-//!   accelerated aligners.
+//! * [`distance`] — exact edit-distance oracles (classic DP, Gotoh
+//!   affine-gap DP, and Myers' bit-parallel algorithm) used to validate
+//!   the accelerated aligners.
 //! * [`dataset`] — deterministic read-pair generators reproducing the
 //!   paper's Table II datasets (100 bp, 250 bp, 10 Kbp, 30 Kbp) and a
 //!   BAliBASE-like protein set.

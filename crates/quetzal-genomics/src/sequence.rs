@@ -36,7 +36,6 @@ impl std::error::Error for SeqError {}
 /// let s = Seq::dna(b"acag")?;
 /// assert_eq!(s.as_bytes(), b"ACAG");
 /// assert_eq!(s.alphabet(), Alphabet::Dna);
-/// assert_eq!(s.reversed().as_bytes(), b"GACA");
 /// # Ok::<(), quetzal_genomics::SeqError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -126,21 +125,6 @@ impl Seq {
             alphabet: self.alphabet,
         }
     }
-
-    /// The sequence reversed (3'→5' of the same strand).
-    pub fn reversed(&self) -> Seq {
-        let mut bytes = self.bytes.clone();
-        bytes.reverse();
-        Seq {
-            bytes,
-            alphabet: self.alphabet,
-        }
-    }
-
-    /// Consumes the sequence and returns the underlying byte buffer.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
-    }
 }
 
 impl AsRef<[u8]> for Seq {
@@ -185,7 +169,6 @@ mod tests {
     fn subseq_and_reverse() {
         let s = Seq::dna(b"ACGTAC").unwrap();
         assert_eq!(s.subseq(1, 4).as_bytes(), b"CGT");
-        assert_eq!(s.reversed().as_bytes(), b"CATGCA");
     }
 
     #[test]

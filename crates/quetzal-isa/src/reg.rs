@@ -32,17 +32,6 @@ macro_rules! reg_impl {
                 $ty(index)
             }
 
-            /// Creates the register if `index` is in range — the
-            /// fallible constructor for code handling untrusted indices
-            /// (e.g. fault-injection generators).
-            pub const fn try_new(index: u8) -> Option<$ty> {
-                if index < $max {
-                    Some($ty(index))
-                } else {
-                    None
-                }
-            }
-
             /// The register index.
             pub const fn index(self) -> u8 {
                 self.0

@@ -12,7 +12,8 @@
 //!
 //! * **align** — a batch of encoded sequence pairs run through one of
 //!   the five evaluated algorithms at a chosen acceleration tier, with
-//!   optional machine budgets. The in-tree kernels are kept
+//!   optional machine [`Budgets`] (the library's type; wire keys
+//!   `insts`, `cycles`, `pages`). The in-tree kernels are kept
 //!   statically `Clean` by the `qzverify` CI gate, so admission here is
 //!   input validation (alphabet, lengths) rather than verification.
 //! * **fault** — deterministic mutant programs from the fault-injection
@@ -24,18 +25,24 @@
 //!   a machine out of the tenant's pool. Admitted mutants are
 //!   classified by verdict (`bounded`/`clean`/`warnings`, tallied in
 //!   the [`JobSummary`]) and replayed exactly as the sweep does: stage
-//!   on the pooled machine, *then* set the sweep watchdogs, tightened
-//!   to the proven resource bound where one exists — sound bounds
-//!   never fire on conforming executions, so sweep outcomes are
-//!   reproduced exactly while a wrong proof would fail fast.
+//!   on the pooled machine, *then* apply the sweep watchdogs
+//!   ([`SWEEP_BUDGETS`]), tightened to the proven resource bound where
+//!   one exists — sound bounds never fire on conforming executions, so
+//!   sweep outcomes are reproduced exactly while a wrong proof would
+//!   fail fast.
+//! * **ingest** — a daemon-local pair file streamed through
+//!   [`ingest::run_ingest`]; each committed shard streams back as its
+//!   [`ShardReport`](quetzal::ShardReport).
+//!
+//! Optional fields are parsed strictly: absent means the default, and
+//! present-but-malformed is an admission error.
 
 use crate::protocol::Response;
+use quetzal::fault::SWEEP_BUDGETS;
 use quetzal::ingest::{self, pair_digest, IngestConfig, ItemOutput, ShardDeadline};
 use quetzal::uarch::RunStats;
-use quetzal::{
-    BatchRunner, Budgets as PoolBudgets, FailureCause, FaultPlan, ItemFailure, Machine,
-    MachinePool, RunReport,
-};
+use quetzal::verify::ResourceBound;
+use quetzal::{BatchRunner, FailureCause, FaultPlan, ItemFailure, Machine, MachinePool};
 use quetzal_algos::Tier;
 use quetzal_bench::workloads::{try_simulate_pair_outcome, Algo};
 use quetzal_genomics::dataset::SeqPair;
@@ -46,42 +53,10 @@ use std::io::BufReader;
 use std::path::Path;
 use std::time::Duration;
 
-/// Fault-job machine budgets — the fault-injection sweep's constants,
-/// so a served fault case reproduces the sweep's outcome exactly.
-pub const FAULT_PAGE_BUDGET: usize = 512;
-/// Instruction budget of a served fault case (sweep constant).
-pub const FAULT_INST_BUDGET: u64 = 20_000;
-/// Cycle budget of a served fault case (sweep constant).
-pub const FAULT_CYCLE_BUDGET: u64 = 2_000_000;
-
-/// Optional per-item machine budgets of an align job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Budgets {
-    /// Retired-instruction budget (`SimError::InstLimit` beyond it).
-    pub insts: Option<u64>,
-    /// Cycle budget (`SimError::CycleLimit` beyond it).
-    pub cycles: Option<u64>,
-    /// Page budget (`SimError::MemoryFault` beyond it).
-    pub pages: Option<usize>,
-}
-
-impl Budgets {
-    fn is_default(&self) -> bool {
-        *self == Budgets::default()
-    }
-
-    fn apply(&self, machine: &mut Machine) {
-        if let Some(n) = self.insts {
-            machine.core_mut().set_budget(n);
-        }
-        if let Some(n) = self.cycles {
-            machine.core_mut().set_cycle_budget(n);
-        }
-        if let Some(n) = self.pages {
-            machine.core_mut().state_mut().mem.set_page_budget(n);
-        }
-    }
-}
+/// Optional per-item machine budgets of align and ingest jobs (wire
+/// keys `insts`, `cycles`, `pages`; `pages` is the absolute cap on
+/// resident guest pages).
+pub use quetzal::Budgets;
 
 /// One batch job, as submitted over the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,24 +130,43 @@ fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing integer field '{key}'"))
 }
 
+/// An optional integer field: absent is `None`, anything but a
+/// non-negative integer is an error.
+fn opt_u64_field(v: &Value, key: &str) -> Result<Option<u64>, String> {
+    v.get(key)
+        .map(|n| {
+            n.as_u64()
+                .ok_or_else(|| format!("'{key}' must be an integer"))
+        })
+        .transpose()
+}
+
+/// The wire keys of [`Budgets`], in [`Budgets`] field order.
+const BUDGET_KEYS: [&str; 3] = ["insts", "cycles", "pages"];
+
 /// The fields align and ingest jobs share: algorithm, tier, alphabet,
 /// SneakySnake threshold (default 100) and optional budgets.
 fn pair_job_fields(v: &Value) -> Result<(Algo, Tier, Alphabet, u32, Budgets), String> {
     let algo = str_field(v, "algo")?.parse()?;
     let tier = str_field(v, "tier")?.parse()?;
     let alphabet = str_field(v, "alphabet")?.parse()?;
-    let ss_threshold = match v.get("ss_threshold") {
+    let ss_threshold = match opt_u64_field(v, "ss_threshold")? {
         None => 100,
-        Some(t) => u32::try_from(t.as_u64().ok_or("'ss_threshold' must be an integer")?)
-            .map_err(|_| "'ss_threshold' out of range".to_string())?,
+        Some(t) => u32::try_from(t).map_err(|_| "'ss_threshold' out of range".to_string())?,
     };
     let budgets = match v.get("budgets") {
         None => Budgets::default(),
-        Some(b) => Budgets {
-            insts: b.get("insts").and_then(Value::as_u64),
-            cycles: b.get("cycles").and_then(Value::as_u64),
-            pages: b.get("pages").and_then(Value::as_u64).map(|n| n as usize),
-        },
+        Some(b @ Value::Object(keys)) => {
+            if let Some(key) = keys.keys().find(|k| !BUDGET_KEYS.contains(&k.as_str())) {
+                return Err(format!("unknown budget '{key}' (insts|cycles|pages)"));
+            }
+            Budgets {
+                instructions: opt_u64_field(b, "insts")?,
+                cycles: opt_u64_field(b, "cycles")?,
+                pages: opt_u64_field(b, "pages")?,
+            }
+        }
+        Some(_) => return Err("'budgets' must be an object".to_string()),
     };
     Ok((algo, tier, alphabet, ss_threshold, budgets))
 }
@@ -195,14 +189,11 @@ fn pair_job_value(
         ),
     ];
     if !budgets.is_default() {
-        let b = [
-            ("insts", budgets.insts),
-            ("cycles", budgets.cycles),
-            ("pages", budgets.pages.map(|n| n as u64)),
-        ]
-        .into_iter()
-        .filter_map(|(key, n)| Some((key.to_string(), Value::from(n?))))
-        .collect();
+        let b = BUDGET_KEYS
+            .into_iter()
+            .zip([budgets.instructions, budgets.cycles, budgets.pages])
+            .filter_map(|(key, n)| Some((key.to_string(), Value::from(n?))))
+            .collect();
         fields.push(("budgets".to_string(), b));
     }
     fields
@@ -273,15 +264,13 @@ impl JobSpec {
                     Some(o) => Some(o.as_str().ok_or("'output' must be a string")?.to_string()),
                 };
                 let (algo, tier, alphabet, ss_threshold, budgets) = pair_job_fields(v)?;
-                let shard_items = match v.get("shard_items") {
-                    None => 256,
-                    Some(n) => {
-                        let n = n.as_u64().ok_or("'shard_items' must be an integer")?;
-                        if n == 0 {
-                            return Err("'shard_items' must be at least 1".to_string());
-                        }
-                        n
-                    }
+                let shard_items = opt_u64_field(v, "shard_items")?.unwrap_or(256);
+                if shard_items == 0 {
+                    return Err("'shard_items' must be at least 1".to_string());
+                }
+                let retry_quarantined = match v.get("retry_quarantined") {
+                    None => false,
+                    Some(b) => b.as_bool().ok_or("'retry_quarantined' must be a boolean")?,
                 };
                 Ok(JobSpec::Ingest {
                     input,
@@ -293,12 +282,9 @@ impl JobSpec {
                     ss_threshold,
                     budgets,
                     shard_items,
-                    deadline_ms: v.get("deadline_ms").and_then(Value::as_u64),
-                    shard_insts: v.get("shard_insts").and_then(Value::as_u64),
-                    retry_quarantined: v
-                        .get("retry_quarantined")
-                        .and_then(Value::as_bool)
-                        .unwrap_or(false),
+                    deadline_ms: opt_u64_field(v, "deadline_ms")?,
+                    shard_insts: opt_u64_field(v, "shard_insts")?,
+                    retry_quarantined,
                 })
             }
             other => Err(format!("unknown job kind '{other}' (align|fault|ingest)")),
@@ -434,22 +420,28 @@ pub struct JobSummary {
     pub warnings: u64,
 }
 
+impl JobSummary {
+    /// Adds every tally of `other` to `self` (the daemon's `/stats`
+    /// totals sum each completed job's summary).
+    pub fn absorb(&mut self, other: &JobSummary) {
+        self.items += other.items;
+        self.ok += other.ok;
+        self.failed += other.failed;
+        self.rejected += other.rejected;
+        self.recovered += other.recovered;
+        self.cycles += other.cycles;
+        self.instructions += other.instructions;
+        self.bounded += other.bounded;
+        self.clean += other.clean;
+        self.warnings += other.warnings;
+    }
+}
+
 fn cause_frames(cause: &FailureCause) -> (&'static str, String) {
     match cause {
         FailureCause::Sim(e) => ("sim", e.to_string()),
         FailureCause::Panic(msg) => ("panic", msg.clone()),
     }
-}
-
-/// A chunk's [`RunReport`] as per-item `(result, failure)` slots, in
-/// the report's item order.
-fn slots<R>(report: &RunReport<R>) -> impl Iterator<Item = (Option<&R>, Option<&ItemFailure>)> {
-    let mut failures = report.failures.iter().peekable();
-    report
-        .results
-        .iter()
-        .enumerate()
-        .map(move |(local, slot)| (slot.as_ref(), failures.next_if(|f| f.item == local)))
 }
 
 /// Streams one executed item's frame.
@@ -532,7 +524,7 @@ pub fn execute(
                 });
                 match outcome {
                     Ok(report) => {
-                        for (local, slot) in slots(&report).enumerate() {
+                        for (local, slot) in report.slots().enumerate() {
                             emit_slot(index * chunk + local, slot, &mut summary, emit);
                         }
                     }
@@ -561,7 +553,7 @@ pub fn execute(
                 ..quetzal::verify::VerifyConfig::default()
             };
             let mut scratch = Machine::new(pool.config().clone());
-            let staged: Vec<(u64, Result<PoolBudgets, String>)> = cases
+            let staged: Vec<(u64, Result<ResourceBound, String>)> = cases
                 .iter()
                 .map(|&case| {
                     scratch.reset();
@@ -574,26 +566,27 @@ pub fn execute(
                             report.diagnostics().len()
                         ))
                     } else {
-                        let sized = PoolBudgets::from_bound(report.bound());
-                        if !sized.is_default() {
+                        // Whether the proof tightens any watchdog does
+                        // not depend on the pages already resident.
+                        if !Budgets::from_bound(report.bound(), 0).is_default() {
                             summary.bounded += 1;
                         } else if report.verdict() == quetzal::verify::Verdict::Warnings {
                             summary.warnings += 1;
                         } else {
                             summary.clean += 1;
                         }
-                        Ok(sized)
+                        Ok(*report.bound())
                     };
                     (case, admission)
                 })
                 .collect();
             for (index, slice) in staged.chunks(chunk).enumerate() {
-                let admitted: Vec<(u64, PoolBudgets)> = slice
+                let admitted: Vec<(u64, ResourceBound)> = slice
                     .iter()
                     .filter_map(|(case, admission)| Some((*case, *admission.as_ref().ok()?)))
                     .collect();
                 let outcome =
-                    runner.run_machines_report_pooled(pool, &admitted, |m, _i, (case, sized)| {
+                    runner.run_machines_report_pooled(pool, &admitted, |m, _i, (case, bound)| {
                         // Re-stage on the pooled machine: staging seeds
                         // adversarial registers and memory, so the run
                         // reproduces the sweep's outcome exactly. The
@@ -611,26 +604,15 @@ pub fn execute(
                         // The fault-injection soundness fuzz pins
                         // exactly this invariant.
                         let resident = m.core().state().mem.resident_pages();
-                        let pages = sized.pages.map_or(FAULT_PAGE_BUDGET, |p| {
-                            FAULT_PAGE_BUDGET.min(resident.saturating_add(p as usize))
-                        });
-                        m.core_mut().state_mut().mem.set_page_budget(pages);
-                        m.core_mut().set_budget(
-                            sized
-                                .instructions
-                                .map_or(FAULT_INST_BUDGET, |i| i.min(FAULT_INST_BUDGET)),
-                        );
-                        m.core_mut().set_cycle_budget(
-                            sized
-                                .cycles
-                                .map_or(FAULT_CYCLE_BUDGET, |c| c.min(FAULT_CYCLE_BUDGET)),
-                        );
+                        SWEEP_BUDGETS
+                            .min(Budgets::from_bound(bound, resident))
+                            .apply(m);
                         let stats = m.run(&program)?;
                         Ok((0i64, stats))
                     });
                 match outcome {
                     Ok(report) => {
-                        let mut executed = slots(&report);
+                        let mut executed = report.slots();
                         for (local, (_, admission)) in slice.iter().enumerate() {
                             let item = index * chunk + local;
                             match admission {
@@ -714,21 +696,7 @@ pub fn execute(
                                 instructions: out.stats.instructions,
                             })
                         },
-                        |report| {
-                            emit(Response::ShardDone {
-                                shard: report.shard,
-                                start: report.start,
-                                count: report.count,
-                                ok: report.ok,
-                                failed: report.failed,
-                                recovered: report.recovered,
-                                cycles: report.cycles,
-                                instructions: report.instructions,
-                                resumed: report.resumed,
-                                quarantined: report.quarantined.clone(),
-                                output_fnv: format!("{:016x}", report.output_fnv),
-                            })
-                        },
+                        |report| emit(Response::ShardDone(report.clone())),
                     );
                     match outcome {
                         Ok(ingested) => {
@@ -804,7 +772,7 @@ mod tests {
             retry_quarantined: true,
         };
         let budgets = Budgets {
-            insts: Some(1000),
+            instructions: Some(1000),
             cycles: None,
             pages: Some(64),
         };
@@ -870,6 +838,30 @@ mod tests {
                 "pattern",
             ),
             (r#"{"kind":"fault","seed":1,"cases":[]}"#, "empty batch"),
+            (
+                r#"{"kind":"align","algo":"wfa","tier":"vec","alphabet":"dna","budgets":{"insts":"1000"},"pairs":[{"pattern":"A","text":"A"}]}"#,
+                "'insts' must be an integer",
+            ),
+            (
+                r#"{"kind":"align","algo":"wfa","tier":"vec","alphabet":"dna","budgets":7,"pairs":[{"pattern":"A","text":"A"}]}"#,
+                "'budgets' must be an object",
+            ),
+            (
+                r#"{"kind":"align","algo":"wfa","tier":"vec","alphabet":"dna","budgets":{"instructions":9},"pairs":[{"pattern":"A","text":"A"}]}"#,
+                "unknown budget 'instructions' (insts|cycles|pages)",
+            ),
+            (
+                r#"{"kind":"ingest","input":"x","checkpoint_dir":"y","algo":"ss","tier":"vec","alphabet":"dna","deadline_ms":"250"}"#,
+                "'deadline_ms' must be an integer",
+            ),
+            (
+                r#"{"kind":"ingest","input":"x","checkpoint_dir":"y","algo":"ss","tier":"vec","alphabet":"dna","shard_insts":-5}"#,
+                "'shard_insts' must be an integer",
+            ),
+            (
+                r#"{"kind":"ingest","input":"x","checkpoint_dir":"y","algo":"ss","tier":"vec","alphabet":"dna","retry_quarantined":"yes"}"#,
+                "'retry_quarantined' must be a boolean",
+            ),
         ] {
             let err = JobSpec::from_value(&Value::parse(doc).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{doc} -> {err}");

@@ -6,6 +6,7 @@
 //! the protocol-robustness test feeds this module seeded garbage.
 
 use crate::job::{JobSpec, JobSummary};
+use quetzal::ShardReport;
 use quetzal_trace::json::Value;
 
 /// A client-to-daemon frame.
@@ -39,11 +40,10 @@ impl Request {
             Some("stats") => Ok(Request::Stats),
             Some("shutdown") => Ok(Request::Shutdown),
             Some("submit") => {
-                let tenant = v
-                    .get("tenant")
-                    .and_then(Value::as_str)
-                    .unwrap_or("default")
-                    .to_string();
+                let tenant = match v.get("tenant") {
+                    None => "default".to_string(),
+                    Some(t) => t.as_str().ok_or("'tenant' must be a string")?.to_string(),
+                };
                 if tenant.is_empty() || tenant.len() > 64 {
                     return Err("tenant name must be 1..=64 characters".to_string());
                 }
@@ -125,32 +125,10 @@ pub enum Response {
     },
     /// One completed ingestion shard (streamed in shard order by
     /// `submit{kind:"ingest"}` jobs; the durable checkpoint for the
-    /// shard is already committed when this frame is sent).
-    ShardDone {
-        /// Shard index.
-        shard: u64,
-        /// Global index of the shard's first item.
-        start: u64,
-        /// Items in the shard.
-        count: u64,
-        /// Items that produced a result.
-        ok: u64,
-        /// Items that failed.
-        failed: u64,
-        /// Items recovered by the fresh-machine retry.
-        recovered: u64,
-        /// Simulated cycles over healthy items.
-        cycles: u64,
-        /// Retired instructions over healthy items.
-        instructions: u64,
-        /// The shard was satisfied from an existing checkpoint.
-        resumed: bool,
-        /// Quarantine cause when the shard hit its deadline / budget.
-        quarantined: Option<String>,
-        /// Checksum of the shard's output lines (16-digit hex — full
-        /// u64 range, which JSON integers cannot carry exactly).
-        output_fnv: String,
-    },
+    /// shard is already committed when this frame is sent). On the
+    /// wire `output_fnv` is 16 hex digits — the full u64 range, which
+    /// JSON integers cannot carry exactly.
+    ShardDone(ShardReport),
     /// Job finished; aggregate counters.
     Done(JobSummary),
     /// Daemon counters (reply to [`Request::Stats`]).
@@ -251,33 +229,21 @@ impl Response {
                 ("cause", Value::from(*cause)),
                 ("message", Value::from(message.clone())),
             ]),
-            Response::ShardDone {
-                shard,
-                start,
-                count,
-                ok,
-                failed,
-                recovered,
-                cycles,
-                instructions,
-                resumed,
-                quarantined,
-                output_fnv,
-            } => {
+            Response::ShardDone(r) => {
                 let mut fields = vec![
                     ("type", Value::from("shard_done")),
-                    ("shard", Value::from(*shard)),
-                    ("start", Value::from(*start)),
-                    ("count", Value::from(*count)),
-                    ("ok", Value::from(*ok)),
-                    ("failed", Value::from(*failed)),
-                    ("recovered", Value::from(*recovered)),
-                    ("cycles", Value::from(*cycles)),
-                    ("instructions", Value::from(*instructions)),
-                    ("resumed", Value::from(*resumed)),
-                    ("output_fnv", Value::from(output_fnv.clone())),
+                    ("shard", Value::from(r.shard)),
+                    ("start", Value::from(r.start)),
+                    ("count", Value::from(r.count)),
+                    ("ok", Value::from(r.ok)),
+                    ("failed", Value::from(r.failed)),
+                    ("recovered", Value::from(r.recovered)),
+                    ("cycles", Value::from(r.cycles)),
+                    ("instructions", Value::from(r.instructions)),
+                    ("resumed", Value::from(r.resumed)),
+                    ("output_fnv", Value::from(format!("{:016x}", r.output_fnv))),
                 ];
-                if let Some(cause) = quarantined {
+                if let Some(cause) = &r.quarantined {
                     fields.push(("quarantined", Value::from(cause.clone())));
                 }
                 fields
@@ -370,7 +336,7 @@ impl Response {
                 cause: cause_str(&str_of("cause")?)?,
                 message: str_of("message")?,
             }),
-            Some("shard_done") => Ok(Response::ShardDone {
+            Some("shard_done") => Ok(Response::ShardDone(ShardReport {
                 shard: u64_of("shard")?,
                 start: u64_of("start")?,
                 count: u64_of("count")?,
@@ -391,8 +357,9 @@ impl Response {
                             .to_string(),
                     ),
                 },
-                output_fnv: str_of("output_fnv")?,
-            }),
+                output_fnv: u64::from_str_radix(&str_of("output_fnv")?, 16)
+                    .map_err(|_| "'output_fnv' must be hex digits".to_string())?,
+            })),
             Some("done") => {
                 let opt = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
                 Ok(Response::Done(JobSummary {
@@ -504,7 +471,7 @@ mod tests {
                 cause: "sim",
                 message: "instruction budget".to_string(),
             },
-            Response::ShardDone {
+            Response::ShardDone(ShardReport {
                 shard: 2,
                 start: 512,
                 count: 256,
@@ -515,9 +482,9 @@ mod tests {
                 instructions: 42,
                 resumed: true,
                 quarantined: Some("wall deadline 5ms exceeded".to_string()),
-                output_fnv: "cbf29ce484222325".to_string(),
-            },
-            Response::ShardDone {
+                output_fnv: 0xcbf2_9ce4_8422_2325,
+            }),
+            Response::ShardDone(ShardReport {
                 shard: 0,
                 start: 0,
                 count: 4,
@@ -528,8 +495,8 @@ mod tests {
                 instructions: 1,
                 resumed: false,
                 quarantined: None,
-                output_fnv: "0000000000000000".to_string(),
-            },
+                output_fnv: 0,
+            }),
             Response::Done(JobSummary {
                 items: 6,
                 ok: 4,
@@ -557,6 +524,78 @@ mod tests {
             let back = Response::from_value(&Value::parse(&wire).unwrap()).unwrap();
             assert_eq!(back, frame);
         }
+    }
+
+    #[test]
+    fn shard_done_frames_are_pinned_byte_for_byte() {
+        let quarantined = Response::ShardDone(ShardReport {
+            shard: 2,
+            start: 512,
+            count: 256,
+            ok: 255,
+            failed: 1,
+            recovered: 3,
+            cycles: 99,
+            instructions: 42,
+            resumed: true,
+            quarantined: Some("wall deadline 5ms exceeded".to_string()),
+            output_fnv: 0xcbf2_9ce4_8422_2325,
+        });
+        assert_eq!(
+            quarantined.to_value().dump(),
+            r#"{"count":256,"cycles":99,"failed":1,"instructions":42,"ok":255,"output_fnv":"cbf29ce484222325","quarantined":"wall deadline 5ms exceeded","recovered":3,"resumed":true,"shard":2,"start":512,"type":"shard_done"}"#
+        );
+        let done = Response::ShardDone(ShardReport {
+            shard: 0,
+            start: 0,
+            count: 4,
+            ok: 4,
+            failed: 0,
+            recovered: 0,
+            cycles: 7,
+            instructions: 5,
+            resumed: false,
+            quarantined: None,
+            output_fnv: 0xabcd,
+        });
+        assert_eq!(
+            done.to_value().dump(),
+            r#"{"count":4,"cycles":7,"failed":0,"instructions":5,"ok":4,"output_fnv":"000000000000abcd","recovered":0,"resumed":false,"shard":0,"start":0,"type":"shard_done"}"#
+        );
+    }
+
+    #[test]
+    fn submit_tenant_defaults_only_when_absent() {
+        let job = r#"{"kind":"fault","seed":1,"cases":[0]}"#;
+        let parse = |tenant: &str| {
+            Request::from_value(
+                &Value::parse(&format!(r#"{{"type":"submit",{tenant}"job":{job}}}"#)).unwrap(),
+            )
+        };
+        assert!(matches!(
+            parse("").unwrap(),
+            Request::Submit { tenant, .. } if tenant == "default"
+        ));
+        assert!(matches!(
+            parse(r#""tenant":"acme","#).unwrap(),
+            Request::Submit { tenant, .. } if tenant == "acme"
+        ));
+        for (tenant, needle) in [
+            (r#""tenant":5,"#, "'tenant' must be a string"),
+            (r#""tenant":"","#, "tenant name must be 1..=64 characters"),
+        ] {
+            let err = parse(tenant).unwrap_err();
+            assert!(err.contains(needle), "{tenant} -> {err}");
+        }
+        // A malformed optional job field fails the whole request.
+        let err = Request::from_value(
+            &Value::parse(
+                r#"{"type":"submit","job":{"kind":"align","algo":"wfa","tier":"vec","alphabet":"dna","budgets":7,"pairs":[{"pattern":"A","text":"A"}]}}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap_err();
+        assert!(err.contains("'budgets' must be an object"), "{err}");
     }
 
     #[test]

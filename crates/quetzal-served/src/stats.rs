@@ -1,14 +1,20 @@
 //! Daemon-wide counters behind the `/stats` frame.
 //!
-//! Everything is a relaxed atomic: the counters are monotonic tallies
-//! read for observability, not synchronisation. Simulated-throughput
-//! (sim-MIPS) is derived from the cumulative retired instructions and
-//! the wall-clock time spent executing jobs, the same quantity the
-//! `BENCH_uarch.json` trajectory floors.
+//! The job and connection counters (admissions and refusals, protocol
+//! errors, idle timeouts, busy time) are relaxed atomics: monotonic
+//! tallies read for observability, not synchronisation. The item, verdict, cycle and
+//! instruction tallies are one [`JobSummary`] behind a mutex, summed
+//! once per completed job by [`JobSummary::absorb`] — the same record
+//! each job's `done` frame carries. Simulated-throughput (sim-MIPS) is
+//! derived from the cumulative retired instructions and the wall-clock
+//! time spent executing jobs, the same quantity the `BENCH_uarch.json`
+//! trajectory floors.
 
+use crate::job::JobSummary;
 use quetzal::PoolStats;
 use quetzal_trace::json::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Monotonic daemon counters (see [`ServerStats::snapshot`] for the
 /// wire shape).
@@ -24,32 +30,17 @@ pub struct ServerStats {
     pub jobs_invalid: AtomicU64,
     /// Jobs that ran to their `done` frame.
     pub jobs_completed: AtomicU64,
-    /// Healthy items streamed.
-    pub items_ok: AtomicU64,
-    /// Items that failed both runtime attempts.
-    pub items_failed: AtomicU64,
-    /// Items rejected statically at admission.
-    pub items_rejected: AtomicU64,
-    /// Items recovered by the fresh-machine retry.
-    pub items_recovered: AtomicU64,
-    /// Admitted items with an unconditional finite resource bound
-    /// (their machines ran under proof-pre-sized budgets).
-    pub items_bounded: AtomicU64,
-    /// Admitted items verified `Clean` without an adoptable bound.
-    pub items_clean: AtomicU64,
-    /// Admitted items verified with non-fatal warnings.
-    pub items_warnings: AtomicU64,
     /// Malformed frames / requests answered with typed errors.
     pub protocol_errors: AtomicU64,
     /// Connections closed for idling past the read deadline
     /// (slow-loris guard).
     pub idle_timeouts: AtomicU64,
-    /// Cumulative simulated cycles over healthy items.
-    pub cycles: AtomicU64,
-    /// Cumulative retired instructions over healthy items.
-    pub instructions: AtomicU64,
     /// Cumulative wall-clock microseconds spent executing jobs.
     pub busy_micros: AtomicU64,
+    /// Every completed job's [`JobSummary`], summed: item outcomes,
+    /// admission verdicts, and cycles / instructions over healthy
+    /// items.
+    pub totals: Mutex<JobSummary>,
 }
 
 /// One tenant's occupancy line in the stats frame.
@@ -75,38 +66,27 @@ fn get(counter: &AtomicU64) -> u64 {
 impl ServerStats {
     /// Adds one completed job's aggregate to the item/throughput
     /// counters.
-    pub fn absorb_job(&self, summary: &crate::job::JobSummary, busy: std::time::Duration) {
+    pub fn absorb_job(&self, summary: &JobSummary, busy: std::time::Duration) {
         self.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        self.items_ok.fetch_add(summary.ok, Ordering::Relaxed);
-        self.items_failed
-            .fetch_add(summary.failed, Ordering::Relaxed);
-        self.items_rejected
-            .fetch_add(summary.rejected, Ordering::Relaxed);
-        self.items_recovered
-            .fetch_add(summary.recovered, Ordering::Relaxed);
-        self.items_bounded
-            .fetch_add(summary.bounded, Ordering::Relaxed);
-        self.items_clean.fetch_add(summary.clean, Ordering::Relaxed);
-        self.items_warnings
-            .fetch_add(summary.warnings, Ordering::Relaxed);
-        self.cycles.fetch_add(summary.cycles, Ordering::Relaxed);
-        self.instructions
-            .fetch_add(summary.instructions, Ordering::Relaxed);
         self.busy_micros
             .fetch_add(busy.as_micros() as u64, Ordering::Relaxed);
+        self.totals
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .absorb(summary);
     }
 
     /// Renders the counters plus per-tenant occupancy as the `/stats`
     /// wire object.
     pub fn snapshot(&self, tenants: &[TenantStats]) -> Value {
         let busy_micros = get(&self.busy_micros);
-        let instructions = get(&self.instructions);
+        let t = *self.totals.lock().unwrap_or_else(|e| e.into_inner());
         // Simulated MIPS: retired guest instructions per wall-clock
         // second of job execution (0 until the first job lands).
         let sim_mips = if busy_micros == 0 {
             0.0
         } else {
-            instructions as f64 / busy_micros as f64
+            t.instructions as f64 / busy_micros as f64
         };
         let jobs: Value = [
             (
@@ -127,16 +107,10 @@ impl ServerStats {
         .into_iter()
         .collect();
         let items: Value = [
-            ("ok".to_string(), Value::from(get(&self.items_ok))),
-            ("failed".to_string(), Value::from(get(&self.items_failed))),
-            (
-                "rejected".to_string(),
-                Value::from(get(&self.items_rejected)),
-            ),
-            (
-                "recovered".to_string(),
-                Value::from(get(&self.items_recovered)),
-            ),
+            ("ok".to_string(), Value::from(t.ok)),
+            ("failed".to_string(), Value::from(t.failed)),
+            ("rejected".to_string(), Value::from(t.rejected)),
+            ("recovered".to_string(), Value::from(t.recovered)),
         ]
         .into_iter()
         .collect();
@@ -146,22 +120,16 @@ impl ServerStats {
         // `rejected` mirrors the item counter and completes the
         // partition.
         let admission: Value = [
-            ("bounded".to_string(), Value::from(get(&self.items_bounded))),
-            ("clean".to_string(), Value::from(get(&self.items_clean))),
-            (
-                "warnings".to_string(),
-                Value::from(get(&self.items_warnings)),
-            ),
-            (
-                "rejected".to_string(),
-                Value::from(get(&self.items_rejected)),
-            ),
+            ("bounded".to_string(), Value::from(t.bounded)),
+            ("clean".to_string(), Value::from(t.clean)),
+            ("warnings".to_string(), Value::from(t.warnings)),
+            ("rejected".to_string(), Value::from(t.rejected)),
         ]
         .into_iter()
         .collect();
         let totals: Value = [
-            ("cycles".to_string(), Value::from(get(&self.cycles))),
-            ("instructions".to_string(), Value::from(instructions)),
+            ("cycles".to_string(), Value::from(t.cycles)),
+            ("instructions".to_string(), Value::from(t.instructions)),
             ("busy_micros".to_string(), Value::from(busy_micros)),
             ("sim_mips".to_string(), Value::from(sim_mips)),
         ]
@@ -206,7 +174,44 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobSummary;
+
+    #[test]
+    fn snapshot_is_pinned_byte_for_byte() {
+        let stats = ServerStats::default();
+        stats.jobs_accepted.fetch_add(3, Ordering::Relaxed);
+        stats.jobs_busy.fetch_add(1, Ordering::Relaxed);
+        stats.protocol_errors.fetch_add(2, Ordering::Relaxed);
+        stats.absorb_job(
+            &JobSummary {
+                items: 9,
+                ok: 6,
+                failed: 1,
+                rejected: 2,
+                recovered: 1,
+                cycles: 12_345,
+                instructions: 3_000_000,
+                bounded: 4,
+                clean: 2,
+                warnings: 1,
+            },
+            std::time::Duration::from_millis(1500),
+        );
+        let snap = stats.snapshot(&[TenantStats {
+            name: "default".to_string(),
+            pool: PoolStats {
+                built: 2,
+                free: 1,
+                quarantined: 1,
+            },
+            inflight: 0,
+            max_inflight: 4,
+            sized: 4,
+        }]);
+        assert_eq!(
+            snap.dump(),
+            r#"{"admission":{"bounded":4,"clean":2,"rejected":2,"warnings":1},"idle_timeouts":0,"items":{"failed":1,"ok":6,"recovered":1,"rejected":2},"jobs":{"accepted":3,"busy":1,"completed":1,"draining":0,"invalid":0},"protocol_errors":2,"tenants":{"default":{"built":2,"free":1,"inflight":0,"max_inflight":4,"quarantined":1,"sized":4}},"totals":{"busy_micros":1500000,"cycles":12345,"instructions":3000000,"sim_mips":2}}"#
+        );
+    }
 
     #[test]
     fn snapshot_carries_tenant_occupancy_and_totals() {

@@ -141,6 +141,17 @@ impl<R> RunReport<R> {
             .enumerate()
             .filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
     }
+
+    /// Per-item `(result, failure)` slots in item order: a healthy item
+    /// has a result and no failure, a recovered one both, a failed one
+    /// only its failure.
+    pub fn slots(&self) -> impl Iterator<Item = (Option<&R>, Option<&ItemFailure>)> {
+        let mut failures = self.failures.iter().peekable();
+        self.results
+            .iter()
+            .enumerate()
+            .map(move |(i, slot)| (slot.as_ref(), failures.next_if(|f| f.item == i)))
+    }
 }
 
 /// Deterministic parallel executor for slices of independent work items.

@@ -13,11 +13,24 @@
 //! Everything is a pure function of `(seed, case index)`, so a failing
 //! case replays exactly from its number.
 
-use crate::{Machine, HEAP_BASE};
+use crate::{Budgets, Machine, HEAP_BASE};
 use quetzal_genomics::rng::SplitMix64;
 use quetzal_isa::{
     BranchCond, ElemSize, Instruction, MemSize, PReg, Program, ProgramBuilder, QBufSel, QzOp,
     RedOp, SAluOp, VAluOp, VReg, XReg,
+};
+
+/// The sweep's watchdogs, applied after [`FaultPlan::stage`] (staging
+/// writes go through the page cap). Staged machines allocate a few KiB
+/// (tens of pages at most), so a wild store loop sweeping a large
+/// stride exhausts the 512-page cap — and surfaces `MemoryFault` — well
+/// before the 20 000-instruction budget does; the 2 000 000-cycle
+/// watchdog catches timing-model runaways. A served fault case runs
+/// under these too, so it reproduces the sweep's outcome exactly.
+pub const SWEEP_BUDGETS: Budgets = Budgets {
+    instructions: Some(20_000),
+    cycles: Some(2_000_000),
+    pages: Some(512),
 };
 
 const SOPS: [SAluOp; 13] = [
@@ -421,9 +434,9 @@ impl FaultPlan {
 
     /// Builds case number `case`: stages adversarial state on `machine`
     /// (which should be freshly reset) and returns the program to run
-    /// plus the mutation class applied. The caller is responsible for
-    /// budgets (instruction, cycle, page) — faults must surface as
-    /// typed errors within those budgets.
+    /// plus the mutation class applied. The caller applies the budgets
+    /// afterwards (normally [`SWEEP_BUDGETS`]) — faults must surface as
+    /// typed errors within them.
     pub fn stage(&self, case: u64, machine: &mut Machine) -> (Program, Mutation) {
         let mut rng = SplitMix64::new(
             self.seed ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(case),

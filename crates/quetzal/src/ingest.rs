@@ -181,6 +181,30 @@ pub struct ShardReport {
     pub output_fnv: u64,
 }
 
+impl ShardReport {
+    /// The report of a committed shard: `m` is the manifest just
+    /// written (`resumed` false) or validated on resume (`resumed`
+    /// true).
+    fn committed(m: &ShardManifest, resumed: bool) -> ShardReport {
+        ShardReport {
+            shard: m.shard,
+            start: m.start,
+            count: m.count,
+            ok: m.ok,
+            failed: m.failed,
+            recovered: m.recovered,
+            cycles: m.cycles,
+            instructions: m.instructions,
+            resumed,
+            quarantined: match m.status {
+                ShardStatus::Quarantined => Some(m.cause.clone()),
+                ShardStatus::Done => None,
+            },
+            output_fnv: m.output_fnv,
+        }
+    }
+}
+
 /// Aggregate of one ingestion run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestSummary {
@@ -513,10 +537,8 @@ fn run_shard<T: Sync>(
                 work(m, chunk_base + i as u64, item)
             })
             .map_err(IngestError::Infra)?;
-        let mut failures = report.failures.iter().peekable();
-        for (local, slot) in report.results.iter().enumerate() {
+        for (local, (slot, failure)) in report.slots().enumerate() {
             let item = chunk_base + local as u64;
-            let failure = failures.next_if(|f| f.item == local);
             match slot {
                 Some(out) => {
                     ok += 1;
@@ -555,7 +577,7 @@ fn run_shard<T: Sync>(
         } else {
             ShardStatus::Done
         },
-        cause: quarantined.clone().unwrap_or_default(),
+        cause: quarantined.unwrap_or_default(),
         ok,
         failed,
         recovered,
@@ -578,19 +600,7 @@ fn run_shard<T: Sync>(
     }
     manifest::store(&config.checkpoint_dir, &m)
         .map_err(|e| io_err(format!("committing manifest for shard {shard}"), e))?;
-    Ok(ShardReport {
-        shard,
-        start,
-        count: items.len() as u64,
-        ok,
-        failed,
-        recovered,
-        cycles,
-        instructions,
-        resumed: false,
-        quarantined,
-        output_fnv,
-    })
+    Ok(ShardReport::committed(&m, false))
 }
 
 /// Runs (or resumes) one ingestion: streams items from `source`,
@@ -682,22 +692,7 @@ where
                     config.retry_quarantined,
                 )? =>
             {
-                ShardReport {
-                    shard,
-                    start,
-                    count,
-                    ok: m.ok,
-                    failed: m.failed,
-                    recovered: m.recovered,
-                    cycles: m.cycles,
-                    instructions: m.instructions,
-                    resumed: true,
-                    quarantined: match m.status {
-                        ShardStatus::Quarantined => Some(m.cause),
-                        ShardStatus::Done => None,
-                    },
-                    output_fnv: m.output_fnv,
-                }
+                ShardReport::committed(&m, true)
             }
             _ => run_shard(config, runner, pool, shard, start, &items, input_fnv, &work)?,
         };

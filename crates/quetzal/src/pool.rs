@@ -29,19 +29,25 @@
 //!
 //! # Budget ownership
 //!
+//! [`Budgets`] is the one budget type: a served job's `budgets`
+//! object, the fault sweep's watchdogs
+//! ([`SWEEP_BUDGETS`](crate::fault::SWEEP_BUDGETS)) and the budgets
+//! derived from a proof ([`Budgets::from_bound`]) are all values of it,
+//! combined with [`Budgets::min`] and set with [`Budgets::apply`].
+//!
 //! [`Machine::reset`] restores the **default** instruction, cycle and
 //! page watchdogs — it deliberately does *not* preserve caller
 //! overrides (a recycled machine must be indistinguishable from a
 //! fresh one, and a stale tight budget from a previous tenant would be
 //! state leaking across checkouts). Every checkout and every
 //! fault-replacement machine therefore starts at the default watchdogs,
-//! and budgets belong to the work closure: it sets the ones it wants on
-//! the machine it is handed, on **every attempt** — the retry runs on a
-//! brand-new machine that carries none of the first attempt's settings.
-//! Code that calls [`Machine::reset`] directly must likewise re-apply
-//! any budget it cares about afterwards.
+//! and budgets belong to the work closure: it applies the ones it wants
+//! to the machine it is handed, on **every attempt** — the retry runs
+//! on a brand-new machine that carries none of the first attempt's
+//! settings. Code that calls [`Machine::reset`] directly must likewise
+//! re-apply any budget it cares about afterwards.
 
-use crate::{ExecMode, Machine, MachineConfig, SimError};
+use crate::{ExecMode, Machine, MachineConfig, Probe, SimError};
 use quetzal_uarch::state::DEFAULT_PAGE_BUDGET;
 use quetzal_verify::ResourceBound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,44 +72,51 @@ pub(crate) fn lock(list: &Mutex<Vec<Machine>>) -> std::sync::MutexGuard<'_, Vec<
     list.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Per-run machine budgets derived from a statically proven
-/// [`ResourceBound`] via [`Budgets::from_bound`].
+/// Per-run machine budgets: the watchdogs a work closure sets on the
+/// machine it is handed ([`apply`](Self::apply)).
 ///
-/// Each component is an *override* of the corresponding global
-/// watchdog; `None` keeps the default (the `Core::DEFAULT_BUDGET`
-/// instruction watchdog, cycle watchdog off, page cap
-/// [`DEFAULT_PAGE_BUDGET`]). Because proven bounds are ceilings on
-/// every dynamic execution of the verified program, tightening a
-/// watchdog to them never changes the behaviour of a conforming run —
-/// it only turns a hypothetical runaway (a soundness bug) from a
-/// two-billion-instruction watchdog trip into a prompt, tight fault.
+/// Each component overrides the corresponding global watchdog; `None`
+/// keeps the default (the `Core::DEFAULT_BUDGET` instruction watchdog,
+/// cycle watchdog off, page cap [`DEFAULT_PAGE_BUDGET`]). The
+/// instruction and cycle budgets are per run; the page budget is the
+/// absolute cap on resident guest pages (simulated memory persists
+/// across runs on one machine, so it counts pages staged before the
+/// run too).
 ///
-/// The instruction and cycle budgets are per-run; the page component
-/// counts pages the run may add to those already resident when it
-/// starts (simulated memory persists across runs on one machine).
+/// Budgets come from a caller (a served job's `budgets` object), from a
+/// statically proven [`ResourceBound`] via [`from_bound`](Self::from_bound),
+/// or from both combined with [`min`](Self::min) — the fault sweep's
+/// watchdogs tightened to a proof are
+/// `SWEEP_BUDGETS.min(Budgets::from_bound(..))`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budgets {
-    /// Per-run retired-instruction budget.
+    /// Per-run retired-instruction budget (`SimError::InstLimit` beyond
+    /// it).
     pub instructions: Option<u64>,
-    /// Per-run cycle watchdog (timed runs only; the functional tier
-    /// has no clock).
+    /// Per-run cycle watchdog (`SimError::CycleLimit` beyond it; timed
+    /// runs only — the functional tier has no clock).
     pub cycles: Option<u64>,
-    /// Additional resident guest pages the run may allocate beyond
-    /// those already resident when it starts.
+    /// Cap on resident guest pages (`SimError::MemoryFault` beyond it).
     pub pages: Option<u64>,
 }
 
 impl Budgets {
-    /// Derives budgets from a proven resource bound.
+    /// Derives budgets from a proven resource bound, for a run that
+    /// starts with `resident` guest pages already resident (the proof
+    /// counts only the pages the program itself allocates).
     ///
-    /// Only *unconditional* finite components tighten anything:
+    /// Because proven bounds are ceilings on every dynamic execution of
+    /// the verified program, tightening a watchdog to them never
+    /// changes the behaviour of a conforming run — it only turns a
+    /// hypothetical runaway (a soundness bug) into a prompt, tight
+    /// fault. Only *unconditional* finite components tighten anything:
     /// components that are unbounded (`None`) or no tighter than the
     /// global watchdog stay at the default, and a
     /// [premised](ResourceBound::premised) bound is ignored entirely —
     /// its ceilings are conditional on staged-data ranges this layer
     /// cannot check, and a budget that can trip on legitimate data
     /// would change behaviour instead of merely bounding it.
-    pub fn from_bound(bound: &ResourceBound) -> Budgets {
+    pub fn from_bound(bound: &ResourceBound, resident: usize) -> Budgets {
         if bound.premised {
             return Budgets::default();
         }
@@ -112,7 +125,40 @@ impl Budgets {
                 .instructions
                 .filter(|&p| p < crate::Core::<crate::NullProbe>::DEFAULT_BUDGET),
             cycles: bound.cycles.filter(|&p| p < u64::MAX),
-            pages: bound.pages.filter(|&p| p < DEFAULT_PAGE_BUDGET as u64),
+            pages: bound
+                .pages
+                .filter(|&p| p < DEFAULT_PAGE_BUDGET as u64)
+                .map(|p| p.saturating_add(resident as u64)),
+        }
+    }
+
+    /// The componentwise tighter of two budgets; `None` means no limit.
+    pub fn min(self, other: Budgets) -> Budgets {
+        let tighter = |a: Option<u64>, b: Option<u64>| match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        Budgets {
+            instructions: tighter(self.instructions, other.instructions),
+            cycles: tighter(self.cycles, other.cycles),
+            pages: tighter(self.pages, other.pages),
+        }
+    }
+
+    /// Sets every component that is `Some` on `machine`; the others
+    /// keep the machine's current watchdog.
+    pub fn apply<P: Probe>(&self, machine: &mut Machine<P>) {
+        let core = machine.core_mut();
+        if let Some(n) = self.instructions {
+            core.set_budget(n);
+        }
+        if let Some(n) = self.cycles {
+            core.set_cycle_budget(n);
+        }
+        if let Some(n) = self.pages {
+            core.state_mut()
+                .mem
+                .set_page_budget(usize::try_from(n).unwrap_or(usize::MAX));
         }
     }
 
@@ -409,12 +455,14 @@ mod tests {
             cycles: Some(1_000),
             premised: false,
         };
+        // The page component becomes an absolute cap over the pages
+        // already resident when the run starts.
         assert_eq!(
-            Budgets::from_bound(&tight),
+            Budgets::from_bound(&tight, 3),
             Budgets {
                 instructions: Some(100),
                 cycles: Some(1_000),
-                pages: Some(5),
+                pages: Some(8),
             }
         );
         // Unbounded / looser-than-watchdog components stay default.
@@ -424,14 +472,81 @@ mod tests {
             cycles: Some(u64::MAX),
             premised: false,
         };
-        assert!(Budgets::from_bound(&loose).is_default());
+        assert!(Budgets::from_bound(&loose, 3).is_default());
         // A premised bound is conditional on staged data: never adopt.
         let premised = ResourceBound {
             premised: true,
             ..tight
         };
-        assert!(Budgets::from_bound(&premised).is_default());
-        assert!(Budgets::from_bound(&ResourceBound::unbounded()).is_default());
+        assert!(Budgets::from_bound(&premised, 0).is_default());
+        assert!(Budgets::from_bound(&ResourceBound::unbounded(), 0).is_default());
+    }
+
+    #[test]
+    fn min_is_componentwise_with_none_as_no_limit() {
+        let a = Budgets {
+            instructions: Some(10),
+            cycles: None,
+            pages: Some(7),
+        };
+        let b = Budgets {
+            instructions: Some(4),
+            cycles: Some(99),
+            pages: None,
+        };
+        let want = Budgets {
+            instructions: Some(4),
+            cycles: Some(99),
+            pages: Some(7),
+        };
+        assert_eq!(a.min(b), want);
+        assert_eq!(b.min(a), want);
+        assert_eq!(a.min(Budgets::default()), a);
+    }
+
+    #[test]
+    fn apply_sets_only_the_given_watchdogs() {
+        let mut m = Machine::new(MachineConfig::default());
+        Budgets {
+            instructions: Some(3),
+            ..Budgets::default()
+        }
+        .apply(&mut m);
+        let mut b = quetzal_isa::ProgramBuilder::new();
+        for _ in 0..8 {
+            b.alu_ri(
+                quetzal_isa::SAluOp::Add,
+                quetzal_isa::X1,
+                quetzal_isa::X1,
+                1,
+            );
+        }
+        b.halt();
+        let program = b.build().expect("straight-line program builds");
+        assert_eq!(
+            m.run(&program),
+            Err(SimError::InstLimit { budget: 3 }),
+            "the instruction budget was set"
+        );
+        // A page cap below what the run needs faults the first store.
+        let mut m = Machine::new(MachineConfig::default());
+        let resident = m.core().state().mem.resident_pages() as u64;
+        Budgets {
+            pages: Some(resident),
+            ..Budgets::default()
+        }
+        .apply(&mut m);
+        let mut b = quetzal_isa::ProgramBuilder::new();
+        b.mov_imm(quetzal_isa::X1, crate::HEAP_BASE as i64);
+        b.store(
+            quetzal_isa::X1,
+            quetzal_isa::X1,
+            0,
+            quetzal_isa::MemSize::B8,
+        );
+        b.halt();
+        let program = b.build().expect("store program builds");
+        assert!(matches!(m.run(&program), Err(SimError::MemoryFault { .. })));
     }
 
     #[test]

@@ -29,6 +29,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 
+echo "==> repobench compiles against the library"
+# The benchmark crate imports the served/ingest/workload APIs; building
+# it here makes a library change that breaks those imports fail CI.
+cargo build --release --offline --manifest-path repobench/Cargo.toml \
+    --target-dir target/repobench
+
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 

@@ -46,7 +46,7 @@
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use quetzal::fault::random_instruction;
+use quetzal::fault::{random_instruction, SWEEP_BUDGETS};
 use quetzal::genomics::rng::SplitMix64;
 use quetzal::isa::Instruction;
 use quetzal::verify::{self, DiagKind, Verdict};
@@ -55,13 +55,6 @@ use quetzal::{ExecMode, FaultPlan, Machine, MachineConfig, Program, RunStats, Si
 const DEFAULT_CASES: u64 = 12_000;
 const DEFAULT_SEED: u64 = 0xF4417;
 const DEFAULT_FUZZ_CASES: u64 = 4_000;
-
-/// Staged machines allocate a few KiB (tens of pages at most); a wild
-/// store loop sweeping a large stride must exhaust this budget — and
-/// surface `MemoryFault` — well before the instruction budget does.
-const PAGE_BUDGET: usize = 512;
-const INST_BUDGET: u64 = 20_000;
-const CYCLE_BUDGET: u64 = 2_000_000;
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -86,16 +79,6 @@ fn variant_name(e: &SimError) -> &'static str {
         SimError::MemoryFault { .. } => "MemoryFault",
         SimError::QBufferIndexOutOfRange { .. } => "QBufferIndexOutOfRange",
     }
-}
-
-fn apply_sweep_budgets(machine: &mut Machine) {
-    machine
-        .core_mut()
-        .state_mut()
-        .mem
-        .set_page_budget(PAGE_BUDGET);
-    machine.core_mut().set_budget(INST_BUDGET);
-    machine.core_mut().set_cycle_budget(CYCLE_BUDGET);
 }
 
 fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -171,7 +154,7 @@ fn diff_functional(
     }
     let mut machine = Machine::new(MachineConfig::default());
     let (program, _) = plan.stage(case, &mut machine);
-    apply_sweep_budgets(&mut machine);
+    SWEEP_BUDGETS.apply(&mut machine);
     machine.set_exec_mode(ExecMode::Functional);
     let functional = machine.run(&program);
     match (outcome, &functional) {
@@ -215,7 +198,7 @@ fn run_case(
     catch_unwind(AssertUnwindSafe(|| {
         let mut machine = Machine::new(MachineConfig::default());
         let (program, _) = plan.stage(case, &mut machine);
-        apply_sweep_budgets(&mut machine);
+        SWEEP_BUDGETS.apply(&mut machine);
         let pages_before = machine.core().state().mem.resident_pages();
         let outcome = machine.run(&program);
         let pages_after = machine.core().state().mem.resident_pages();
@@ -489,7 +472,7 @@ fn verifier_verdicts_match_runtime_on_random_programs() {
 
         let (outcome, pages_touched) = catch_unwind(AssertUnwindSafe(|| {
             let mut machine = Machine::new(MachineConfig::default());
-            apply_sweep_budgets(&mut machine);
+            SWEEP_BUDGETS.apply(&mut machine);
             let pages_before = machine.core().state().mem.resident_pages();
             let outcome = machine.run(&program);
             let pages_after = machine.core().state().mem.resident_pages();

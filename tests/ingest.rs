@@ -252,7 +252,7 @@ fn served_ingest_matches_offline_and_resubmission_resumes() {
     let shard_frames: Vec<bool> = frames
         .iter()
         .filter_map(|f| match f {
-            Response::ShardDone { resumed, .. } => Some(*resumed),
+            Response::ShardDone(report) => Some(report.resumed),
             _ => None,
         })
         .collect();
@@ -266,7 +266,7 @@ fn served_ingest_matches_offline_and_resubmission_resumes() {
     let resumed: Vec<bool> = frames
         .iter()
         .filter_map(|f| match f {
-            Response::ShardDone { resumed, .. } => Some(*resumed),
+            Response::ShardDone(report) => Some(report.resumed),
             _ => None,
         })
         .collect();

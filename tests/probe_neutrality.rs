@@ -20,7 +20,7 @@
 use quetzal::uarch::RunStats;
 use quetzal::{BatchRunner, Machine, MachineConfig};
 use quetzal_algos::Tier;
-use quetzal_bench::workloads::{run_algo_pairs, simulate_pair, table2_workloads, Algo};
+use quetzal_bench::workloads::{run_algo_pairs, table2_workloads, try_simulate_pair_outcome, Algo};
 use quetzal_trace::{CpiStack, RecordingProbe, StallKind};
 
 /// The replayed grid: every Table II dataset, the two grid algorithms,
@@ -49,14 +49,18 @@ fn recording_probe_is_timing_neutral_on_fig03_grid() {
                 let mut probed = Vec::with_capacity(wl.pairs.len());
                 for pair in &wl.pairs {
                     machine.reset();
-                    probed.push(simulate_pair(
-                        &mut machine,
-                        algo,
-                        alphabet,
-                        threshold,
-                        pair,
-                        tier,
-                    ));
+                    probed.push(
+                        try_simulate_pair_outcome(
+                            &mut machine,
+                            algo,
+                            alphabet,
+                            threshold,
+                            pair,
+                            tier,
+                        )
+                        .expect("pair simulation failed")
+                        .stats,
+                    );
                 }
 
                 assert_eq!(unprobed.len(), probed.len());
@@ -126,24 +130,28 @@ fn cleared_probe_keeps_recording_consistently() {
     let pair = &wl.pairs[0];
 
     let mut machine = Machine::with_probe(cfg, RecordingProbe::new(512));
-    let s1 = simulate_pair(
+    let s1 = try_simulate_pair_outcome(
         &mut machine,
         Algo::Wfa,
         wl.spec.alphabet,
         wl.ss_threshold(),
         pair,
         Tier::Vec,
-    );
+    )
+    .expect("pair simulation failed")
+    .stats;
     machine.probe_mut().clear();
     machine.reset();
-    let s2 = simulate_pair(
+    let s2 = try_simulate_pair_outcome(
         &mut machine,
         Algo::Wfa,
         wl.spec.alphabet,
         wl.ss_threshold(),
         pair,
         Tier::Vec,
-    );
+    )
+    .expect("pair simulation failed")
+    .stats;
     assert_eq!(s1, s2, "clearing the probe must not change timing");
     assert_eq!(machine.probe().instructions(), s2.instructions);
     assert!(machine.probe().audit_failures().is_empty());

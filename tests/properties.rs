@@ -20,7 +20,7 @@ use quetzal_algos::wfa::wfa_edit_align;
 use quetzal_algos::wfa_sim::wfa_sim;
 use quetzal_algos::Tier;
 use quetzal_genomics::cigar::Cigar;
-use quetzal_genomics::distance::{banded_levenshtein, gotoh_score, levenshtein, myers_distance};
+use quetzal_genomics::distance::{gotoh_score, levenshtein, myers_distance};
 use quetzal_genomics::packed::Packed2;
 use quetzal_genomics::rng::SplitMix64;
 use quetzal_genomics::{Alphabet, Seq};
@@ -59,31 +59,6 @@ fn myers_equals_dp() {
             text(&a),
             text(&b)
         );
-    });
-}
-
-/// Banded edit distance is exact whenever the band is wide enough.
-#[test]
-fn banded_is_exact_within_threshold() {
-    cases(0x5EED_0002, |case, rng| {
-        let (a, b) = (dna(rng, 80), dna(rng, 80));
-        let d = levenshtein(&a, &b);
-        assert_eq!(
-            banded_levenshtein(&a, &b, d + 1),
-            Some(d),
-            "case {case}: a={} b={}",
-            text(&a),
-            text(&b)
-        );
-        if d > 0 {
-            assert_eq!(
-                banded_levenshtein(&a, &b, d - 1),
-                None,
-                "case {case}: a={} b={}",
-                text(&a),
-                text(&b)
-            );
-        }
     });
 }
 

@@ -391,9 +391,9 @@ fn served_fault_outcomes_match_the_sweep_replay() {
     // through the page cap, so a tight cap installed before staging
     // turns admitted mutants that run clean in the sweep into `panic`
     // frames.
+    use quetzal::fault::SWEEP_BUDGETS;
     use quetzal::verify::{verify_with, Verdict, VerifyConfig};
     use quetzal::{FaultPlan, Machine};
-    use quetzal_served::job::{FAULT_CYCLE_BUDGET, FAULT_INST_BUDGET, FAULT_PAGE_BUDGET};
 
     let seed = 0xF4417;
     let (_, frames) = offline_report(&fault_spec(seed, 0..64), 1);
@@ -413,13 +413,7 @@ fn served_fault_outcomes_match_the_sweep_replay() {
         replayed += 1;
         let mut machine = Machine::new(config.clone());
         let (program, _) = plan.stage(item as u64, &mut machine);
-        machine
-            .core_mut()
-            .state_mut()
-            .mem
-            .set_page_budget(FAULT_PAGE_BUDGET);
-        machine.core_mut().set_budget(FAULT_INST_BUDGET);
-        machine.core_mut().set_cycle_budget(FAULT_CYCLE_BUDGET);
+        SWEEP_BUDGETS.apply(&mut machine);
         let fatal = verify_with(&program, &vconfig).verdict() == Verdict::Fatal;
         if let Response::ItemFailed {
             cause: "rejected", ..
