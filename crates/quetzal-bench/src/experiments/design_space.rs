@@ -2,11 +2,11 @@
 //! full core grid: dispatch/commit width × QBUFFER read ports × ROB
 //! size × store-forwarding window depth.
 //!
-//! The event-driven timing wheel (see `quetzal-uarch/src/wheel.rs`)
-//! makes the per-retire cost independent of the configured widths, so
-//! the whole grid batches through one [`BatchRunner`] prefetch and
-//! simulates in the time the old linear-scan engine needed for the
-//! widest points alone. All numbers are simulated cycles — exact and
+//! The timing engine's free-slot heaps (see
+//! `quetzal-uarch/src/wheel.rs`) keep the per-retire cost nearly
+//! independent of the configured widths, so the whole grid batches
+//! through one [`BatchRunner`] prefetch and simulates in the time the
+//! old linear-scan engine needed for the widest points alone. All numbers are simulated cycles — exact and
 //! deterministic — so both the table and the JSON artifact are
 //! byte-identical across hosts and `QUETZAL_THREADS` settings.
 //!

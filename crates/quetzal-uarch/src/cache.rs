@@ -9,7 +9,6 @@
 
 use crate::config::{CacheConfig, CoreConfig};
 use crate::stats::RunStats;
-use std::collections::HashMap;
 
 /// A set-associative LRU tag array.
 ///
@@ -107,7 +106,8 @@ impl CacheArray {
         evicted
     }
 
-    /// Whether a line is resident (no LRU update; for tests).
+    /// Whether a line is resident, without an LRU update (the prefetch
+    /// path checks residency before installing).
     pub fn contains(&self, line: u64) -> bool {
         let set = self.set_of(line);
         (0..self.ways).any(|w| {
@@ -138,14 +138,21 @@ impl CacheArray {
 /// Per-PC stride detector (degree-N line prefetcher on L1/L2, Table I).
 #[derive(Debug, Clone, Default)]
 struct StridePrefetcher {
-    /// pc -> (last line, last stride, confidence).
-    table: HashMap<u64, (u64, i64, u8)>,
+    /// `table[pc]` = (last line, last stride, confidence), `None` until
+    /// `pc` first touches memory. `pc` is an instruction index, so the
+    /// table grows on demand to the largest memory-accessing pc.
+    table: Vec<Option<(u64, i64, u8)>>,
 }
 
 impl StridePrefetcher {
-    /// Observes a demand access; returns lines to prefetch.
-    fn observe(&mut self, pc: u64, line: u64, degree: usize) -> Vec<u64> {
-        let entry = self.table.entry(pc).or_insert((line, 0, 0));
+    /// Observes a demand access; returns the stride to prefetch along
+    /// once the same non-zero stride has repeated twice.
+    fn observe(&mut self, pc: u64, line: u64) -> Option<i64> {
+        let pc = pc as usize;
+        if pc >= self.table.len() {
+            self.table.resize(pc + 1, None);
+        }
+        let entry = self.table[pc].get_or_insert((line, 0, 0));
         let stride = line as i64 - entry.0 as i64;
         if stride != 0 && stride == entry.1 {
             entry.2 = entry.2.saturating_add(1);
@@ -154,14 +161,7 @@ impl StridePrefetcher {
             entry.2 = 0;
         }
         entry.0 = line;
-        if entry.2 >= 2 && entry.1 != 0 {
-            let s = entry.1;
-            (1..=degree as i64)
-                .filter_map(|k| line.checked_add_signed(s * k))
-                .collect()
-        } else {
-            Vec::new()
-        }
+        (entry.2 >= 2 && entry.1 != 0).then_some(entry.1)
     }
 }
 
@@ -221,7 +221,12 @@ impl MemSystem {
             // Train the prefetcher on demand lines and install its
             // predictions without charging latency (they proceed in the
             // background; timing effect is the later hit).
-            for pl in self.prefetcher.observe(pc, line, self.prefetch_degree) {
+            let Some(s) = self.prefetcher.observe(pc, line) else {
+                continue;
+            };
+            let ahead =
+                (1..=self.prefetch_degree as i64).filter_map(|k| line.checked_add_signed(s * k));
+            for pl in ahead {
                 if !self.l2.contains(pl) {
                     stats.prefetches += 1;
                     stats.dram_bytes += self.l2.line_bytes() as u64;
@@ -349,6 +354,38 @@ mod tests {
             "after training, the stream should hit prefetched lines (cold={cold})"
         );
         assert!(s.prefetches > 0);
+    }
+
+    #[test]
+    fn reset_replays_like_a_fresh_system() {
+        // Five sparse pcs stream with different strides (one negative,
+        // one straddling lines) and interleave, so the stride table
+        // grows, trains and prefetches. The replay continues every
+        // stride of the warm-up, so a reset that kept the table would
+        // prefetch from its first access and diverge.
+        fn stream(m: &mut MemSystem, from: u64) -> (Vec<u64>, RunStats) {
+            let mut s = RunStats::default();
+            let cycles = (from..from + 600)
+                .map(|i| {
+                    let (pc, k) = (i % 5, i / 5);
+                    let addr = match pc {
+                        0 => 0x10_0000 + k * 64,
+                        1 => 0x80_0000 - k * 128,
+                        2 => 0x20_0000 + k * 192 + 60,
+                        3 => 0x30_0000 + (k % 7) * 64,
+                        _ => 0x40_0000 + k * 4096,
+                    };
+                    m.access(pc * 97, addr, 8, pc == 3, i * 3, &mut s)
+                })
+                .collect();
+            (cycles, s)
+        }
+        let (mut used, _) = sys();
+        let (_, warm) = stream(&mut used, 0);
+        assert!(warm.prefetches > 0, "the stream must train the prefetcher");
+        used.reset();
+        let (mut fresh, _) = sys();
+        assert_eq!(stream(&mut used, 600), stream(&mut fresh, 600));
     }
 
     #[test]

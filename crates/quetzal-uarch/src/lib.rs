@@ -66,4 +66,4 @@ pub use predecode::{MicroOp, Predecode};
 pub use probe::{MemLevelMix, NullProbe, Probe, RetireEvent};
 pub use state::{ArchState, SimMemory};
 pub use stats::{RunStats, StallCat};
-pub use wheel::{FreeWheel, RobRing, StoreIndex};
+pub use wheel::{FreeSlots, RobRing, StoreIndex};

@@ -27,7 +27,7 @@ use crate::config::CoreConfig;
 use crate::predecode::{FuClass, MicroOp, NO_DEF};
 use crate::probe::{MemLevelMix, NullProbe, Probe, RetireEvent};
 use crate::stats::{RunStats, StallCat};
-use crate::wheel::{FreeWheel, RobRing, StoreIndex};
+use crate::wheel::{FreeSlots, RobRing, StoreIndex};
 use quetzal_isa::{InstClass, Reg};
 
 /// One dynamic instruction record produced by the functional
@@ -77,19 +77,18 @@ pub struct OooTiming<P: Probe = NullProbe> {
     front_cycle: u64,
     front_slots: u64,
     fetch_resume: u64,
-    // Functional units / ports, tracked as timing wheels of "slot free
-    // at cycle" events (see [`crate::wheel`]); allocation cost is
-    // independent of the configured pool width.
-    fu_scalar: FreeWheel,
-    fu_vector: FreeWheel,
-    load_ports: FreeWheel,
-    store_ports: FreeWheel,
+    // Functional units / ports, tracked as min-heaps of per-unit free
+    // cycles (see [`crate::wheel`]); allocation costs O(log width).
+    fu_scalar: FreeSlots,
+    fu_vector: FreeSlots,
+    load_ports: FreeSlots,
+    store_ports: FreeSlots,
     // Dedicated indexed-access (gather/scatter) pipe: the A64FX cracks
     // memory-indexed SVE operations into a serial element stream through
     // a single pipeline, which is why their latency is >= 19 cycles even
     // on L1 hits (paper SII-G).
     gather_pipe: u64,
-    qz_port: FreeWheel,
+    qz_port: FreeSlots,
     // Recent stores for the store-to-load forwarding hazard model,
     // granule-indexed so a load consults only the stores near its
     // address instead of the whole window.
@@ -125,14 +124,14 @@ impl<P: Probe> OooTiming<P> {
         let rob = RobRing::new(cfg.rob_size.saturating_add(1));
         OooTiming {
             // Zero-width pools in a hand-built config would deadlock
-            // allocation; `FreeWheel` clamps to one unit so any config
+            // allocation; `FreeSlots` clamps to one unit so any config
             // simulates.
-            fu_scalar: FreeWheel::new(cfg.scalar_alus),
-            fu_vector: FreeWheel::new(cfg.vector_fus),
-            load_ports: FreeWheel::new(cfg.load_ports),
-            store_ports: FreeWheel::new(cfg.store_ports),
+            fu_scalar: FreeSlots::new(cfg.scalar_alus),
+            fu_vector: FreeSlots::new(cfg.vector_fus),
+            load_ports: FreeSlots::new(cfg.load_ports),
+            store_ports: FreeSlots::new(cfg.store_ports),
             gather_pipe: 0,
-            qz_port: FreeWheel::new(cfg.qz_read_ports),
+            qz_port: FreeSlots::new(cfg.qz_read_ports),
             store_buffer: StoreIndex::new(cfg.store_ring_slots),
             mem,
             cfg,
@@ -362,7 +361,7 @@ impl<P: Probe> OooTiming<P> {
     /// `Program`, however corrupted, so this is an internal invariant
     /// (`debug_assert!`), not a guest-reachable fault. The release
     /// fallback routes to the scalar pool rather than aborting.
-    fn compute_pool(&mut self, fu: FuClass) -> &mut FreeWheel {
+    fn compute_pool(&mut self, fu: FuClass) -> &mut FreeSlots {
         match fu {
             FuClass::Scalar => &mut self.fu_scalar,
             FuClass::Vector => &mut self.fu_vector,

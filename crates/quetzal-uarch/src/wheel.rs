@@ -1,4 +1,4 @@
-//! Event-keyed free-slot structures for the out-of-order timing engine.
+//! Free-slot structures for the out-of-order timing engine.
 //!
 //! The seed engine tracked every functional-unit pool as a `Vec<u64>` of
 //! per-slot free times and allocated by **min-scanning** the pool, and
@@ -7,12 +7,12 @@
 //! structure size, which is exactly the wrong shape for design-space
 //! sweeps over wide (8-/16-issue, deep-ring) configurations.
 //!
-//! This module replaces them with event-keyed equivalents:
+//! This module replaces them with:
 //!
-//! * [`FreeWheel`] — a calendar-queue timing wheel over "unit free at
-//!   cycle *c*" events. Allocation pops the earliest-free bucket and
-//!   re-inserts the slot at its new ready cycle: O(1) amortized,
-//!   independent of pool width.
+//! * [`FreeSlots`] — a binary min-heap of per-unit free cycles.
+//!   Allocation reads the root and sifts its new free cycle down:
+//!   O(log w) for a pool of width w, and a single store for the 1–2
+//!   unit pools of the Table I core.
 //! * [`StoreIndex`] — the same FIFO forwarding window the ring
 //!   implemented, plus a granule-keyed interval index so a load
 //!   consults only the stores that touch its address neighbourhood,
@@ -31,7 +31,8 @@
 //! * A min-scan allocation's start time depends only on the *minimum*
 //!   of the pool's free-time multiset, never on which slot holds it —
 //!   so any structure that maintains the same multiset and extracts its
-//!   minimum allocates identically.
+//!   minimum allocates identically. The heap holds exactly that
+//!   multiset, one entry per unit, with the minimum at the root.
 //! * The forwarding fold ignores non-overlapping stores entirely and
 //!   combines overlapping ones with `max`/`or`, which is order- and
 //!   duplicate-independent — so visiting any **superset** of the
@@ -39,202 +40,32 @@
 //!   strays, a store visited twice because it and the load both
 //!   straddle a granule boundary) folds to the same result as the full
 //!   ring scan, which visited *every* live store.
-//!
-//! # Wheel geometry, rotation and overflow
-//!
-//! Buckets are one cycle wide ([`FreeWheel::DEFAULT_WINDOW`] of them,
-//! power of two). The wheel covers the half-open cycle window
-//! `[base, base + window)`; `base` — the earliest cycle any free event
-//! can live at — only ever advances (the popped minimum is re-inserted
-//! at a strictly later cycle, so the multiset minimum is monotone).
-//! An occupancy bitmap (one bit per bucket) finds the next occupied
-//! bucket a 64-bucket word at a time, so a pop costs a couple of word
-//! scans rather than a walk over empty buckets. Events keyed beyond
-//! the window spill into a `BinaryHeap` overflow; as `base` rotates
-//! forward, overflow events whose cycle enters the window migrate back
-//! into buckets, and when the wheel goes empty `base` jumps straight to
-//! the overflow minimum.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Calendar-queue tracker of *unit free at cycle* events for a pool of
-/// identical functional units or ports.
+/// Free-cycle tracker for a pool of identical functional units or
+/// ports: a binary min-heap with one entry per unit.
 ///
 /// Semantics are exactly the seed min-scan with unit busy time: an
 /// allocation at request cycle `at` starts at `max(pool minimum, at)`
 /// and returns the slot to the pool `busy` cycles later.
 #[derive(Debug, Clone)]
-pub struct FreeWheel {
-    /// Free events per cycle, indexed by `cycle & mask`.
-    counts: Box<[u32]>,
-    /// Occupancy bitmap over `counts` (bit set ⇔ bucket non-empty).
-    words: Box<[u64]>,
-    mask: u64,
-    /// Cycle of the earliest possible wheel event; all bucketed events
-    /// lie in `[base, base + window)`, all overflow events at or above
-    /// `base + window` when they spilled.
-    base: u64,
-    /// Events currently bucketed.
-    in_wheel: u32,
-    /// Events beyond the window (rare: a request cycle far above the
-    /// pool minimum, e.g. an operand arriving from a DRAM miss chain).
-    overflow: BinaryHeap<Reverse<u64>>,
-    /// Pool width (total events in wheel + overflow at rest).
-    units: u32,
+pub struct FreeSlots {
+    /// Per-unit free cycles in heap order: `heap[i] <= heap[2i + 1]`
+    /// and `heap[i] <= heap[2i + 2]`, so `heap[0]` is the pool minimum.
+    heap: Box<[u64]>,
 }
 
-impl FreeWheel {
-    /// Default bucket count: covers a window far wider than any
-    /// realistic spread between the pool's earliest and latest free
-    /// times (bounded by pool width × the longest operand-arrival gap);
-    /// anything beyond spills to the overflow heap, losslessly.
-    pub const DEFAULT_WINDOW: usize = 1024;
-
-    /// A pool of `units` slots, all free at cycle 0.
-    pub fn new(units: usize) -> FreeWheel {
-        FreeWheel::with_window(units, Self::DEFAULT_WINDOW)
-    }
-
-    /// A pool with an explicit bucket count (rounded up to a power of
-    /// two, minimum 2). Small windows force heavy rotation/overflow
-    /// traffic — the differential tests use this to stress that path.
-    pub fn with_window(units: usize, window: usize) -> FreeWheel {
-        let units = units.max(1);
-        let window = window.max(2).next_power_of_two();
-        let mut counts = vec![0u32; window].into_boxed_slice();
-        counts[0] = units as u32;
-        let mut words = vec![0u64; window.div_ceil(64)].into_boxed_slice();
-        words[0] = 1;
-        FreeWheel {
-            counts,
-            words,
-            mask: (window - 1) as u64,
-            base: 0,
-            in_wheel: units as u32,
-            overflow: BinaryHeap::new(),
-            units: units as u32,
+impl FreeSlots {
+    /// A pool of `units` slots, all free at cycle 0. A zero-width pool
+    /// would deadlock allocation, so it clamps to one unit.
+    pub fn new(units: usize) -> FreeSlots {
+        FreeSlots {
+            heap: vec![0; units.max(1)].into_boxed_slice(),
         }
     }
 
-    /// Pool width.
-    pub fn units(&self) -> usize {
-        self.units as usize
-    }
-
-    /// Returns every slot to "free at cycle 0" (cold boot). Keeps the
-    /// bucket allocation.
+    /// Returns every slot to "free at cycle 0" (cold boot).
     pub fn reset(&mut self) {
-        self.counts.fill(0);
-        self.counts[0] = self.units;
-        self.words.fill(0);
-        self.words[0] = 1;
-        self.base = 0;
-        self.in_wheel = self.units;
-        self.overflow.clear();
-    }
-
-    #[inline]
-    fn bucket(&self, cycle: u64) -> usize {
-        (cycle & self.mask) as usize
-    }
-
-    /// Adds one event to bucket `b`, maintaining the bitmap.
-    #[inline]
-    fn fill_bucket(&mut self, b: usize) {
-        self.counts[b] += 1;
-        self.words[b >> 6] |= 1u64 << (b & 63);
-        self.in_wheel += 1;
-    }
-
-    /// Removes one event from bucket `b`, maintaining the bitmap.
-    #[inline]
-    fn drain_bucket(&mut self, b: usize) {
-        self.counts[b] -= 1;
-        if self.counts[b] == 0 {
-            self.words[b >> 6] &= !(1u64 << (b & 63));
-        }
-        self.in_wheel -= 1;
-    }
-
-    /// Index of the first occupied bucket at or cyclically after
-    /// `start`, found a 64-bucket word at a time. Returns `start` + the
-    /// cyclic distance; caller guarantees the wheel is non-empty.
-    #[inline]
-    fn next_occupied(&self, start: usize) -> usize {
-        let (w0, bit) = (start >> 6, start & 63);
-        // First (partial) word: only bits at or after `start`.
-        let masked = self.words[w0] & (u64::MAX << bit);
-        if masked != 0 {
-            return (w0 << 6) | masked.trailing_zeros() as usize;
-        }
-        let n = self.words.len();
-        for step in 1..=n {
-            let w = (w0 + step) % n;
-            if self.words[w] != 0 {
-                return (w << 6) | self.words[w].trailing_zeros() as usize;
-            }
-        }
-        // Unreachable with in_wheel > 0; fall back to the cursor.
-        debug_assert!(false, "occupancy bitmap empty with events in wheel");
-        start
-    }
-
-    /// Extracts the earliest free event. The pool is never empty
-    /// between operations (every pop is followed by an insert), so this
-    /// always finds one; a corrupted-state fallback returns `base`
-    /// rather than spinning.
-    ///
-    /// After the loop-top migration, any remaining overflow event is at
-    /// or above `base + window` while every bucketed event is below it,
-    /// so the bucketed minimum is the global minimum and `base` can
-    /// jump straight to it (the multiset minimum is monotone, so no
-    /// later event is skipped).
-    fn pop_min(&mut self) -> u64 {
-        let window = self.mask + 1;
-        loop {
-            // Migrate overflow events the advancing window has reached.
-            while let Some(&Reverse(f)) = self.overflow.peek() {
-                if f >= self.base + window {
-                    break;
-                }
-                self.overflow.pop();
-                let b = self.bucket(f);
-                self.fill_bucket(b);
-            }
-            if self.in_wheel == 0 {
-                match self.overflow.peek() {
-                    // Wheel dry, overflow live: jump the window to the
-                    // overflow minimum and let migration pull it in.
-                    Some(&Reverse(f)) => {
-                        self.base = f;
-                        continue;
-                    }
-                    None => {
-                        debug_assert!(false, "empty free-slot pool");
-                        return self.base;
-                    }
-                }
-            }
-            let bb = self.bucket(self.base);
-            let fb = self.next_occupied(bb);
-            let delta = (fb.wrapping_sub(bb) as u64) & self.mask;
-            let min = self.base + delta;
-            self.drain_bucket(fb);
-            self.base = min;
-            return min;
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, cycle: u64) {
-        debug_assert!(cycle >= self.base, "free event behind the window");
-        if cycle < self.base + self.mask + 1 {
-            let b = self.bucket(cycle);
-            self.fill_bucket(b);
-        } else {
-            self.overflow.push(Reverse(cycle));
-        }
+        self.heap.fill(0);
     }
 
     /// Allocates the earliest-free slot for a request at cycle `at`
@@ -242,9 +73,30 @@ impl FreeWheel {
     /// `max(earliest free, at)`, exactly as the seed min-scan did.
     #[inline]
     pub fn alloc(&mut self, at: u64, busy: u64) -> u64 {
-        let min = self.pop_min();
-        let start = min.max(at);
-        self.insert(start + busy);
+        let start = self.heap[0].max(at);
+        // Replace the root with the slot's new free cycle and sift it
+        // down past every smaller child.
+        let free = start + busy;
+        let heap = &mut self.heap;
+        let mut i = 0;
+        loop {
+            let left = 2 * i + 1;
+            if left >= heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < heap.len() && heap[right] < heap[left] {
+                right
+            } else {
+                left
+            };
+            if heap[child] >= free {
+                break;
+            }
+            heap[i] = heap[child];
+            i = child;
+        }
+        heap[i] = free;
         start
     }
 }
@@ -316,34 +168,6 @@ impl StoreIndex {
             node_bucket: vec![NO_NODE; 2 * depth].into_boxed_slice(),
             shift: 64 - buckets.trailing_zeros(),
         }
-    }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the window holds no stores.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Window capacity.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Nodes currently chained in the index. Bounded by `2 * depth`
-    /// however long the run: each live store owns exactly two
-    /// preallocated nodes and eviction unlinks them.
-    pub fn index_node_count(&self) -> usize {
-        self.node_bucket.iter().filter(|&&b| b != NO_NODE).count()
-    }
-
-    /// The live entries, in no particular order (the forwarding fold is
-    /// order-independent).
-    pub fn entries(&self) -> &[(u64, u32, u64)] {
-        &self.slots[..self.len]
     }
 
     /// Empties the window (cold boot).
@@ -436,6 +260,38 @@ impl StoreIndex {
                 node = self.next[node as usize];
             }
         }
+    }
+}
+
+/// Introspection for the window-bound tests.
+#[cfg(test)]
+impl StoreIndex {
+    /// Live entry count.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the window holds no stores.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Window capacity.
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Nodes currently chained in the index. Bounded by `2 * depth`
+    /// however long the run: each live store owns exactly two
+    /// preallocated nodes and eviction unlinks them.
+    pub(crate) fn index_node_count(&self) -> usize {
+        self.node_bucket.iter().filter(|&&b| b != NO_NODE).count()
+    }
+
+    /// The live entries, in no particular order (the forwarding fold is
+    /// order-independent).
+    pub(crate) fn entries(&self) -> &[(u64, u32, u64)] {
+        &self.slots[..self.len]
     }
 }
 
@@ -549,35 +405,33 @@ mod tests {
     #[test]
     fn wheel_matches_linear_scan_on_random_schedules() {
         for units in [1usize, 2, 3, 8, 17] {
-            for window in [2usize, 8, FreeWheel::DEFAULT_WINDOW] {
-                let mut rng = Rng(0xC0FFEE ^ units as u64 ^ (window as u64) << 32);
-                let mut wheel = FreeWheel::with_window(units, window);
-                let mut lin = LinearPool(vec![0; units]);
-                let mut at = 0u64;
-                for step in 0..5000u64 {
-                    // Mixed request pattern: local jitter, occasional
-                    // big forward jumps (operands from a miss chain),
-                    // occasional stale (past) request cycles.
-                    at = match rng.below(10) {
-                        0 => at + rng.below(5000),
-                        1 => at.saturating_sub(rng.below(100)),
-                        _ => at + rng.below(4),
-                    };
-                    let busy = 1 + rng.below(3);
-                    assert_eq!(
-                        wheel.alloc(at, busy),
-                        lin.alloc(at, busy),
-                        "units={units} window={window} step={step}"
-                    );
-                }
+            let mut rng = Rng(0xC0FFEE ^ units as u64);
+            let mut slots = FreeSlots::new(units);
+            let mut lin = LinearPool(vec![0; units]);
+            let mut at = 0u64;
+            for step in 0..20_000u64 {
+                // Mixed request pattern: local jitter, occasional big
+                // forward jumps (operands from a miss chain), occasional
+                // stale (past) request cycles.
+                at = match rng.below(10) {
+                    0 => at + rng.below(5000),
+                    1 => at.saturating_sub(rng.below(100)),
+                    _ => at + rng.below(4),
+                };
+                let busy = 1 + rng.below(3);
+                assert_eq!(
+                    slots.alloc(at, busy),
+                    lin.alloc(at, busy),
+                    "units={units} step={step}"
+                );
             }
         }
     }
 
     #[test]
     fn wheel_reset_restores_cold_boot() {
-        let mut w = FreeWheel::new(2);
-        let mut fresh = FreeWheel::new(2);
+        let mut w = FreeSlots::new(2);
+        let mut fresh = FreeSlots::new(2);
         for at in [0, 5, 1_000_000, 3] {
             w.alloc(at, 1);
         }
@@ -589,17 +443,16 @@ mod tests {
 
     #[test]
     fn wheel_zero_width_pool_clamps_to_one() {
-        let mut w = FreeWheel::new(0);
-        assert_eq!(w.units(), 1);
+        let mut w = FreeSlots::new(0);
         assert_eq!(w.alloc(10, 1), 10);
         assert_eq!(w.alloc(0, 1), 11);
     }
 
     #[test]
-    fn wheel_overflow_spill_and_return() {
-        // Window of 2 buckets with jumps far beyond it: every insert
-        // overflows, every pop migrates or rebase-jumps.
-        let mut w = FreeWheel::with_window(1, 2);
+    fn wheel_far_jump_then_stale_request() {
+        // A request far beyond the pool's free cycle starts at the
+        // request; a stale request after it queues behind it.
+        let mut w = FreeSlots::new(1);
         assert_eq!(w.alloc(1000, 1), 1000);
         assert_eq!(w.alloc(0, 1), 1001);
         assert_eq!(w.alloc(5000, 1), 5000);

@@ -28,11 +28,13 @@
 //! pool's retry-once-on-a-fresh-machine boundary (PR 4) records a
 //! failure line and keeps the shard going; per *shard*, an optional
 //! wall-clock deadline or retired-instruction budget quarantines the
-//! remainder of the shard — unrun items get typed `shard-deadline`
-//! failure lines, the manifest records the quarantine cause, and the
-//! run continues with the next shard. The wall-clock deadline is
-//! inherently nondeterministic and is **off by default**; the
-//! instruction budget is checked at deterministic chunk boundaries.
+//! remainder of the shard — items past the overrun get typed
+//! `shard-deadline` failure lines, the manifest records the quarantine
+//! cause, and the run continues with the next shard. Both are checked
+//! after every chunk. The wall-clock deadline is inherently
+//! nondeterministic and is **off by default**; the instruction budget
+//! binds on the item-ordered prefix sum of retired instructions, so it
+//! cuts at the same item on every host, thread count and chunk size.
 
 pub mod manifest;
 
@@ -96,14 +98,18 @@ pub struct CrashPlan {
 /// Per-shard execution bounds. Both default to unbounded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardDeadline {
-    /// Wall-clock bound per shard, checked at chunk boundaries.
-    /// **Nondeterministic** — a quarantine moves with host load — so
-    /// off by default and documented as an operational safety valve,
-    /// not a reproducibility feature.
+    /// Wall-clock bound per shard, checked after every chunk: the
+    /// chunks after an overrun are not run. **Nondeterministic** — a
+    /// quarantine moves with host load — so off by default and
+    /// documented as an operational safety valve, not a
+    /// reproducibility feature.
     pub wall: Option<Duration>,
-    /// Retired-instruction budget per shard, checked at chunk
-    /// boundaries. Deterministic: the same input quarantines at the
-    /// same boundary on every host and thread count.
+    /// Retired-instruction budget per shard, applied after every chunk
+    /// to the item-ordered prefix sum of retired instructions: the item
+    /// whose count crosses the budget keeps its result and every later
+    /// item is a `shard-deadline` line. Deterministic: the same input
+    /// quarantines at the same item on every host, thread count and
+    /// chunk size.
     pub instructions: Option<u64>,
 }
 
@@ -118,7 +124,8 @@ pub struct IngestConfig {
     /// bound (one shard of items is in memory at a time).
     pub shard_items: usize,
     /// Items per [`BatchRunner`] chunk within a shard; also the
-    /// deadline-check granularity.
+    /// granularity of the deadline checks, and so the most work an
+    /// overrun can waste.
     pub chunk_items: usize,
     /// Per-shard execution bounds.
     pub deadline: ShardDeadline,
@@ -501,26 +508,6 @@ fn run_shard<T: Sync>(
     let chunk_items = config.chunk_items.max(1);
     for (chunk_idx, chunk) in items.chunks(chunk_items).enumerate() {
         let chunk_base = start + (chunk_idx * chunk_items) as u64;
-        let done = (chunk_idx * chunk_items) as u64;
-        if quarantined.is_none() {
-            if let Some(budget) = config.deadline.instructions {
-                if instructions > budget {
-                    quarantined = Some(format!(
-                        "instruction budget {budget} exceeded ({instructions} retired after {done} item(s))"
-                    ));
-                }
-            }
-            if let Some(wall) = config.deadline.wall {
-                let elapsed = shard_started.elapsed();
-                if elapsed > wall {
-                    quarantined = Some(format!(
-                        "wall deadline {}ms exceeded ({}ms elapsed after {done} item(s))",
-                        wall.as_millis(),
-                        elapsed.as_millis()
-                    ));
-                }
-            }
-        }
         if let Some(cause) = &quarantined {
             for local in 0..chunk.len() {
                 lines.push_str(&failed_line(
@@ -539,6 +526,14 @@ fn run_shard<T: Sync>(
             .map_err(IngestError::Infra)?;
         for (local, (slot, failure)) in report.slots().enumerate() {
             let item = chunk_base + local as u64;
+            // Items after the one whose retired instructions crossed the
+            // budget ran, but their results are dropped: the prefix sum
+            // in item order is the same at any thread count or chunk size.
+            if let Some(cause) = &quarantined {
+                lines.push_str(&failed_line(item, "shard-deadline", cause));
+                failed += 1;
+                continue;
+            }
             match slot {
                 Some(out) => {
                     ok += 1;
@@ -559,6 +554,25 @@ fn run_shard<T: Sync>(
                         &failure.cause.to_string(),
                     ));
                 }
+            }
+            if let Some(budget) = config.deadline.instructions {
+                if instructions > budget {
+                    let done = item - start + 1;
+                    quarantined = Some(format!(
+                        "instruction budget {budget} exceeded ({instructions} retired after {done} item(s))"
+                    ));
+                }
+            }
+        }
+        if let Some(wall) = config.deadline.wall {
+            let elapsed = shard_started.elapsed();
+            if quarantined.is_none() && elapsed > wall {
+                let done = ((chunk_idx + 1) * chunk_items).min(items.len());
+                quarantined = Some(format!(
+                    "wall deadline {}ms exceeded ({}ms elapsed after {done} item(s))",
+                    wall.as_millis(),
+                    elapsed.as_millis()
+                ));
             }
         }
     }
@@ -1022,6 +1036,55 @@ mod tests {
         assert_eq!(retried.shards_quarantined, 0);
         assert_eq!((retried.ok, retried.failed), (6, 0));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn instruction_budget_binds_inside_a_single_chunk() {
+        // Each shard fits in one chunk, so no chunk boundary ever falls
+        // inside a shard: the budget must bind after the chunk runs.
+        // Shard 1 holds one item, so its overrun is in its last item.
+        let mut outputs = Vec::new();
+        for threads in [1, 4] {
+            let dir = tmp_dir(&format!("budget-one-chunk-{threads}"));
+            let config = IngestConfig {
+                shard_items: 4,
+                chunk_items: 32,
+                deadline: ShardDeadline {
+                    wall: None,
+                    instructions: Some(1),
+                },
+                heartbeat: None,
+                ..IngestConfig::new(&dir)
+            };
+            let runner = BatchRunner::new(threads);
+            let pool = MachinePool::new(&MachineConfig::default(), ExecMode::Cycle);
+            let mut reports = Vec::new();
+            let summary = run_ingest(
+                &config,
+                &runner,
+                &pool,
+                (0..5).map(Ok::<u64, std::convert::Infallible>),
+                |i| *i,
+                tiny_work,
+                |r| reports.push(r.clone()),
+            )
+            .unwrap();
+            assert_eq!(summary.shards_quarantined, 2, "threads={threads}");
+            assert!(reports.iter().all(|r| r.quarantined.is_some()));
+            // The item that crosses the budget keeps its result; every
+            // later item in the shard is a deadline line.
+            assert_eq!((summary.ok, summary.failed), (2, 3), "threads={threads}");
+            let text = concat_string(&dir, summary.shards);
+            let deadline: Vec<_> = text
+                .lines()
+                .filter(|l| l.contains("\"cause\":\"shard-deadline\""))
+                .collect();
+            assert_eq!(deadline.len(), 3);
+            assert!(deadline.iter().all(|l| !l.starts_with("{\"item\":0,")));
+            outputs.push(text);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        assert_eq!(outputs[0], outputs[1], "same output at 1 and 4 threads");
     }
 
     #[test]

@@ -163,6 +163,11 @@ echo "==> smoke: qzingest crash/resume, byte-identical at 1 and 4 threads"
 # and a third mid-manifest-write (torn manifest on disk), resume both,
 # and require the assembled reports byte-identical to the uninterrupted
 # run — with the killed run and its resume at different thread counts.
+# Prints "<resumed> <quarantined> <torn>" from qzingest's closing
+# summary line (empty when the line is missing).
+ingest_counts() {
+    sed -nE 's/^qzingest: [0-9]+ item\(s\) in [0-9]+ shard\(s\) \(([0-9]+) resumed, ([0-9]+) quarantined, ([0-9]+) torn manifest\(s\)\).*/\1 \2 \3/p' "$1"
+}
 ./target/release/qzingest stage --dataset 100bp_1 --pairs 48 \
     --out "$out_dir/pairs.tsv" 2>/dev/null
 QUETZAL_THREADS=1 ./target/release/qzingest run --input "$out_dir/pairs.tsv" \
@@ -179,7 +184,8 @@ QUETZAL_THREADS=4 ./target/release/qzingest run --input "$out_dir/pairs.tsv" \
     --shard 8 --quiet 2> "$out_dir/ingest-resume.log"
 cmp "$out_dir/ingest-fresh.out" "$out_dir/ingest-resumed.out" \
     || { echo "FAIL: resumed ingest differs from uninterrupted run"; exit 1; }
-grep -q "3 resumed" "$out_dir/ingest-resume.log" \
+read -r resumed _ _ <<< "$(ingest_counts "$out_dir/ingest-resume.log")"
+[ "$resumed" = 3 ] \
     || { echo "FAIL: resume re-ran shards instead of validating checkpoints"; exit 1; }
 rc=0
 QUETZAL_THREADS=4 ./target/release/qzingest run --input "$out_dir/pairs.tsv" \
@@ -192,8 +198,17 @@ QUETZAL_THREADS=1 ./target/release/qzingest run --input "$out_dir/pairs.tsv" \
     --shard 8 --quiet 2> "$out_dir/ingest-torn.log"
 cmp "$out_dir/ingest-fresh.out" "$out_dir/ingest-torn.out" \
     || { echo "FAIL: torn-manifest recovery differs from uninterrupted run"; exit 1; }
-grep -q "1 torn" "$out_dir/ingest-torn.log" \
+read -r _ _ torn <<< "$(ingest_counts "$out_dir/ingest-torn.log")"
+[ "$torn" = 1 ] \
     || { echo "FAIL: recovery never flagged the torn manifest"; exit 1; }
+# A shard instruction budget below one pair's retired count must bind
+# inside the shard's single chunk (8-item shards, 32-item chunks).
+QUETZAL_THREADS=4 ./target/release/qzingest run --input "$out_dir/pairs.tsv" \
+    --ckpt "$out_dir/ck-budget" --shard 8 --shard-insts 100 --quiet \
+    2> "$out_dir/ingest-budget.log"
+read -r _ quarantined _ <<< "$(ingest_counts "$out_dir/ingest-budget.log")"
+[ "${quarantined:-0}" -ge 1 ] \
+    || { echo "FAIL: --shard-insts 100 quarantined no shard"; exit 1; }
 
 echo "==> smoke: qz_align over the staged pair file, every algorithm"
 # The CLI aligner shares the pair path of qzingest/qzserved (windowed
@@ -227,7 +242,7 @@ echo "==> perf trajectory: BENCH_uarch.json (simulated MIPS, both engines)"
 # bench_uarch writes the artifact, then gates the two floors it computed
 # and exits non-zero if either trips:
 # * the cycle engine's geomean must clear 6.0 sim-MIPS at the default
-#   config (the event-driven timing wheel must not cost throughput).
+#   config (the timing engine's free-slot heaps must not cost throughput).
 #   The floor sits well below the measured geomean so it only trips on
 #   structural regressions, e.g. a per-retire cost that scales with the
 #   configured widths, not on a slow runner;
