@@ -6,7 +6,7 @@
 //!                [--algo wfa|biwfa|ss|sw|nw] [--tier base|vec|quetzal|quetzal+c]
 //!                [--alphabet dna|rna|protein] [--threshold N]
 //!                [--shard N] [--chunk N] [--expect N]
-//!                [--deadline-ms N] [--shard-insts N|auto] [--retry-quarantined]
+//!                [--deadline-ms N] [--shard-insts N] [--retry-quarantined]
 //!                [--heartbeat-ms N] [--quiet]
 //!                [--crash-after-shard K] [--crash-mid-manifest K]
 //! ```
@@ -19,21 +19,23 @@
 //! last committed shard. The final `--output` report of a resumed run
 //! is byte-identical to an uninterrupted run at any `QUETZAL_THREADS`.
 //!
+//! `--deadline-ms N` and `--shard-insts N` are a shard's wall-clock and
+//! retired-instruction deadlines, both caller-chosen numbers: a shard
+//! that overruns either commits `quarantined`, and
+//! `--retry-quarantined` re-runs such shards on resume.
+//!
 //! The `--crash-*` flags arm the crash-injection plan used by the CI
 //! recovery smoke: the process dies with exit code 137 at the chosen
 //! shard boundary or mid-manifest-write.
 
 use quetzal::ingest::{self, pair_digest, CrashPlan, IngestConfig, ItemOutput, ShardDeadline};
-use quetzal::{BatchRunner, Machine, MachineConfig, MachinePool};
+use quetzal::{BatchRunner, MachineConfig, MachinePool};
 use quetzal_algos::Tier;
 use quetzal_bench::workloads::{try_simulate_pair_outcome, Algo, SEED};
-use quetzal_genomics::dataset::SeqPair;
 use quetzal_genomics::fasta::PairReader;
-use quetzal_genomics::{Alphabet, DatasetSpec, Seq};
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use quetzal_genomics::{Alphabet, DatasetSpec};
+use std::io::{BufReader, BufWriter, Write};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 fn usage() -> ! {
@@ -42,7 +44,7 @@ fn usage() -> ! {
          \x20 stage: --dataset NAME --pairs N --out FILE [--seed S]\n\
          \x20 run:   --input FILE --ckpt DIR [--output FILE] [--algo A] [--tier T]\n\
          \x20        [--alphabet dna|rna|protein] [--threshold N] [--shard N] [--chunk N]\n\
-         \x20        [--expect N] [--deadline-ms N] [--shard-insts N|auto] [--retry-quarantined]\n\
+         \x20        [--expect N] [--deadline-ms N] [--shard-insts N] [--retry-quarantined]\n\
          \x20        [--heartbeat-ms N] [--quiet] [--crash-after-shard K] [--crash-mid-manifest K]"
     );
     std::process::exit(2);
@@ -70,7 +72,6 @@ struct Options {
     expect: Option<u64>,
     deadline_ms: Option<u64>,
     shard_insts: Option<u64>,
-    shard_insts_auto: bool,
     retry_quarantined: bool,
     heartbeat_ms: u64,
     quiet: bool,
@@ -97,7 +98,6 @@ impl Default for Options {
             expect: None,
             deadline_ms: None,
             shard_insts: None,
-            shard_insts_auto: false,
             retry_quarantined: false,
             heartbeat_ms: 2000,
             quiet: false,
@@ -154,17 +154,7 @@ fn parse_options(mut args: impl Iterator<Item = String>) -> Options {
             "--chunk" => opts.chunk = num(&mut args, "--chunk"),
             "--expect" => opts.expect = Some(num(&mut args, "--expect")),
             "--deadline-ms" => opts.deadline_ms = Some(num(&mut args, "--deadline-ms")),
-            "--shard-insts" => {
-                let v = next_arg(&mut args, "--shard-insts");
-                if v == "auto" {
-                    opts.shard_insts_auto = true;
-                } else {
-                    opts.shard_insts = Some(
-                        v.parse()
-                            .unwrap_or_else(|_| fail("--shard-insts needs a number or 'auto'")),
-                    );
-                }
-            }
+            "--shard-insts" => opts.shard_insts = Some(num(&mut args, "--shard-insts")),
             "--retry-quarantined" => opts.retry_quarantined = true,
             "--heartbeat-ms" => opts.heartbeat_ms = num(&mut args, "--heartbeat-ms"),
             "--quiet" => opts.quiet = true,
@@ -206,106 +196,6 @@ fn run_stage(opts: &Options) {
     );
 }
 
-/// Programs staged by the `--shard-insts auto` probe run, gated so the
-/// process-wide build observer ignores the real ingest that follows.
-static PROBED: Mutex<Vec<quetzal::Program>> = Mutex::new(Vec::new());
-static PROBING: AtomicBool = AtomicBool::new(false);
-
-/// Derives the `--shard-insts auto` budget: the staged kernels' proven
-/// retired-instruction bound for one worst-case item, times the shard
-/// size.
-///
-/// The probe scans the pair file for the longest pattern and text, runs
-/// one synthetic pair of those lengths through the exact simulation
-/// path the ingest will use (collecting every program it stages via the
-/// ISA build observer), and statically verifies each staged program.
-/// The per-item ceiling is the *sum* of the proven instruction bounds —
-/// each observed build is run once per item by the in-tree drivers —
-/// and the in-tree kernels' bounds are monotone in operand length, so
-/// the max-length probe dominates every real item. Returns `None` (and
-/// says so) when any staged program's bound is unbounded or rests on a
-/// staged-data premise: the shard then keeps the global watchdog.
-fn auto_shard_insts(opts: &Options, input: &PathBuf) -> Option<u64> {
-    let file = std::fs::File::open(input)
-        .unwrap_or_else(|e| fail(&format!("cannot open {}: {e}", input.display())));
-    let (mut max_pattern, mut max_text) = (0usize, 0usize);
-    for line in BufReader::new(file).lines() {
-        let line = line.unwrap_or_else(|e| fail(&format!("reading {}: {e}", input.display())));
-        let (pattern, text) = line.split_once('\t').unwrap_or((line.as_str(), ""));
-        max_pattern = max_pattern.max(pattern.len());
-        max_text = max_text.max(text.len());
-    }
-    if max_pattern == 0 || max_text == 0 {
-        eprintln!("qzingest: --shard-insts auto: empty input, keeping the global watchdog");
-        return None;
-    }
-    // 'A' is a valid symbol of all three alphabets; bounds depend on
-    // operand lengths (loop trips), not symbol content.
-    let pair = SeqPair {
-        pattern: Seq::new(vec![b'A'; max_pattern], opts.alphabet)
-            .unwrap_or_else(|e| fail(&format!("synthesising probe pattern: {e}"))),
-        text: Seq::new(vec![b'A'; max_text], opts.alphabet)
-            .unwrap_or_else(|e| fail(&format!("synthesising probe text: {e}"))),
-    };
-    quetzal::isa::set_build_observer(|program| {
-        if PROBING.load(Ordering::Relaxed) {
-            PROBED
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(program.clone());
-        }
-    });
-    PROBING.store(true, Ordering::Relaxed);
-    let mut machine = Machine::new(MachineConfig::default());
-    let probe_run = try_simulate_pair_outcome(
-        &mut machine,
-        opts.algo,
-        opts.alphabet,
-        opts.threshold,
-        &pair,
-        opts.tier,
-    );
-    PROBING.store(false, Ordering::Relaxed);
-    if let Err(e) = probe_run {
-        eprintln!(
-            "qzingest: --shard-insts auto: probe run faulted ({e}), keeping the global watchdog"
-        );
-        return None;
-    }
-    let programs = std::mem::take(&mut *PROBED.lock().unwrap_or_else(|e| e.into_inner()));
-    let mut per_item = 0u64;
-    for program in &programs {
-        let report = quetzal::verify::verify(program);
-        let bound = report.bound();
-        match bound.instructions {
-            Some(insts) if !bound.premised => per_item = per_item.saturating_add(insts),
-            _ => {
-                eprintln!(
-                    "qzingest: --shard-insts auto: kernel '{}' has no unconditional \
-                     instruction bound, keeping the global watchdog",
-                    program.name()
-                );
-                return None;
-            }
-        }
-    }
-    if programs.is_empty() || per_item == 0 {
-        eprintln!(
-            "qzingest: --shard-insts auto: probe staged no kernels, keeping the global watchdog"
-        );
-        return None;
-    }
-    let budget = per_item.saturating_mul(opts.shard.max(1) as u64);
-    if !opts.quiet {
-        eprintln!(
-            "qzingest: --shard-insts auto: {} staged kernel(s), proven ≤ {per_item} \
-             insts/item ({max_pattern}bp × {max_text}bp) → shard budget {budget}",
-            programs.len()
-        );
-    }
-    Some(budget)
-}
-
 fn run_ingest(opts: &Options) {
     let input = opts
         .input
@@ -315,17 +205,12 @@ fn run_ingest(opts: &Options) {
         .ckpt
         .as_ref()
         .unwrap_or_else(|| fail("run needs --ckpt DIR"));
-    let shard_insts = if opts.shard_insts_auto {
-        auto_shard_insts(opts, input)
-    } else {
-        opts.shard_insts
-    };
     let config = IngestConfig {
         shard_items: opts.shard.max(1),
         chunk_items: opts.chunk.max(1),
         deadline: ShardDeadline {
             wall: opts.deadline_ms.map(Duration::from_millis),
-            instructions: shard_insts,
+            instructions: opts.shard_insts,
         },
         heartbeat: if opts.quiet {
             None

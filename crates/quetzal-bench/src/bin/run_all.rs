@@ -2,12 +2,11 @@
 //! scale with the QUETZAL_SCALE environment variable.
 //!
 //! Experiment tables go to stdout and are deterministic (byte-identical
-//! across hosts and `QUETZAL_THREADS` values). The simulator-throughput
-//! summary — the same table `bench_uarch` measures for
-//! `BENCH_uarch.json` — is wall-clock-dependent, so it goes to stderr,
-//! as does the optional `--cpi-stacks` probed-replay summary (it is
+//! across hosts and `QUETZAL_THREADS` values). The optional
+//! `--cpi-stacks` probed-replay summary goes to stderr (it is
 //! deterministic too, but keeping stdout's byte-identity contract
-//! independent of flags keeps the CI comparison simple).
+//! independent of flags keeps the CI comparison simple). Simulator
+//! throughput is `bench_uarch`'s job, not this one's.
 fn main() {
     let cpi_stacks = std::env::args().skip(1).any(|a| a == "--cpi-stacks");
     let scale = quetzal_bench::scale_from_env();
@@ -18,6 +17,4 @@ fn main() {
     if cpi_stacks {
         eprint!("{}", quetzal_bench::trace::cpi_stacks_summary(scale));
     }
-    let throughput = quetzal_bench::throughput::measure_fig_kernels(scale);
-    eprint!("{}", quetzal_bench::throughput::summary_table(&throughput));
 }

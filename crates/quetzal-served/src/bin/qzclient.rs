@@ -265,8 +265,8 @@ fn run_submit(opts: &Options, spec: &JobSpec) {
                 );
                 if s.bounded + s.clean + s.warnings > 0 {
                     eprintln!(
-                        "qzclient: admission verdicts: {} bounded (pre-sized budgets), \
-                         {} clean, {} warnings, {} rejected",
+                        "qzclient: admission verdicts: {} bounded, {} clean, {} warnings, \
+                         {} rejected",
                         s.bounded, s.clean, s.warnings, s.rejected
                     );
                 }
@@ -311,15 +311,14 @@ fn stage_ingest_job(opts: &Options) -> JobSpec {
 
 /// Renders the human-readable digest of a stats frame on stderr (stdout
 /// keeps the raw JSON for scripted consumers): the admission-verdict
-/// tallies and each tenant's proof-pre-sized item count.
+/// tallies and each tenant's in-flight load.
 fn render_stats_summary(stats: &quetzal_trace::json::Value) {
     let field = |v: &quetzal_trace::json::Value, key: &str| {
         v.get(key).and_then(|f| f.as_u64()).unwrap_or(0)
     };
     if let Some(admission) = stats.get("admission") {
         eprintln!(
-            "qzclient: admission verdicts: {} bounded (pre-sized budgets), \
-             {} clean, {} warnings, {} rejected",
+            "qzclient: admission verdicts: {} bounded, {} clean, {} warnings, {} rejected",
             field(admission, "bounded"),
             field(admission, "clean"),
             field(admission, "warnings"),
@@ -329,12 +328,10 @@ fn render_stats_summary(stats: &quetzal_trace::json::Value) {
     if let Some(quetzal_trace::json::Value::Object(tenants)) = stats.get("tenants") {
         for (name, line) in tenants {
             eprintln!(
-                "qzclient: tenant '{}': {} in flight (max {}), \
-                 {} item(s) under proof-pre-sized budgets",
+                "qzclient: tenant '{}': {} in flight (max {})",
                 name,
                 field(line, "inflight"),
                 field(line, "max_inflight"),
-                field(line, "sized"),
             );
         }
     }

@@ -26,10 +26,9 @@
 //!   classified by verdict (`bounded`/`clean`/`warnings`, tallied in
 //!   the [`JobSummary`]) and replayed exactly as the sweep does: stage
 //!   on the pooled machine, *then* apply the sweep watchdogs
-//!   ([`SWEEP_BUDGETS`]), tightened to the proven resource bound where
-//!   one exists — sound bounds never fire on conforming executions, so
-//!   sweep outcomes are reproduced exactly while a wrong proof would
-//!   fail fast.
+//!   ([`SWEEP_BUDGETS`]). The proof only gates admission; its resource
+//!   bound sizes no watchdog (a sound bound can never trip one, and the
+//!   fault sweep's soundness corpora check the bounds themselves).
 //! * **ingest** — a daemon-local pair file streamed through
 //!   [`ingest::run_ingest`]; each committed shard streams back as its
 //!   [`ShardReport`](quetzal::ShardReport).
@@ -40,6 +39,7 @@
 use crate::protocol::Response;
 use quetzal::fault::SWEEP_BUDGETS;
 use quetzal::ingest::{self, pair_digest, IngestConfig, ItemOutput, ShardDeadline};
+use quetzal::uarch::state::DEFAULT_PAGE_BUDGET;
 use quetzal::uarch::RunStats;
 use quetzal::verify::ResourceBound;
 use quetzal::{BatchRunner, FailureCause, FaultPlan, ItemFailure, Machine, MachinePool};
@@ -409,12 +409,12 @@ pub struct JobSummary {
     pub cycles: u64,
     /// Merged retired instructions over the healthy items.
     pub instructions: u64,
-    /// Admitted items whose program carried an unconditional finite
-    /// resource bound — their machines ran with budgets pre-sized from
-    /// the proof. Verdict tallies cover verifier-gated (fault) jobs;
-    /// align/ingest admission is input validation, so they stay 0.
+    /// Admitted items whose program carried an unconditional resource
+    /// bound tighter than a default watchdog in at least one component.
+    /// Verdict tallies cover verifier-gated (fault) jobs; align/ingest
+    /// admission is input validation, so they stay 0.
     pub bounded: u64,
-    /// Admitted items verified `Clean` without an adoptable bound.
+    /// Admitted items verified `Clean` without such a bound.
     pub clean: u64,
     /// Admitted items verified with non-fatal warnings.
     pub warnings: u64,
@@ -481,6 +481,18 @@ fn emit_slot(
     }
 }
 
+/// The `bounded` verdict class: an unconditional proof with at least
+/// one component tighter than the default watchdog (the instruction
+/// budget, the cycle watchdog, which is off, or the page cap).
+fn tighter_than_watchdogs(bound: &ResourceBound) -> bool {
+    let below = |component: Option<u64>, watchdog: u64| component.is_some_and(|c| c < watchdog);
+    let insts = quetzal::Core::<quetzal::NullProbe>::DEFAULT_BUDGET;
+    !bound.premised
+        && (below(bound.instructions, insts)
+            || below(bound.cycles, u64::MAX)
+            || below(bound.pages, DEFAULT_PAGE_BUDGET as u64))
+}
+
 /// Executes one job over a caller-owned pool, streaming per-item frames
 /// through `emit` as chunks complete and finishing with a `done` frame.
 ///
@@ -543,9 +555,7 @@ pub fn execute(
             // Stage each case on a scratch machine (reset ≡ fresh) just
             // to obtain the mutant program for static admission — the
             // tenant pool is untouched until a case is admitted. The
-            // same pass classifies each admitted mutant's verdict and
-            // captures its proven resource bound (if unconditional) so
-            // the run below can tighten the sweep watchdogs to it; a
+            // same pass classifies each admitted mutant's verdict; a
             // rejected case carries its `rejected` frame message.
             let latencies = quetzal::class_latencies(&pool.config().core);
             let vconfig = quetzal::verify::VerifyConfig {
@@ -553,75 +563,60 @@ pub fn execute(
                 ..quetzal::verify::VerifyConfig::default()
             };
             let mut scratch = Machine::new(pool.config().clone());
-            let staged: Vec<(u64, Result<ResourceBound, String>)> = cases
+            let staged: Vec<(u64, Option<String>)> = cases
                 .iter()
                 .map(|&case| {
                     scratch.reset();
                     let (program, _) = plan.stage(case, &mut scratch);
                     let report = quetzal::verify::verify_with(&program, &vconfig);
-                    let admission = if report.verdict() == quetzal::verify::Verdict::Fatal {
-                        Err(format!(
+                    let rejection = if report.verdict() == quetzal::verify::Verdict::Fatal {
+                        Some(format!(
                             "program '{}' statically rejected with {} diagnostic(s)",
                             report.name(),
                             report.diagnostics().len()
                         ))
                     } else {
-                        // Whether the proof tightens any watchdog does
-                        // not depend on the pages already resident.
-                        if !Budgets::from_bound(report.bound(), 0).is_default() {
+                        if tighter_than_watchdogs(report.bound()) {
                             summary.bounded += 1;
                         } else if report.verdict() == quetzal::verify::Verdict::Warnings {
                             summary.warnings += 1;
                         } else {
                             summary.clean += 1;
                         }
-                        Ok(*report.bound())
+                        None
                     };
-                    (case, admission)
+                    (case, rejection)
                 })
                 .collect();
             for (index, slice) in staged.chunks(chunk).enumerate() {
-                let admitted: Vec<(u64, ResourceBound)> = slice
+                let admitted: Vec<u64> = slice
                     .iter()
-                    .filter_map(|(case, admission)| Some((*case, *admission.as_ref().ok()?)))
+                    .filter(|(_, rejection)| rejection.is_none())
+                    .map(|(case, _)| *case)
                     .collect();
-                let outcome =
-                    runner.run_machines_report_pooled(pool, &admitted, |m, _i, (case, bound)| {
-                        // Re-stage on the pooled machine: staging seeds
-                        // adversarial registers and memory, so the run
-                        // reproduces the sweep's outcome exactly. The
-                        // machine is at its default watchdogs here, so
-                        // staging never trips the tighter caps below.
-                        let (program, _) = plan.stage(*case, m);
-                        // Sweep watchdogs, tightened to the admission
-                        // proof where one exists. A sound bound cannot
-                        // change the case's outcome: a run that stays
-                        // within the bound trips neither limit, and a
-                        // run that would trip the sweep constant has
-                        // already exceeded the (larger or equal) sound
-                        // bound, so min(bound, constant) == constant
-                        // and the watchdog error is byte-identical.
-                        // The fault-injection soundness fuzz pins
-                        // exactly this invariant.
-                        let resident = m.core().state().mem.resident_pages();
-                        SWEEP_BUDGETS
-                            .min(Budgets::from_bound(bound, resident))
-                            .apply(m);
-                        let stats = m.run(&program)?;
-                        Ok((0i64, stats))
-                    });
+                let outcome = runner.run_machines_report_pooled(pool, &admitted, |m, _i, case| {
+                    // Re-stage on the pooled machine: staging seeds
+                    // adversarial registers and memory, so the run
+                    // reproduces the sweep's outcome exactly. The
+                    // machine is at its default watchdogs here, so
+                    // staging never trips the sweep caps below.
+                    let (program, _) = plan.stage(*case, m);
+                    SWEEP_BUDGETS.apply(m);
+                    let stats = m.run(&program)?;
+                    Ok((0i64, stats))
+                });
                 match outcome {
                     Ok(report) => {
                         let mut executed = report.slots();
-                        for (local, (_, admission)) in slice.iter().enumerate() {
+                        for (local, (_, rejection)) in slice.iter().enumerate() {
                             let item = index * chunk + local;
-                            match admission {
-                                Ok(_) => {
+                            match rejection {
+                                None => {
                                     let slot =
                                         executed.next().expect("one report slot per admitted case");
                                     emit_slot(item, slot, &mut summary, emit);
                                 }
-                                Err(message) => {
+                                Some(message) => {
                                     summary.rejected += 1;
                                     emit(Response::ItemFailed {
                                         item,
@@ -903,13 +898,15 @@ mod tests {
         // rejections, while warning-only verdicts are admitted (the
         // verifier's soundness contract covers only fatal findings).
         // The first window is all-fatal-or-bounded; the second holds a
-        // `Warnings` verdict.
+        // `Warnings` verdict. The verdict tallies
+        // `(bounded, clean, warnings, rejected)` are pinned exactly, so
+        // a reclassification between classes cannot hide in the sum.
         let config = MachineConfig::default();
         let vconfig = quetzal::verify::VerifyConfig {
             latencies: quetzal::class_latencies(&config.core),
             ..quetzal::verify::VerifyConfig::default()
         };
-        for (seed, want_warnings) in [(0xF4417, false), (3, true)] {
+        for (seed, verdicts) in [(0xF4417, (18, 0, 0, 6)), (3, (12, 0, 1, 11))] {
             let spec = JobSpec::Fault {
                 seed,
                 cases: (0..24).collect(),
@@ -924,19 +921,15 @@ mod tests {
                 24,
                 "every item is accounted for exactly once"
             );
-            assert!(
-                summary.rejected > 0,
-                "the sweep's early cases include provably-fatal mutants"
-            );
             assert_eq!(
-                summary.bounded + summary.clean + summary.warnings,
-                summary.items - summary.rejected,
-                "every admitted mutant gets exactly one verdict class"
-            );
-            assert_eq!(
-                summary.warnings > 0,
-                want_warnings,
-                "seed {seed:#x} premise"
+                (
+                    summary.bounded,
+                    summary.clean,
+                    summary.warnings,
+                    summary.rejected
+                ),
+                verdicts,
+                "seed {seed:#x} verdict tallies"
             );
             // Per item: a `rejected` frame iff the mutant is fatal.
             let plan = FaultPlan::new(seed);

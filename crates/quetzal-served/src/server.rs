@@ -83,12 +83,10 @@ impl Default for DaemonConfig {
     }
 }
 
-/// One tenant: a long-lived machine pool plus its in-flight tally and
-/// the cumulative count of items it ran under proof-pre-sized budgets.
+/// One tenant: a long-lived machine pool plus its in-flight tally.
 struct Tenant {
     pool: MachinePool,
     inflight: AtomicU64,
-    sized: AtomicU64,
 }
 
 /// State shared by every connection thread.
@@ -157,7 +155,6 @@ impl Shared {
                 pool: t.pool.stats(),
                 inflight: t.inflight.load(Ordering::Relaxed),
                 max_inflight: self.config.max_inflight,
-                sized: t.sized.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -181,7 +178,6 @@ impl Shared {
         let tenant = Arc::new(Tenant {
             pool: MachinePool::new(&self.config.machine, self.config.exec_mode),
             inflight: AtomicU64::new(0),
-            sized: AtomicU64::new(0),
         });
         map.insert(name.to_string(), tenant.clone());
         Ok(tenant)
@@ -254,7 +250,6 @@ impl Shared {
             },
         );
         self.stats.absorb_job(&summary, start.elapsed());
-        tenant.sized.fetch_add(summary.bounded, Ordering::Relaxed);
         drop(guard);
         match write_err {
             None => Ok(()),

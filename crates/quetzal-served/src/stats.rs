@@ -54,9 +54,6 @@ pub struct TenantStats {
     pub inflight: u64,
     /// The tenant's in-flight quota.
     pub max_inflight: u64,
-    /// Cumulative items this tenant ran under proof-pre-sized machine
-    /// budgets (admission proved an unconditional resource bound).
-    pub sized: u64,
 }
 
 fn get(counter: &AtomicU64) -> u64 {
@@ -115,8 +112,8 @@ impl ServerStats {
         .into_iter()
         .collect();
         // Admission-verdict tallies over verifier-gated items: how many
-        // admitted programs carried a proven bound (and so ran under
-        // pre-sized budgets), verified clean, or drew warnings —
+        // admitted programs carried a proven bound tighter than the
+        // default watchdogs, verified clean, or drew warnings —
         // `rejected` mirrors the item counter and completes the
         // partition.
         let admission: Value = [
@@ -144,7 +141,6 @@ impl ServerStats {
                     ("quarantined".to_string(), Value::from(t.pool.quarantined)),
                     ("inflight".to_string(), Value::from(t.inflight)),
                     ("max_inflight".to_string(), Value::from(t.max_inflight)),
-                    ("sized".to_string(), Value::from(t.sized)),
                 ]
                 .into_iter()
                 .collect();
@@ -205,11 +201,10 @@ mod tests {
             },
             inflight: 0,
             max_inflight: 4,
-            sized: 4,
         }]);
         assert_eq!(
             snap.dump(),
-            r#"{"admission":{"bounded":4,"clean":2,"rejected":2,"warnings":1},"idle_timeouts":0,"items":{"failed":1,"ok":6,"recovered":1,"rejected":2},"jobs":{"accepted":3,"busy":1,"completed":1,"draining":0,"invalid":0},"protocol_errors":2,"tenants":{"default":{"built":2,"free":1,"inflight":0,"max_inflight":4,"quarantined":1,"sized":4}},"totals":{"busy_micros":1500000,"cycles":12345,"instructions":3000000,"sim_mips":2}}"#
+            r#"{"admission":{"bounded":4,"clean":2,"rejected":2,"warnings":1},"idle_timeouts":0,"items":{"failed":1,"ok":6,"recovered":1,"rejected":2},"jobs":{"accepted":3,"busy":1,"completed":1,"draining":0,"invalid":0},"protocol_errors":2,"tenants":{"default":{"built":2,"free":1,"inflight":0,"max_inflight":4,"quarantined":1}},"totals":{"busy_micros":1500000,"cycles":12345,"instructions":3000000,"sim_mips":2}}"#
         );
     }
 
@@ -241,7 +236,6 @@ mod tests {
             },
             inflight: 1,
             max_inflight: 4,
-            sized: 3,
         }]);
         assert_eq!(
             snap.get("jobs").unwrap().get("accepted").unwrap().as_u64(),
@@ -253,7 +247,6 @@ mod tests {
         );
         let tenant = snap.get("tenants").unwrap().get("acme").unwrap();
         assert_eq!(tenant.get("quarantined").unwrap().as_u64(), Some(1));
-        assert_eq!(tenant.get("sized").unwrap().as_u64(), Some(3));
         let admission = snap.get("admission").unwrap();
         assert_eq!(admission.get("bounded").unwrap().as_u64(), Some(3));
         assert_eq!(admission.get("clean").unwrap().as_u64(), Some(1));

@@ -1,18 +1,19 @@
-//! Differential pin of the event-driven timing engine against a
+//! Differential pin of the out-of-order timing engine against a
 //! verbatim reference model built from the seed's linear-scan
 //! structures.
 //!
-//! `OooTiming` now tracks FU pools as calendar-queue timing wheels, the
-//! store-forwarding window behind a granule index, and the ROB as a
-//! fixed ring (`quetzal_uarch::wheel`). The golden tests pin it on the
-//! in-tree kernels; this suite pins it on *adversarial randomized
-//! schedules* — seeded micro-op streams with deliberately colliding
-//! addresses (clean and misaligned store-to-load forwarding, replay),
-//! predictor-aliasing pcs, huge operand-arrival jumps (wheel rotation
-//! and overflow), tiny ROB/store-window configs, and cycle-budget
-//! exhaustion edges — by re-implementing the seed engine's exact retire
-//! logic over `Vec` min-scans, a scan-everything store ring and a
-//! `VecDeque` ROB, and asserting `RunStats` equality retire-for-retire.
+//! `OooTiming` now tracks FU pools as `FreeSlots` min-heaps of per-unit
+//! free cycles, the store-forwarding window behind a granule index, and
+//! the ROB as a fixed ring (`quetzal_uarch::wheel`). The golden tests
+//! pin it on the in-tree kernels; this suite pins it on *adversarial
+//! randomized schedules* — seeded micro-op streams with deliberately
+//! colliding addresses (clean and misaligned store-to-load forwarding,
+//! replay), predictor-aliasing pcs, huge operand-arrival jumps
+//! (far-future free cycles in the pool heaps), tiny ROB/store-window configs,
+//! and cycle-budget exhaustion edges — by re-implementing the seed
+//! engine's exact retire logic over `Vec` min-scans, a scan-everything
+//! store ring and a `VecDeque` ROB, and asserting `RunStats` equality
+//! retire-for-retire.
 //!
 //! The RNG is an in-tree SplitMix64 (the repo holds a zero-dependency
 //! line); every case is seeded and reproducible.

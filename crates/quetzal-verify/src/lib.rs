@@ -27,10 +27,12 @@
 //! attacked statically: a relational octagon fixpoint (see
 //! [`octagon`]) feeds loop trip-count inference (see [`bounds`]),
 //! yielding a per-program [`ResourceBound`] in the report. When the
-//! bound is finite it holds for *every* execution, so admission paths
-//! can pre-size instruction/page/cycle budgets from the proof instead
-//! of a global watchdog; when it is not, the runtime watchdog remains
-//! the only protection. The verifier also warns when provably-constant
+//! bound is finite it holds for *every* execution, so it can never
+//! trip a runtime watchdog: the watchdogs stay fixed, admission paths
+//! use the proof only to gate and classify programs, and the fault
+//! sweep's soundness corpora check the bound itself against observed
+//! runs. When the bound is not finite, the runtime watchdog is the only
+//! protection. The verifier also warns when provably-constant
 //! store addresses alone exceed the configured page budget.
 //!
 //! [`Severity::Fatal`] marks sites that *must* fault if executed (for

@@ -30,10 +30,11 @@
 //! # Budget ownership
 //!
 //! [`Budgets`] is the one budget type: a served job's `budgets`
-//! object, the fault sweep's watchdogs
-//! ([`SWEEP_BUDGETS`](crate::fault::SWEEP_BUDGETS)) and the budgets
-//! derived from a proof ([`Budgets::from_bound`]) are all values of it,
-//! combined with [`Budgets::min`] and set with [`Budgets::apply`].
+//! object and the fault sweep's watchdogs
+//! ([`SWEEP_BUDGETS`](crate::fault::SWEEP_BUDGETS)) are both values of
+//! it, set with [`Budgets::apply`]. Static proofs do not size budgets:
+//! a sound resource bound can never trip a watchdog, so proofs gate
+//! admission and the soundness corpora check them instead.
 //!
 //! [`Machine::reset`] restores the **default** instruction, cycle and
 //! page watchdogs — it deliberately does *not* preserve caller
@@ -48,8 +49,6 @@
 //! re-apply any budget it cares about afterwards.
 
 use crate::{ExecMode, Machine, MachineConfig, Probe, SimError};
-use quetzal_uarch::state::DEFAULT_PAGE_BUDGET;
-use quetzal_verify::ResourceBound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -77,17 +76,12 @@ pub(crate) fn lock(list: &Mutex<Vec<Machine>>) -> std::sync::MutexGuard<'_, Vec<
 ///
 /// Each component overrides the corresponding global watchdog; `None`
 /// keeps the default (the `Core::DEFAULT_BUDGET` instruction watchdog,
-/// cycle watchdog off, page cap [`DEFAULT_PAGE_BUDGET`]). The
+/// cycle watchdog off, page cap
+/// [`DEFAULT_PAGE_BUDGET`](quetzal_uarch::state::DEFAULT_PAGE_BUDGET)). The
 /// instruction and cycle budgets are per run; the page budget is the
 /// absolute cap on resident guest pages (simulated memory persists
 /// across runs on one machine, so it counts pages staged before the
 /// run too).
-///
-/// Budgets come from a caller (a served job's `budgets` object), from a
-/// statically proven [`ResourceBound`] via [`from_bound`](Self::from_bound),
-/// or from both combined with [`min`](Self::min) — the fault sweep's
-/// watchdogs tightened to a proof are
-/// `SWEEP_BUDGETS.min(Budgets::from_bound(..))`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budgets {
     /// Per-run retired-instruction budget (`SimError::InstLimit` beyond
@@ -101,50 +95,6 @@ pub struct Budgets {
 }
 
 impl Budgets {
-    /// Derives budgets from a proven resource bound, for a run that
-    /// starts with `resident` guest pages already resident (the proof
-    /// counts only the pages the program itself allocates).
-    ///
-    /// Because proven bounds are ceilings on every dynamic execution of
-    /// the verified program, tightening a watchdog to them never
-    /// changes the behaviour of a conforming run — it only turns a
-    /// hypothetical runaway (a soundness bug) into a prompt, tight
-    /// fault. Only *unconditional* finite components tighten anything:
-    /// components that are unbounded (`None`) or no tighter than the
-    /// global watchdog stay at the default, and a
-    /// [premised](ResourceBound::premised) bound is ignored entirely —
-    /// its ceilings are conditional on staged-data ranges this layer
-    /// cannot check, and a budget that can trip on legitimate data
-    /// would change behaviour instead of merely bounding it.
-    pub fn from_bound(bound: &ResourceBound, resident: usize) -> Budgets {
-        if bound.premised {
-            return Budgets::default();
-        }
-        Budgets {
-            instructions: bound
-                .instructions
-                .filter(|&p| p < crate::Core::<crate::NullProbe>::DEFAULT_BUDGET),
-            cycles: bound.cycles.filter(|&p| p < u64::MAX),
-            pages: bound
-                .pages
-                .filter(|&p| p < DEFAULT_PAGE_BUDGET as u64)
-                .map(|p| p.saturating_add(resident as u64)),
-        }
-    }
-
-    /// The componentwise tighter of two budgets; `None` means no limit.
-    pub fn min(self, other: Budgets) -> Budgets {
-        let tighter = |a: Option<u64>, b: Option<u64>| match (a, b) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        Budgets {
-            instructions: tighter(self.instructions, other.instructions),
-            cycles: tighter(self.cycles, other.cycles),
-            pages: tighter(self.pages, other.pages),
-        }
-    }
-
     /// Sets every component that is `Some` on `machine`; the others
     /// keep the machine's current watchdog.
     pub fn apply<P: Probe>(&self, machine: &mut Machine<P>) {
@@ -446,63 +396,6 @@ pub(crate) fn retry_item<T, R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn from_bound_keeps_only_unconditional_tightening_components() {
-        let tight = ResourceBound {
-            instructions: Some(100),
-            pages: Some(5),
-            cycles: Some(1_000),
-            premised: false,
-        };
-        // The page component becomes an absolute cap over the pages
-        // already resident when the run starts.
-        assert_eq!(
-            Budgets::from_bound(&tight, 3),
-            Budgets {
-                instructions: Some(100),
-                cycles: Some(1_000),
-                pages: Some(8),
-            }
-        );
-        // Unbounded / looser-than-watchdog components stay default.
-        let loose = ResourceBound {
-            instructions: Some(crate::Core::<crate::NullProbe>::DEFAULT_BUDGET + 1),
-            pages: None,
-            cycles: Some(u64::MAX),
-            premised: false,
-        };
-        assert!(Budgets::from_bound(&loose, 3).is_default());
-        // A premised bound is conditional on staged data: never adopt.
-        let premised = ResourceBound {
-            premised: true,
-            ..tight
-        };
-        assert!(Budgets::from_bound(&premised, 0).is_default());
-        assert!(Budgets::from_bound(&ResourceBound::unbounded(), 0).is_default());
-    }
-
-    #[test]
-    fn min_is_componentwise_with_none_as_no_limit() {
-        let a = Budgets {
-            instructions: Some(10),
-            cycles: None,
-            pages: Some(7),
-        };
-        let b = Budgets {
-            instructions: Some(4),
-            cycles: Some(99),
-            pages: None,
-        };
-        let want = Budgets {
-            instructions: Some(4),
-            cycles: Some(99),
-            pages: Some(7),
-        };
-        assert_eq!(a.min(b), want);
-        assert_eq!(b.min(a), want);
-        assert_eq!(a.min(Budgets::default()), a);
-    }
 
     #[test]
     fn apply_sets_only_the_given_watchdogs() {
