@@ -13,12 +13,13 @@
 //! [`IngestConfig::shard_items`]; thread count never moves a shard
 //! boundary.
 //!
-//! Each shard commits two files to the checkpoint directory (see
-//! [`manifest`]): its rendered output lines, then — as the commit point
-//! — a checksummed manifest written atomically. A run killed anywhere
-//! resumes from the last committed shard: committed shards are
-//! validated (manifest checksum, input checksum, output length and
-//! checksum) and skipped; anything torn or missing is re-run. The
+//! Each shard commits one file to the checkpoint directory (see
+//! [`manifest`]): a manifest header and the shard's rendered output
+//! lines, sealed by one checksum and written atomically — the rename is
+//! the commit point. A run killed anywhere resumes from the last
+//! committed shard: committed shards are validated (the file's checksum
+//! over header and output, then the input checksum) and skipped;
+//! anything torn or missing is re-run. The
 //! resumed run's final output is byte-identical to an uninterrupted
 //! run — the crash-injection tests pin exactly this.
 //!
@@ -41,10 +42,9 @@ pub mod manifest;
 use crate::batch::{BatchError, BatchRunner};
 use crate::pool::{FailureCause, MachinePool};
 use crate::{Machine, SimError};
-use manifest::{Fnv64, ManifestState, ShardManifest, ShardStatus};
+use manifest::{Fnv64, ManifestState, ShardFile, ShardManifest, ShardStatus};
 use std::fmt;
-use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -65,9 +65,9 @@ pub enum CrashSite {
     /// Immediately after shard `n`'s manifest committed (the durable
     /// state is exactly shards `0..=n`).
     ShardBoundary(u64),
-    /// Mid-manifest-write of shard `n`: the output file is durable but
-    /// only a torn prefix of the manifest reached the disk (the
-    /// adversarial non-atomic-write case — shard `n` must be re-run).
+    /// Mid-manifest-write of shard `n`: only a torn prefix of the shard
+    /// file reached the disk (the adversarial non-atomic-write case —
+    /// shard `n` must be re-run).
     MidManifest(u64),
 }
 
@@ -116,9 +116,9 @@ pub struct ShardDeadline {
 /// Configuration of one ingestion run.
 #[derive(Debug, Clone)]
 pub struct IngestConfig {
-    /// Checkpoint directory (created if missing). Shard outputs and
-    /// manifests live here; resuming means pointing a second run at
-    /// the same directory.
+    /// Checkpoint directory (created if missing). One file per shard
+    /// lives here; resuming means pointing a second run at the same
+    /// directory.
     pub checkpoint_dir: PathBuf,
     /// Items per shard — the checkpoint granularity *and* the memory
     /// bound (one shard of items is in memory at a time).
@@ -221,7 +221,8 @@ pub struct IngestSummary {
     pub shards_resumed: u64,
     /// Shards quarantined by a deadline / budget.
     pub shards_quarantined: u64,
-    /// Torn / corrupt manifests detected (and re-run) during resume.
+    /// Torn or damaged shard files (header or output) detected, and
+    /// re-run, during resume.
     pub manifests_torn: u64,
     /// Total items.
     pub items: u64,
@@ -267,18 +268,11 @@ pub enum IngestError {
     Infra(BatchError),
     /// An injected crash fired with [`CrashPlan::exit_process`] unset.
     CrashInjected(CrashSite),
-    /// Concatenation found no committed manifest for a shard.
+    /// Concatenation found no committed, checksum-valid file for a
+    /// shard.
     MissingShard {
-        /// The uncommitted shard.
+        /// The uncommitted or damaged shard.
         shard: u64,
-    },
-    /// Concatenation found a shard output that fails its manifest's
-    /// length / checksum.
-    Corrupt {
-        /// The corrupt shard.
-        shard: u64,
-        /// What failed to validate.
-        detail: String,
     },
 }
 
@@ -298,9 +292,6 @@ impl fmt::Display for IngestError {
             IngestError::CrashInjected(site) => write!(f, "injected crash at {site}"),
             IngestError::MissingShard { shard } => {
                 write!(f, "shard {shard} has no committed manifest")
-            }
-            IngestError::Corrupt { shard, detail } => {
-                write!(f, "shard {shard} output is corrupt: {detail}")
             }
         }
     }
@@ -444,13 +435,12 @@ fn crash(site: CrashSite, exit_process: bool) -> IngestError {
     IngestError::CrashInjected(site)
 }
 
-/// Validates a committed manifest against the current input slice and
-/// the shard output on disk. `Ok(true)` means the checkpoint satisfies
-/// the shard; `Ok(false)` means re-run (e.g. missing / corrupt output
-/// file); `Err` means the checkpoint provably belongs to different
-/// input.
+/// Validates a committed manifest against the current input slice (its
+/// output was already validated by the file's checksum). `Ok(true)`
+/// means the checkpoint satisfies the shard; `Ok(false)` means re-run a
+/// quarantined shard; `Err` means the checkpoint provably belongs to
+/// different input.
 fn checkpoint_satisfies(
-    dir: &Path,
     m: &ShardManifest,
     shard: u64,
     start: u64,
@@ -468,27 +458,12 @@ fn checkpoint_satisfies(
             ),
         });
     }
-    if m.status == ShardStatus::Quarantined && retry_quarantined {
-        return Ok(false);
-    }
-    // The manifest only commits after the output file, but a deleted or
-    // externally-truncated output must surface as "not done".
-    let path = manifest::output_path(dir, shard);
-    let mut bytes = Vec::new();
-    match File::open(&path) {
-        Err(_) => return Ok(false),
-        Ok(mut f) => {
-            if f.read_to_end(&mut bytes).is_err() {
-                return Ok(false);
-            }
-        }
-    }
-    Ok(bytes.len() as u64 == m.output_len && manifest::fnv64(&bytes) == m.output_fnv)
+    Ok(m.status == ShardStatus::Done || !retry_quarantined)
 }
 
 /// Runs one shard's items through the pool, rendering one line per
-/// item, honouring the shard deadline, and committing output +
-/// manifest. Returns the shard's report.
+/// item, honouring the shard deadline, and committing the shard file.
+/// Returns the shard's report.
 #[allow(clippy::too_many_arguments)]
 fn run_shard<T: Sync>(
     config: &IngestConfig,
@@ -576,12 +551,8 @@ fn run_shard<T: Sync>(
             }
         }
     }
-    let bytes = lines.as_bytes();
-    let output_fnv = manifest::fnv64(bytes);
-    let out_path = manifest::output_path(&config.checkpoint_dir, shard);
-    manifest::write_atomic(&out_path, bytes)
-        .map_err(|e| io_err(format!("writing {}", out_path.display()), e))?;
-    let m = ShardManifest {
+    let output = lines.into_bytes();
+    let manifest = ShardManifest {
         shard,
         start,
         count: items.len() as u64,
@@ -597,14 +568,15 @@ fn run_shard<T: Sync>(
         recovered,
         cycles,
         instructions,
-        output_len: bytes.len() as u64,
-        output_fnv,
+        output_len: output.len() as u64,
+        output_fnv: manifest::fnv64(&output),
     };
+    let file = ShardFile { manifest, output };
     if config.crash.mid_manifest == Some(shard) {
         // Adversarial non-atomic write: a torn prefix lands on the
-        // *final* manifest path, then the process dies.
-        let enc = m.encode();
-        let path = manifest::manifest_path(&config.checkpoint_dir, shard);
+        // *final* shard path, then the process dies.
+        let enc = file.encode();
+        let path = manifest::shard_path(&config.checkpoint_dir, shard);
         std::fs::write(&path, &enc[..enc.len() / 2])
             .map_err(|e| io_err(format!("writing torn {}", path.display()), e))?;
         return Err(crash(
@@ -612,9 +584,9 @@ fn run_shard<T: Sync>(
             config.crash.exit_process,
         ));
     }
-    manifest::store(&config.checkpoint_dir, &m)
-        .map_err(|e| io_err(format!("committing manifest for shard {shard}"), e))?;
-    Ok(ShardReport::committed(&m, false))
+    manifest::store(&config.checkpoint_dir, &file)
+        .map_err(|e| io_err(format!("committing shard {shard}"), e))?;
+    Ok(ShardReport::committed(&file.manifest, false))
 }
 
 /// Runs (or resumes) one ingestion: streams items from `source`,
@@ -695,10 +667,9 @@ where
             eprintln!("[ingest] shard {shard}: torn manifest detected ({fault}); re-running");
         }
         let report = match state {
-            ManifestState::Committed(m)
+            ManifestState::Committed(f)
                 if checkpoint_satisfies(
-                    &config.checkpoint_dir,
-                    &m,
+                    &f.manifest,
                     shard,
                     start,
                     count,
@@ -706,7 +677,7 @@ where
                     config.retry_quarantined,
                 )? =>
             {
-                ShardReport::committed(&m, true)
+                ShardReport::committed(&f.manifest, true)
             }
             _ => run_shard(config, runner, pool, shard, start, &items, input_fnv, &work)?,
         };
@@ -751,62 +722,39 @@ pub fn pair_digest(pair: &crate::genomics::dataset::SeqPair) -> u64 {
 }
 
 /// Streams the final report — the ordered concatenation of every
-/// shard's committed output — into `out`, validating each shard
-/// against its manifest on the way. Returns the byte count.
+/// shard's committed output — into `out`. Each shard file is read once;
+/// its checksum covers the output. Returns the byte count.
 ///
 /// # Errors
 ///
-/// Returns [`IngestError::MissingShard`] for an uncommitted shard and
-/// [`IngestError::Corrupt`] when an output file fails its manifest's
-/// length / checksum.
+/// Returns [`IngestError::MissingShard`] for a shard with no committed,
+/// checksum-valid file, and [`IngestError::Io`] when `out` fails.
 pub fn concat_output(dir: &Path, shards: u64, out: &mut dyn Write) -> Result<u64, IngestError> {
     let mut total = 0u64;
     for shard in 0..shards {
-        let m = match manifest::load(dir, shard) {
-            ManifestState::Committed(m) => m,
-            ManifestState::Absent | ManifestState::Torn(_) => {
-                return Err(IngestError::MissingShard { shard })
-            }
+        let ManifestState::Committed(file) = manifest::load(dir, shard) else {
+            return Err(IngestError::MissingShard { shard });
         };
-        let path = manifest::output_path(dir, shard);
-        let mut bytes = Vec::new();
-        File::open(&path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| io_err(format!("reading {}", path.display()), e))?;
-        if bytes.len() as u64 != m.output_len || manifest::fnv64(&bytes) != m.output_fnv {
-            return Err(IngestError::Corrupt {
-                shard,
-                detail: format!(
-                    "length {} / fnv {:016x} vs manifest length {} / fnv {:016x}",
-                    bytes.len(),
-                    manifest::fnv64(&bytes),
-                    m.output_len,
-                    m.output_fnv
-                ),
-            });
-        }
-        out.write_all(&bytes)
+        out.write_all(&file.output)
             .map_err(|e| io_err("writing concatenated output", e))?;
-        total += bytes.len() as u64;
+        total += file.output.len() as u64;
     }
     Ok(total)
 }
 
-/// [`concat_output`] to a file, atomically (temp + rename).
+/// [`concat_output`] to a file, as durably as a shard commit (temp
+/// write, fsync, rename, directory fsync); a failed assembly leaves no
+/// temp file behind.
 ///
 /// # Errors
 ///
 /// Propagates [`concat_output`] errors and file I/O failures.
 pub fn concat_to_path(dir: &Path, shards: u64, path: &Path) -> Result<u64, IngestError> {
-    let tmp = path.with_extension("tmp");
-    let mut f = File::create(&tmp).map_err(|e| io_err(format!("creating {}", tmp.display()), e))?;
-    let total = concat_output(dir, shards, &mut f)?;
-    f.sync_all()
-        .map_err(|e| io_err(format!("syncing {}", tmp.display()), e))?;
-    drop(f);
-    std::fs::rename(&tmp, path)
-        .map_err(|e| io_err(format!("renaming into {}", path.display()), e))?;
-    Ok(total)
+    manifest::write_atomic(
+        path,
+        |f| concat_output(dir, shards, f),
+        |e| io_err(format!("writing {}", path.display()), e),
+    )
 }
 
 #[cfg(test)]
@@ -882,7 +830,40 @@ mod tests {
             .last()
             .unwrap()
             .starts_with("{\"item\":9,\"value\":27,"));
+        // One file per shard: no separate output file, no temp file.
+        let mut names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        names.sort();
+        let expected: Vec<_> = (0..summary.shards)
+            .map(|s| manifest::shard_path(&dir, s))
+            .collect();
+        assert_eq!(names, expected);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_assembly_leaves_no_temp_file() {
+        let dir = tmp_dir("concat-fail");
+        let summary = run(&dir, 10, 1, CrashPlan::default()).unwrap();
+        let report_dir = tmp_dir("concat-fail-report");
+        std::fs::create_dir_all(&report_dir).unwrap();
+        let report = report_dir.join("report.txt");
+        let err = concat_to_path(&dir, summary.shards + 1, &report).unwrap_err();
+        assert!(matches!(err, IngestError::MissingShard { shard: 3 }));
+        assert_eq!(
+            std::fs::read_dir(&report_dir).unwrap().count(),
+            0,
+            "neither the report nor its temp file is left behind"
+        );
+        concat_to_path(&dir, summary.shards, &report).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&report).unwrap(),
+            concat_string(&dir, summary.shards)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&report_dir).unwrap();
     }
 
     #[test]

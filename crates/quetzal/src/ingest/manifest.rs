@@ -1,27 +1,30 @@
-//! Durable per-shard checkpoint manifests.
+//! Durable per-shard checkpoint files.
 //!
-//! A shard's results live in two files inside the checkpoint directory:
+//! A shard's results live in one file inside the checkpoint directory,
+//! `shard-NNNNNN.manifest`, written in one atomic step:
 //!
-//! * `shard-NNNNNN.out` — the shard's report lines (one compact JSON
+//! * the manifest header — format version, shard identity, input
+//!   checksum, outcome tallies, and the output region's length and
+//!   checksum, one field per line;
+//! * the output region — the shard's report lines (one compact JSON
 //!   document per item, in item order);
-//! * `shard-NNNNNN.manifest` — the commit record: shard identity, input
-//!   checksum, outcome tallies, and the output file's length and
-//!   checksum, terminated by a checksum over the manifest bytes
-//!   themselves.
+//! * a `crc` line: a checksum over the header and the output together.
 //!
-//! The manifest is the *commit point*. It is written after the output
-//! file, via write-to-temp + `sync_all` + `rename`, so a crash leaves
-//! either no manifest, a stale temp file (ignored), or a complete
-//! manifest — never a silently half-trusted checkpoint. Anything that
-//! deviates from the expected shape — truncation, a bit flip, a stale
-//! format version, an interrupted non-atomic write — fails the trailing
-//! checksum or the field grammar and comes back as [`ManifestState::Torn`],
-//! which resumption treats exactly like "shard not done": the shard is
-//! re-run and the torn files are overwritten. Corruption is therefore a
-//! typed, recoverable state, not a crash.
+//! The rename that puts the file in place is the *commit point*: the
+//! file is written via write-to-temp + `sync_all` + `rename` + directory
+//! `sync_all`, so a crash leaves either no file, a stale temp file
+//! (ignored), or a complete file — never a silently half-trusted
+//! checkpoint. Anything that deviates from the expected shape —
+//! truncation, a bit flip in the header *or* the output, a stale format
+//! version (a `v1` directory re-runs every shard), an interrupted
+//! non-atomic write — fails the trailing checksum or the field grammar
+//! and comes back as [`ManifestState::Torn`], which resumption treats
+//! exactly like "shard not done": the shard is re-run and the torn file
+//! is overwritten. Corruption is therefore a typed, recoverable state,
+//! not a crash.
 
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// FNV-1a offset basis.
@@ -105,10 +108,20 @@ pub struct ShardManifest {
     pub cycles: u64,
     /// Retired instructions over the shard's healthy items.
     pub instructions: u64,
-    /// Byte length of the shard's output file.
+    /// Byte length of the shard's output lines.
     pub output_len: u64,
-    /// FNV-1a of the shard's output file.
+    /// FNV-1a of the shard's output lines.
     pub output_fnv: u64,
+}
+
+/// One shard's checkpoint file: its commit record and its output lines.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardFile {
+    /// The commit record; its `output_len` and `output_fnv` describe
+    /// `output`.
+    pub manifest: ShardManifest,
+    /// The shard's report lines, in item order.
+    pub output: Vec<u8>,
 }
 
 /// Why a manifest on disk could not be trusted.
@@ -126,16 +139,19 @@ impl std::fmt::Display for ManifestFault {
 pub enum ManifestState {
     /// No manifest on disk: the shard never committed.
     Absent,
-    /// A manifest exists but is torn, truncated, bit-flipped, stale, or
-    /// unreadable. Treated exactly like [`ManifestState::Absent`] by
-    /// resumption (re-run the shard), but surfaced distinctly so
-    /// observers can count detected corruption.
+    /// A shard file exists but is torn, truncated, bit-flipped (in its
+    /// header or its output), stale, or unreadable. Treated exactly like
+    /// [`ManifestState::Absent`] by resumption (re-run the shard), but
+    /// surfaced distinctly so observers can count detected corruption.
     Torn(ManifestFault),
-    /// A complete, checksum-valid manifest.
-    Committed(ShardManifest),
+    /// A complete, checksum-valid shard file.
+    Committed(ShardFile),
 }
 
-const VERSION_LINE: &str = "qz-ingest-shard v1";
+const VERSION_LINE: &str = "qz-ingest-shard v2";
+
+/// Byte length of the trailing `crc <16 hex>\n` line.
+const CRC_LINE_LEN: usize = "crc ".len() + 16 + 1;
 
 /// Parses exactly 16 *lowercase* hex digits. Strictness matters: a
 /// case-insensitive parser would accept a case-bit flip in a stored
@@ -163,84 +179,92 @@ fn parse_status(code: &str) -> Result<ShardStatus, ManifestFault> {
     }
 }
 
-/// Path of a shard's manifest file.
-pub fn manifest_path(dir: &Path, shard: u64) -> PathBuf {
+/// Path of a shard's checkpoint file.
+pub fn shard_path(dir: &Path, shard: u64) -> PathBuf {
     dir.join(format!("shard-{shard:06}.manifest"))
 }
 
-/// Path of a shard's output file.
-pub fn output_path(dir: &Path, shard: u64) -> PathBuf {
-    dir.join(format!("shard-{shard:06}.out"))
-}
-
-impl ShardManifest {
-    /// Serialises the manifest, trailing self-checksum included.
+impl ShardFile {
+    /// Serialises the shard file: header, output, trailing checksum.
     pub fn encode(&self) -> Vec<u8> {
+        let m = &self.manifest;
+        debug_assert_eq!(m.output_len, self.output.len() as u64);
+        debug_assert_eq!(m.output_fnv, fnv64(&self.output));
         // The cause rides on one line; newlines in it would break the
         // line grammar, so they are flattened.
-        let cause = if self.cause.is_empty() {
+        let cause = if m.cause.is_empty() {
             "-".to_string()
         } else {
-            self.cause.replace(['\n', '\r'], " ")
+            m.cause.replace(['\n', '\r'], " ")
         };
-        let body = format!(
+        let header = format!(
             "{VERSION_LINE}\nshard {}\nstart {}\ncount {}\ninput_fnv {:016x}\nstatus {}\ncause {}\nok {}\nfailed {}\nrecovered {}\ncycles {}\ninstructions {}\noutput_len {}\noutput_fnv {:016x}\n",
-            self.shard,
-            self.start,
-            self.count,
-            self.input_fnv,
-            status_code(self.status),
+            m.shard,
+            m.start,
+            m.count,
+            m.input_fnv,
+            status_code(m.status),
             cause,
-            self.ok,
-            self.failed,
-            self.recovered,
-            self.cycles,
-            self.instructions,
-            self.output_len,
-            self.output_fnv,
+            m.ok,
+            m.failed,
+            m.recovered,
+            m.cycles,
+            m.instructions,
+            m.output_len,
+            m.output_fnv,
         );
-        let mut bytes = body.into_bytes();
+        let mut bytes = Vec::with_capacity(header.len() + self.output.len() + CRC_LINE_LEN);
+        bytes.extend_from_slice(header.as_bytes());
+        bytes.extend_from_slice(&self.output);
         let crc = fnv64(&bytes);
         bytes.extend_from_slice(format!("crc {crc:016x}\n").as_bytes());
         bytes
     }
 
-    /// Parses and checksum-verifies a serialised manifest.
+    /// Parses and checksum-verifies a serialised shard file. The output
+    /// region is covered by the trailing checksum, so it is hashed once
+    /// here and never again.
     ///
     /// # Errors
     ///
     /// Returns [`ManifestFault`] for *any* deviation — truncation, a
     /// failed trailing checksum, a stale version, unknown or out-of-order
-    /// fields, non-numeric values. Every fault maps to "shard not done".
-    pub fn decode(bytes: &[u8]) -> Result<ShardManifest, ManifestFault> {
-        let text =
-            std::str::from_utf8(bytes).map_err(|e| ManifestFault(format!("not UTF-8: {e}")))?;
-        if !text.ends_with('\n') {
-            return Err(ManifestFault("missing trailing newline (truncated)".into()));
-        }
-        let crc_start = text[..text.len() - 1]
-            .rfind('\n')
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        let (body, crc_line) = text.split_at(crc_start);
+    /// fields, non-numeric values, an output region of the wrong length.
+    /// Every fault maps to "shard not done".
+    pub fn decode(mut bytes: Vec<u8>) -> Result<ShardFile, ManifestFault> {
+        let body_len = bytes
+            .len()
+            .checked_sub(CRC_LINE_LEN)
+            .ok_or_else(|| ManifestFault("shorter than its crc line (truncated)".into()))?;
+        let (body, crc_line) = bytes.split_at(body_len);
         let claimed = crc_line
-            .strip_prefix("crc ")
-            .and_then(|s| parse_hex16(s.trim_end()))
+            .strip_prefix(b"crc ")
+            .and_then(|rest| rest.strip_suffix(b"\n"))
+            .and_then(|hex| std::str::from_utf8(hex).ok())
+            .and_then(parse_hex16)
             .ok_or_else(|| ManifestFault("missing or malformed crc line".into()))?;
-        let actual = fnv64(body.as_bytes());
+        let actual = fnv64(body);
         if claimed != actual {
             return Err(ManifestFault(format!(
                 "checksum mismatch (stored {claimed:016x}, computed {actual:016x})"
             )));
         }
-        let mut lines = body.lines();
-        if lines.next() != Some(VERSION_LINE) {
+        let mut header_len = 0;
+        let mut next_line = || -> Result<&str, ManifestFault> {
+            let rest = &body[header_len..];
+            let end = rest
+                .iter()
+                .position(|&b| b == b'\n')
+                .ok_or_else(|| ManifestFault("header ends early".into()))?;
+            header_len += end + 1;
+            std::str::from_utf8(&rest[..end])
+                .map_err(|e| ManifestFault(format!("header not UTF-8: {e}")))
+        };
+        if next_line()? != VERSION_LINE {
             return Err(ManifestFault("unknown manifest version".into()));
         }
         let mut field = |key: &str| -> Result<String, ManifestFault> {
-            let line = lines
-                .next()
-                .ok_or_else(|| ManifestFault(format!("missing field '{key}'")))?;
+            let line = next_line()?;
             line.strip_prefix(key)
                 .and_then(|rest| rest.strip_prefix(' '))
                 .map(str::to_string)
@@ -272,117 +296,145 @@ impl ShardManifest {
         let instructions = dec("instructions", field("instructions")?)?;
         let output_len = dec("output_len", field("output_len")?)?;
         let output_fnv = hex("output_fnv", field("output_fnv")?)?;
-        if lines.next().is_some() {
-            return Err(ManifestFault("trailing data after manifest fields".into()));
+        if (body_len - header_len) as u64 != output_len {
+            return Err(ManifestFault(format!(
+                "output region holds {} byte(s), header says {output_len}",
+                body_len - header_len
+            )));
         }
-        Ok(ShardManifest {
-            shard,
-            start,
-            count,
-            input_fnv,
-            status,
-            cause,
-            ok,
-            failed,
-            recovered,
-            cycles,
-            instructions,
-            output_len,
-            output_fnv,
+        bytes.truncate(body_len);
+        bytes.drain(..header_len);
+        Ok(ShardFile {
+            manifest: ShardManifest {
+                shard,
+                start,
+                count,
+                input_fnv,
+                status,
+                cause,
+                ok,
+                failed,
+                recovered,
+                cycles,
+                instructions,
+                output_len,
+                output_fnv,
+            },
+            output: bytes,
         })
     }
 }
 
-/// Loads a shard's manifest: [`ManifestState::Absent`] when the file
-/// does not exist, [`ManifestState::Torn`] for anything unreadable or
-/// checksum-invalid, [`ManifestState::Committed`] otherwise.
+/// Loads a shard's checkpoint file, reading it once:
+/// [`ManifestState::Absent`] when the file does not exist,
+/// [`ManifestState::Torn`] for anything unreadable or checksum-invalid,
+/// [`ManifestState::Committed`] otherwise.
 pub fn load(dir: &Path, shard: u64) -> ManifestState {
-    let path = manifest_path(dir, shard);
-    let mut bytes = Vec::new();
-    match File::open(&path) {
+    let bytes = match fs::read(shard_path(dir, shard)) {
+        Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return ManifestState::Absent,
         Err(e) => return ManifestState::Torn(ManifestFault(format!("unreadable: {e}"))),
-        Ok(mut f) => {
-            if let Err(e) = f.read_to_end(&mut bytes) {
-                return ManifestState::Torn(ManifestFault(format!("unreadable: {e}")));
-            }
-        }
-    }
-    match ShardManifest::decode(&bytes) {
-        Ok(m) if m.shard == shard => ManifestState::Committed(m),
-        Ok(m) => ManifestState::Torn(ManifestFault(format!(
+    };
+    match ShardFile::decode(bytes) {
+        Ok(f) if f.manifest.shard == shard => ManifestState::Committed(f),
+        Ok(f) => ManifestState::Torn(ManifestFault(format!(
             "manifest names shard {} but sits in slot {shard}",
-            m.shard
+            f.manifest.shard
         ))),
         Err(fault) => ManifestState::Torn(fault),
     }
 }
 
-/// Writes `bytes` to `path` atomically: temp file in the same
-/// directory, `sync_all`, then `rename` over the destination.
+/// Writes a file atomically: `fill` writes the content into a temp file
+/// beside `path`, which is then fsynced and renamed over `path`, and the
+/// directory is fsynced so the rename itself survives a crash. On any
+/// error the temp file is removed and `path` is left as it was.
 ///
 /// # Errors
 ///
-/// Returns the underlying I/O error.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
+/// Returns `fill`'s error, or an I/O error mapped through `io_err`.
+pub fn write_atomic<T, E>(
+    path: &Path,
+    fill: impl FnOnce(&mut File) -> Result<T, E>,
+    io_err: impl Fn(io::Error) -> E,
+) -> Result<T, E> {
     let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
+    let publish = || -> Result<T, E> {
+        let mut file = File::create(&tmp).map_err(&io_err)?;
+        let value = fill(&mut file)?;
+        file.sync_all().map_err(&io_err)?;
+        drop(file);
+        fs::rename(&tmp, path).map_err(&io_err)?;
+        // Best effort: some filesystems refuse to sync a directory
+        // handle. A bare file name's parent is the empty path.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        if let Ok(d) = File::open(dir.unwrap_or_else(|| Path::new("."))) {
+            let _ = d.sync_all();
+        }
+        Ok(value)
+    };
+    let result = publish();
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    fs::rename(&tmp, path)?;
-    // Durability of the rename itself: fsync the directory (best
-    // effort — some filesystems refuse to sync a directory handle).
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    result
 }
 
-/// Commits a shard's manifest atomically (the checkpoint's commit
-/// point — call only after the output file is durable).
+/// Commits a shard: its header, output and checksum land in one file
+/// through one [`write_atomic`] — temp write, fsync, rename, directory
+/// fsync.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error.
-pub fn store(dir: &Path, manifest: &ShardManifest) -> io::Result<()> {
-    write_atomic(&manifest_path(dir, manifest.shard), &manifest.encode())
+pub fn store(dir: &Path, file: &ShardFile) -> io::Result<()> {
+    let bytes = file.encode();
+    write_atomic(
+        &shard_path(dir, file.manifest.shard),
+        |f| f.write_all(&bytes),
+        |e| e,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> ShardManifest {
-        ShardManifest {
-            shard: 3,
-            start: 96,
-            count: 32,
-            input_fnv: 0xdead_beef_cafe_f00d,
-            status: ShardStatus::Done,
-            cause: String::new(),
-            ok: 31,
-            failed: 1,
-            recovered: 2,
-            cycles: 123_456,
-            instructions: 78_910,
-            output_len: 2048,
-            output_fnv: 0x0123_4567_89ab_cdef,
+    /// A shard file with two output lines, so damage inside the output
+    /// region is covered alongside damage to the header.
+    fn sample() -> ShardFile {
+        let output = b"{\"item\":96,\"value\":1,\"cycles\":9,\"instructions\":4}\n\
+                       {\"item\":97,\"cause\":\"sim\",\"message\":\"boom\"}\n"
+            .to_vec();
+        ShardFile {
+            manifest: ShardManifest {
+                shard: 3,
+                start: 96,
+                count: 2,
+                input_fnv: 0xdead_beef_cafe_f00d,
+                status: ShardStatus::Done,
+                cause: String::new(),
+                ok: 1,
+                failed: 1,
+                recovered: 0,
+                cycles: 123_456,
+                instructions: 78_910,
+                output_len: output.len() as u64,
+                output_fnv: fnv64(&output),
+            },
+            output,
         }
     }
 
     #[test]
     fn encode_decode_round_trip() {
-        let m = sample();
-        assert_eq!(ShardManifest::decode(&m.encode()).unwrap(), m);
-        let q = ShardManifest {
-            status: ShardStatus::Quarantined,
-            cause: "wall deadline 5ms exceeded\nafter 3 item(s)".to_string(),
-            ..sample()
-        };
-        let back = ShardManifest::decode(&q.encode()).unwrap();
+        let f = sample();
+        assert_eq!(f.output.iter().filter(|&&b| b == b'\n').count(), 2);
+        assert_eq!(ShardFile::decode(f.encode()).unwrap(), f);
+        let mut q = sample();
+        q.manifest.status = ShardStatus::Quarantined;
+        q.manifest.cause = "wall deadline 5ms exceeded\nafter 3 item(s)".to_string();
+        let back = ShardFile::decode(q.encode()).unwrap().manifest;
         assert_eq!(back.status, ShardStatus::Quarantined);
         assert!(back.cause.contains("wall deadline"), "cause survives");
         assert!(!back.cause.contains('\n'), "newlines are flattened");
@@ -393,7 +445,7 @@ mod tests {
         let bytes = sample().encode();
         for cut in 0..bytes.len() {
             assert!(
-                ShardManifest::decode(&bytes[..cut]).is_err(),
+                ShardFile::decode(bytes[..cut].to_vec()).is_err(),
                 "truncation at byte {cut} must not decode"
             );
         }
@@ -407,7 +459,7 @@ mod tests {
                 let mut flipped = bytes.clone();
                 flipped[i] ^= 1 << bit;
                 assert!(
-                    ShardManifest::decode(&flipped).is_err(),
+                    ShardFile::decode(flipped).is_err(),
                     "bit flip at byte {i} bit {bit} must not decode"
                 );
             }
@@ -423,20 +475,32 @@ mod tests {
         ));
         fs::create_dir_all(&dir).unwrap();
         assert_eq!(load(&dir, 0), ManifestState::Absent);
-        let m = ShardManifest {
-            shard: 0,
-            ..sample()
-        };
-        store(&dir, &m).unwrap();
-        assert_eq!(load(&dir, 0), ManifestState::Committed(m.clone()));
-        // Torn write: only half the manifest bytes reach the disk.
-        let enc = m.encode();
-        fs::write(manifest_path(&dir, 0), &enc[..enc.len() / 2]).unwrap();
+        let mut f = sample();
+        f.manifest.shard = 0;
+        store(&dir, &f).unwrap();
+        assert_eq!(load(&dir, 0), ManifestState::Committed(f.clone()));
+        // Torn write: only half the file's bytes reach the disk.
+        let enc = f.encode();
+        fs::write(shard_path(&dir, 0), &enc[..enc.len() / 2]).unwrap();
         assert!(matches!(load(&dir, 0), ManifestState::Torn(_)));
-        // A manifest renamed into the wrong slot is torn, not trusted.
-        store(&dir, &m).unwrap();
-        fs::rename(manifest_path(&dir, 0), manifest_path(&dir, 7)).unwrap();
+        // A file renamed into the wrong slot is torn, not trusted.
+        store(&dir, &f).unwrap();
+        fs::rename(shard_path(&dir, 0), shard_path(&dir, 7)).unwrap();
         assert!(matches!(load(&dir, 7), ManifestState::Torn(_)));
+        // A v1 manifest (the same header sealed by its own checksum, the
+        // output in a separate file) is stale, so torn.
+        let enc = f.encode();
+        let header = &enc[..enc.len() - CRC_LINE_LEN - f.output.len()];
+        let mut v1 = String::from_utf8(header.to_vec())
+            .unwrap()
+            .replacen("qz-ingest-shard v2", "qz-ingest-shard v1", 1)
+            .into_bytes();
+        let crc = fnv64(&v1);
+        v1.extend_from_slice(format!("crc {crc:016x}\n").as_bytes());
+        fs::write(shard_path(&dir, 0), &v1).unwrap();
+        assert!(
+            matches!(load(&dir, 0), ManifestState::Torn(ManifestFault(m)) if m.contains("version"))
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

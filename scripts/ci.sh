@@ -173,6 +173,16 @@ ingest_counts() {
 QUETZAL_THREADS=1 ./target/release/qzingest run --input "$out_dir/pairs.tsv" \
     --ckpt "$out_dir/ck-fresh" --output "$out_dir/ingest-fresh.out" \
     --shard 8 --quiet 2>/dev/null
+# One file per shard commit: 48 pairs in 8-pair shards leave exactly
+# six shard files (manifest header, output lines and checksum in one),
+# and no separate output file or leftover temp file.
+mapfile -t ck_entries < <(ls -A "$out_dir/ck-fresh")
+[ "${#ck_entries[@]}" -eq 6 ] \
+    || { echo "FAIL: fresh checkpoint holds ${#ck_entries[@]} entries, not 6"; exit 1; }
+for entry in "${ck_entries[@]}"; do
+    [[ "$entry" =~ ^shard-[0-9]{6}\.manifest$ && -f "$out_dir/ck-fresh/$entry" ]] \
+        || { echo "FAIL: unexpected checkpoint entry '$entry'"; exit 1; }
+done
 rc=0
 QUETZAL_THREADS=1 ./target/release/qzingest run --input "$out_dir/pairs.tsv" \
     --ckpt "$out_dir/ck-kill" --shard 8 --quiet \

@@ -8,9 +8,9 @@
 //!   write) **resumes byte-identical** to an uninterrupted run, at 1
 //!   and 4 worker threads and across thread-count changes between the
 //!   killed run and the resume;
-//! * torn manifests (truncated or bit-flipped) are detected by the
-//!   content checksum, treated as "shard not done", and re-run —
-//!   never trusted, never fatal;
+//! * torn shard files (truncated, or bit-flipped in the manifest header
+//!   or the output lines) are detected by the content checksum, treated
+//!   as "shard not done", and re-run — never trusted, never fatal;
 //! * the `qzserved` `ingest` job streams the same shard frames the
 //!   offline path produces and resuming via resubmission validates
 //!   checkpoints instead of recomputing.
@@ -179,11 +179,11 @@ fn truncated_and_bitflipped_manifests_are_rerun_not_trusted() {
     let golden = assembled(&ckpt, fresh.shards);
 
     // Truncate shard 1's manifest (a torn write the rename never hid).
-    let m1 = manifest::manifest_path(&ckpt, 1);
+    let m1 = manifest::shard_path(&ckpt, 1);
     let bytes = std::fs::read(&m1).expect("read manifest");
     std::fs::write(&m1, &bytes[..bytes.len() / 2]).expect("truncate manifest");
     // Flip one content bit in shard 2's manifest.
-    let m2 = manifest::manifest_path(&ckpt, 2);
+    let m2 = manifest::shard_path(&ckpt, 2);
     let mut bytes = std::fs::read(&m2).expect("read manifest");
     bytes[10] ^= 0x01;
     std::fs::write(&m2, &bytes).expect("corrupt manifest");
@@ -191,6 +191,39 @@ fn truncated_and_bitflipped_manifests_are_rerun_not_trusted() {
     let resumed = ingest_file(&input, &ckpt, 4, CrashPlan::default(), false).expect("resume");
     assert_eq!(resumed.manifests_torn, 2, "both damaged manifests detected");
     assert_eq!(resumed.shards_resumed, 1, "only the intact shard 0 resumed");
+    assert_eq!(assembled(&ckpt, resumed.shards), golden);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_flipped_output_byte_reruns_only_its_shard() {
+    let dir = scratch("output-damage");
+    let input = dir.join("pairs.tsv");
+    stage_pairs(&input, 20);
+    let ckpt = dir.join("ck");
+    let fresh = ingest_file(&input, &ckpt, 1, CrashPlan::default(), false).expect("fresh run");
+    let golden = assembled(&ckpt, fresh.shards);
+
+    // Flip one byte inside shard 1's output lines, past the header.
+    let path = manifest::shard_path(&ckpt, 1);
+    let mut bytes = std::fs::read(&path).expect("read shard file");
+    let output_start = bytes
+        .windows(b"{\"item\":".len())
+        .position(|w| w == b"{\"item\":")
+        .expect("the shard file carries its output lines");
+    bytes[output_start + 20] ^= 0x04;
+    std::fs::write(&path, &bytes).expect("corrupt shard file");
+
+    let resumed = ingest_file(&input, &ckpt, 4, CrashPlan::default(), false).expect("resume");
+    assert_eq!(
+        resumed.manifests_torn, 1,
+        "the damaged output is a torn file"
+    );
+    assert_eq!(
+        resumed.shards_resumed,
+        fresh.shards - 1,
+        "only the damaged shard re-ran"
+    );
     assert_eq!(assembled(&ckpt, resumed.shards), golden);
     let _ = std::fs::remove_dir_all(&dir);
 }
