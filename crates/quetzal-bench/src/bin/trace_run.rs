@@ -11,9 +11,8 @@
 //! `--dataset` selects a Table II dataset by name prefix (default the
 //! first short-read set). Workload sizes scale with `QUETZAL_SCALE`.
 //!
-//! All analysis goes to stdout and is deterministic. The emitted
-//! Chrome JSON is validated with the crate's own strict parser before
-//! it is written, so a file on disk is always loadable.
+//! All analysis goes to stdout and is deterministic. The Chrome JSON
+//! is rendered by the workspace's JSON codec (`quetzal_trace::json`).
 
 use std::process::ExitCode;
 
@@ -21,7 +20,7 @@ use quetzal::MachineConfig;
 use quetzal_algos::Tier;
 use quetzal_bench::trace::{hottest_table, kernel_label, trace_kernel};
 use quetzal_bench::workloads::{table2_workloads, Algo, Workload};
-use quetzal_trace::{chrome, json, CpiStack, RecordingProbe};
+use quetzal_trace::{chrome, CpiStack, RecordingProbe};
 
 struct Args {
     algo: Algo,
@@ -124,12 +123,7 @@ fn main() -> ExitCode {
     print!("{}", hottest_table(&probe, args.top));
 
     if let Some(path) = args.chrome_out {
-        let rendered = chrome::render(&probe);
-        if let Err(e) = json::Value::parse(&rendered) {
-            eprintln!("internal error: emitted Chrome JSON does not parse: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(&path, &rendered) {
+        if let Err(e) = std::fs::write(&path, chrome::render(&probe)) {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -20,6 +20,7 @@ use crate::report::{ratio, Table};
 use crate::workloads::{prefetch, run_algo, table2_workloads, Algo, AlgoJob, Workload};
 use quetzal::{CoreConfig, MachineConfig, QzConfig};
 use quetzal_algos::Tier;
+use quetzal_trace::json::Value;
 
 /// One core design point of the grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,10 +181,8 @@ pub fn table(results: &[PointResult]) -> Table {
     t
 }
 
-/// Renders sweep results as the `design_space.json` artifact (flat,
-/// hand-emitted; no external JSON dependency).
+/// Renders sweep results as the `design_space.json` artifact.
 pub fn to_json(results: &[PointResult], scale: f64) -> String {
-    use std::fmt::Write;
     let base = baseline_of(results);
     let speedup = |b: u64, c: u64| {
         if c == 0 {
@@ -192,38 +191,41 @@ pub fn to_json(results: &[PointResult], scale: f64) -> String {
             b as f64 / c as f64
         }
     };
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"benchmark\": \"uarch-design-space\",");
-    let _ = writeln!(out, "  \"scale\": {scale},");
-    let _ = writeln!(out, "  \"workload\": \"100bp_1\",");
-    let _ = writeln!(out, "  \"tier\": \"quetzal\",");
-    let _ = writeln!(
-        out,
-        "  \"baseline\": {{\"width\": {}, \"qz\": \"{}\", \"rob\": {}, \"ring\": {}}},",
-        base.point.width, base.point.qz.ports, base.point.rob, base.point.ring
-    );
-    let _ = writeln!(out, "  \"points\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 == results.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"width\": {}, \"qz\": \"{}\", \"rob\": {}, \"ring\": {}, \
-             \"wfa_cycles\": {}, \"ss_cycles\": {}, \
-             \"wfa_speedup\": {:.4}, \"ss_speedup\": {:.4}}}{comma}",
-            r.point.width,
-            r.point.qz.ports,
-            r.point.rob,
-            r.point.ring,
-            r.wfa_cycles,
-            r.ss_cycles,
-            speedup(base.wfa_cycles, r.wfa_cycles),
-            speedup(base.ss_cycles, r.ss_cycles)
-        );
-    }
-    let _ = writeln!(out, "  ]");
-    out.push('}');
-    out
+    let point = |p: &GridPoint| {
+        [
+            ("width", Value::from(p.width)),
+            ("qz", Value::from(p.qz.ports.to_string())),
+            ("rob", Value::from(p.rob)),
+            ("ring", Value::from(p.ring)),
+        ]
+    };
+    let points: Vec<Value> = results
+        .iter()
+        .map(|r| {
+            let measured = [
+                ("wfa_cycles", Value::from(r.wfa_cycles)),
+                ("ss_cycles", Value::from(r.ss_cycles)),
+                (
+                    "wfa_speedup",
+                    Value::from(speedup(base.wfa_cycles, r.wfa_cycles)),
+                ),
+                (
+                    "ss_speedup",
+                    Value::from(speedup(base.ss_cycles, r.ss_cycles)),
+                ),
+            ];
+            point(&r.point).into_iter().chain(measured).collect()
+        })
+        .collect();
+    Value::from([
+        ("benchmark", Value::from("uarch-design-space")),
+        ("scale", Value::from(scale)),
+        ("workload", Value::from("100bp_1")),
+        ("tier", Value::from("quetzal")),
+        ("baseline", Value::from(point(&base.point))),
+        ("points", Value::from(points)),
+    ])
+    .dump()
 }
 
 #[cfg(test)]
@@ -286,13 +288,17 @@ mod tests {
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[0][6], "1.00x");
         assert_eq!(t.rows[1][6], "2.00x");
-        let j = to_json(&results, 0.25);
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert_eq!(j.matches("\"width\"").count(), 3, "baseline + 2 points");
-        assert!(j.contains("\"wfa_speedup\": 2.0000"));
-        assert!(j.contains("\"qz\": \"QZ_8P\""));
-        // Comma-separated entries, no trailing comma.
-        assert!(j.contains("}\n  ]"));
+        let j = Value::parse(&to_json(&results, 0.25)).expect("valid JSON");
+        let baseline = j.get("baseline").unwrap();
+        assert_eq!(baseline.get("qz").and_then(Value::as_str), Some("QZ_8P"));
+        assert_eq!(baseline.get("width").and_then(Value::as_u64), Some(4));
+        let points = j.get("points").and_then(Value::as_array).unwrap();
+        let speedups: Vec<_> = points
+            .iter()
+            .map(|p| p.get("wfa_speedup").and_then(Value::as_f64).unwrap())
+            .collect();
+        assert_eq!(speedups, [1.0, 2.0]);
+        assert_eq!(points[1].get("width").and_then(Value::as_u64), Some(8));
     }
 
     #[test]

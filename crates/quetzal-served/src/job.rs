@@ -178,23 +178,20 @@ fn pair_job_value(
     alphabet: Alphabet,
     ss_threshold: u32,
     budgets: &Budgets,
-) -> Vec<(String, Value)> {
+) -> Vec<(&'static str, Value)> {
     let mut fields = vec![
-        ("algo".to_string(), Value::from(algo.code())),
-        ("tier".to_string(), Value::from(tier.code())),
-        ("alphabet".to_string(), Value::from(alphabet.code())),
-        (
-            "ss_threshold".to_string(),
-            Value::from(u64::from(ss_threshold)),
-        ),
+        ("algo", Value::from(algo.code())),
+        ("tier", Value::from(tier.code())),
+        ("alphabet", Value::from(alphabet.code())),
+        ("ss_threshold", Value::from(u64::from(ss_threshold))),
     ];
     if !budgets.is_default() {
         let b = BUDGET_KEYS
             .into_iter()
             .zip([budgets.instructions, budgets.cycles, budgets.pages])
-            .filter_map(|(key, n)| Some((key.to_string(), Value::from(n?))))
+            .filter_map(|(key, n)| Some((key, Value::from(n?))))
             .collect();
-        fields.push(("budgets".to_string(), b));
+        fields.push(("budgets", b));
     }
     fields
 }
@@ -305,39 +302,35 @@ impl JobSpec {
                 let pair_values: Vec<Value> = pairs
                     .iter()
                     .map(|p| {
-                        [
+                        Value::from([
                             (
-                                "pattern".to_string(),
+                                "pattern",
                                 Value::from(
                                     String::from_utf8_lossy(p.pattern.as_bytes()).into_owned(),
                                 ),
                             ),
                             (
-                                "text".to_string(),
+                                "text",
                                 Value::from(
                                     String::from_utf8_lossy(p.text.as_bytes()).into_owned(),
                                 ),
                             ),
-                        ]
-                        .into_iter()
-                        .collect()
+                        ])
                     })
                     .collect();
                 let mut fields = pair_job_value(*algo, *tier, *alphabet, *ss_threshold, budgets);
-                fields.push(("kind".to_string(), Value::from("align")));
-                fields.push(("pairs".to_string(), Value::Array(pair_values)));
+                fields.push(("kind", Value::from("align")));
+                fields.push(("pairs", Value::Array(pair_values)));
                 fields.into_iter().collect()
             }
-            JobSpec::Fault { seed, cases } => [
-                ("kind".to_string(), Value::from("fault")),
-                ("seed".to_string(), Value::from(*seed)),
+            JobSpec::Fault { seed, cases } => Value::from([
+                ("kind", Value::from("fault")),
+                ("seed", Value::from(*seed)),
                 (
-                    "cases".to_string(),
+                    "cases",
                     Value::Array(cases.iter().map(|&c| Value::from(c)).collect()),
                 ),
-            ]
-            .into_iter()
-            .collect(),
+            ]),
             JobSpec::Ingest {
                 input,
                 checkpoint_dir,
@@ -354,25 +347,22 @@ impl JobSpec {
             } => {
                 let mut fields = pair_job_value(*algo, *tier, *alphabet, *ss_threshold, budgets);
                 fields.extend([
-                    ("kind".to_string(), Value::from("ingest")),
-                    ("input".to_string(), Value::from(input.clone())),
-                    (
-                        "checkpoint_dir".to_string(),
-                        Value::from(checkpoint_dir.clone()),
-                    ),
-                    ("shard_items".to_string(), Value::from(*shard_items)),
+                    ("kind", Value::from("ingest")),
+                    ("input", Value::from(input.clone())),
+                    ("checkpoint_dir", Value::from(checkpoint_dir.clone())),
+                    ("shard_items", Value::from(*shard_items)),
                 ]);
                 if let Some(path) = output {
-                    fields.push(("output".to_string(), Value::from(path.clone())));
+                    fields.push(("output", Value::from(path.clone())));
                 }
                 if let Some(ms) = deadline_ms {
-                    fields.push(("deadline_ms".to_string(), Value::from(*ms)));
+                    fields.push(("deadline_ms", Value::from(*ms)));
                 }
                 if let Some(n) = shard_insts {
-                    fields.push(("shard_insts".to_string(), Value::from(*n)));
+                    fields.push(("shard_insts", Value::from(*n)));
                 }
                 if *retry_quarantined {
-                    fields.push(("retry_quarantined".to_string(), Value::from(true)));
+                    fields.push(("retry_quarantined", Value::from(true)));
                 }
                 fields.into_iter().collect()
             }
@@ -836,6 +826,10 @@ mod tests {
             (
                 r#"{"kind":"align","algo":"wfa","tier":"vec","alphabet":"dna","budgets":{"insts":"1000"},"pairs":[{"pattern":"A","text":"A"}]}"#,
                 "'insts' must be an integer",
+            ),
+            (
+                r#"{"kind":"align","algo":"wfa","tier":"vec","alphabet":"dna","budgets":{"cycles":18446744073709551616},"pairs":[{"pattern":"A","text":"A"}]}"#,
+                "'cycles' must be an integer",
             ),
             (
                 r#"{"kind":"align","algo":"wfa","tier":"vec","alphabet":"dna","budgets":7,"pairs":[{"pattern":"A","text":"A"}]}"#,

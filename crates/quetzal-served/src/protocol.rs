@@ -63,10 +63,10 @@ impl Request {
     /// Renders the request to its wire object.
     pub fn to_value(&self) -> Value {
         match self {
-            Request::Ping => obj([("type", Value::from("ping"))]),
-            Request::Stats => obj([("type", Value::from("stats"))]),
-            Request::Shutdown => obj([("type", Value::from("shutdown"))]),
-            Request::Submit { tenant, job } => obj([
+            Request::Ping => Value::from([("type", Value::from("ping"))]),
+            Request::Stats => Value::from([("type", Value::from("stats"))]),
+            Request::Shutdown => Value::from([("type", Value::from("shutdown"))]),
+            Request::Submit { tenant, job } => Value::from([
                 ("type", Value::from("submit")),
                 ("tenant", Value::from(tenant.clone())),
                 ("job", job.to_value()),
@@ -146,13 +146,6 @@ pub enum Response {
     },
 }
 
-fn obj<const N: usize>(fields: [(&str, Value); N]) -> Value {
-    fields
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect()
-}
-
 /// Leaks nothing: maps a parsed cause string back to the static strs
 /// the enum carries (the cause vocabulary is closed).
 fn cause_str(s: &str) -> Result<&'static str, String> {
@@ -179,8 +172,8 @@ impl Response {
     /// Renders the response to its wire object.
     pub fn to_value(&self) -> Value {
         match self {
-            Response::Pong => obj([("type", Value::from("pong"))]),
-            Response::Accepted { tenant, items } => obj([
+            Response::Pong => Value::from([("type", Value::from("pong"))]),
+            Response::Accepted { tenant, items } => Value::from([
                 ("type", Value::from("accepted")),
                 ("tenant", Value::from(tenant.clone())),
                 ("items", Value::from(*items)),
@@ -189,13 +182,13 @@ impl Response {
                 tenant,
                 inflight,
                 max,
-            } => obj([
+            } => Value::from([
                 ("type", Value::from("busy")),
                 ("tenant", Value::from(tenant.clone())),
                 ("inflight", Value::from(*inflight)),
                 ("max", Value::from(*max)),
             ]),
-            Response::Draining => obj([("type", Value::from("draining"))]),
+            Response::Draining => Value::from([("type", Value::from("draining"))]),
             Response::Item {
                 item,
                 value,
@@ -214,16 +207,13 @@ impl Response {
                     fields.push(("recovered_cause", Value::from(*cause)));
                     fields.push(("recovered_message", Value::from(message.clone())));
                 }
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect()
+                fields.into_iter().collect()
             }
             Response::ItemFailed {
                 item,
                 cause,
                 message,
-            } => obj([
+            } => Value::from([
                 ("type", Value::from("item_failed")),
                 ("item", Value::from(*item)),
                 ("cause", Value::from(*cause)),
@@ -246,10 +236,7 @@ impl Response {
                 if let Some(cause) = &r.quarantined {
                     fields.push(("quarantined", Value::from(cause.clone())));
                 }
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect()
+                fields.into_iter().collect()
             }
             Response::Done(s) => {
                 let mut fields = vec![
@@ -270,14 +257,13 @@ impl Response {
                     fields.push(("clean", Value::from(s.clean)));
                     fields.push(("warnings", Value::from(s.warnings)));
                 }
-                fields
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), v))
-                    .collect()
+                fields.into_iter().collect()
             }
-            Response::Stats(v) => obj([("type", Value::from("stats")), ("stats", v.clone())]),
-            Response::Bye(v) => obj([("type", Value::from("bye")), ("stats", v.clone())]),
-            Response::Error { kind, message } => obj([
+            Response::Stats(v) => {
+                Value::from([("type", Value::from("stats")), ("stats", v.clone())])
+            }
+            Response::Bye(v) => Value::from([("type", Value::from("bye")), ("stats", v.clone())]),
+            Response::Error { kind, message } => Value::from([
                 ("type", Value::from("error")),
                 ("kind", Value::from(*kind)),
                 ("message", Value::from(message.clone())),

@@ -85,85 +85,58 @@ impl ServerStats {
         } else {
             t.instructions as f64 / busy_micros as f64
         };
-        let jobs: Value = [
-            (
-                "accepted".to_string(),
-                Value::from(get(&self.jobs_accepted)),
-            ),
-            ("busy".to_string(), Value::from(get(&self.jobs_busy))),
-            (
-                "draining".to_string(),
-                Value::from(get(&self.jobs_draining)),
-            ),
-            ("invalid".to_string(), Value::from(get(&self.jobs_invalid))),
-            (
-                "completed".to_string(),
-                Value::from(get(&self.jobs_completed)),
-            ),
-        ]
-        .into_iter()
-        .collect();
-        let items: Value = [
-            ("ok".to_string(), Value::from(t.ok)),
-            ("failed".to_string(), Value::from(t.failed)),
-            ("rejected".to_string(), Value::from(t.rejected)),
-            ("recovered".to_string(), Value::from(t.recovered)),
-        ]
-        .into_iter()
-        .collect();
+        let jobs = Value::from([
+            ("accepted", Value::from(get(&self.jobs_accepted))),
+            ("busy", Value::from(get(&self.jobs_busy))),
+            ("draining", Value::from(get(&self.jobs_draining))),
+            ("invalid", Value::from(get(&self.jobs_invalid))),
+            ("completed", Value::from(get(&self.jobs_completed))),
+        ]);
+        let items = Value::from([
+            ("ok", Value::from(t.ok)),
+            ("failed", Value::from(t.failed)),
+            ("rejected", Value::from(t.rejected)),
+            ("recovered", Value::from(t.recovered)),
+        ]);
         // Admission-verdict tallies over verifier-gated items: how many
         // admitted programs carried a proven bound tighter than the
         // default watchdogs, verified clean, or drew warnings —
         // `rejected` mirrors the item counter and completes the
         // partition.
-        let admission: Value = [
-            ("bounded".to_string(), Value::from(t.bounded)),
-            ("clean".to_string(), Value::from(t.clean)),
-            ("warnings".to_string(), Value::from(t.warnings)),
-            ("rejected".to_string(), Value::from(t.rejected)),
-        ]
-        .into_iter()
-        .collect();
-        let totals: Value = [
-            ("cycles".to_string(), Value::from(t.cycles)),
-            ("instructions".to_string(), Value::from(t.instructions)),
-            ("busy_micros".to_string(), Value::from(busy_micros)),
-            ("sim_mips".to_string(), Value::from(sim_mips)),
-        ]
-        .into_iter()
-        .collect();
+        let admission = Value::from([
+            ("bounded", Value::from(t.bounded)),
+            ("clean", Value::from(t.clean)),
+            ("warnings", Value::from(t.warnings)),
+            ("rejected", Value::from(t.rejected)),
+        ]);
+        let totals = Value::from([
+            ("cycles", Value::from(t.cycles)),
+            ("instructions", Value::from(t.instructions)),
+            ("busy_micros", Value::from(busy_micros)),
+            ("sim_mips", Value::from(sim_mips)),
+        ]);
         let tenant_map: Value = tenants
             .iter()
             .map(|t| {
-                let line: Value = [
-                    ("built".to_string(), Value::from(t.pool.built)),
-                    ("free".to_string(), Value::from(t.pool.free)),
-                    ("quarantined".to_string(), Value::from(t.pool.quarantined)),
-                    ("inflight".to_string(), Value::from(t.inflight)),
-                    ("max_inflight".to_string(), Value::from(t.max_inflight)),
-                ]
-                .into_iter()
-                .collect();
+                let line = Value::from([
+                    ("built", Value::from(t.pool.built)),
+                    ("free", Value::from(t.pool.free)),
+                    ("quarantined", Value::from(t.pool.quarantined)),
+                    ("inflight", Value::from(t.inflight)),
+                    ("max_inflight", Value::from(t.max_inflight)),
+                ]);
                 (t.name.clone(), line)
             })
             .collect();
-        [
-            ("jobs".to_string(), jobs),
-            ("items".to_string(), items),
-            ("admission".to_string(), admission),
-            (
-                "protocol_errors".to_string(),
-                Value::from(get(&self.protocol_errors)),
-            ),
-            (
-                "idle_timeouts".to_string(),
-                Value::from(get(&self.idle_timeouts)),
-            ),
-            ("totals".to_string(), totals),
-            ("tenants".to_string(), tenant_map),
-        ]
-        .into_iter()
-        .collect()
+        Value::from([
+            ("jobs", jobs),
+            ("items", items),
+            ("admission", admission),
+            ("protocol_errors", Value::from(get(&self.protocol_errors))),
+            ("idle_timeouts", Value::from(get(&self.idle_timeouts))),
+            ("totals", totals),
+            ("tenants", tenant_map),
+        ])
     }
 }
 

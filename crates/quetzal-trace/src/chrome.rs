@@ -7,115 +7,81 @@
 //! instruction is a complete ("X") event spanning dispatch→commit with
 //! issue/writeback and the stall classification in `args`. Cycles map
 //! 1:1 to the viewer's microseconds (`ts` is unitless in the format).
-//!
-//! Emission is hand-rolled: the repo's zero-external-dependency policy
-//! (DESIGN.md §5) rules out serde, and the format needs only strings,
-//! integers and flat objects. Strings are escaped per JSON; the
-//! in-tree parser ([`crate::json`]) round-trips the output in tests
-//! and in CI's smoke validation.
+//! The document is built as one [`Value`] and rendered by
+//! [`Value::dump`].
 
+use crate::json::Value;
 use crate::recording::RecordingProbe;
 use crate::stall::{class_index, class_label, classify};
 
-/// Escapes a string for a JSON string literal (quotes not included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the probe's retained events as a Chrome trace JSON document.
 pub fn render(probe: &RecordingProbe) -> String {
-    let mut out = String::new();
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut push = |ev: String, first: &mut bool| {
-        if !*first {
-            out.push(',');
-        }
-        out.push_str(&ev);
-        *first = false;
+    let meta = |name: &str, pid: u64, tid: usize, label: &str| {
+        Value::from([
+            ("name", Value::from(name)),
+            ("ph", Value::from("M")),
+            ("pid", Value::from(pid)),
+            ("tid", Value::from(tid)),
+            ("args", Value::from([("name", Value::from(label))])),
+        ])
     };
-
+    let mut events = Vec::new();
     // Metadata: process names (programs) and thread names (classes).
     for (id, name) in probe.programs() {
-        push(
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{id},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(name)
-            ),
-            &mut first,
-        );
+        events.push(meta("process_name", id, 0, name));
         for class in crate::stall::CLASSES {
-            push(
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{id},\"tid\":{},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    class_index(class),
-                    class_label(class)
-                ),
-                &mut first,
-            );
+            events.push(meta(
+                "thread_name",
+                id,
+                class_index(class),
+                class_label(class),
+            ));
         }
     }
-
     for rec in probe.events() {
         let ev = &rec.ev;
-        let dur = ev.commit.saturating_sub(ev.dispatch).max(1);
-        push(
-            format!(
-                "{{\"name\":\"pc {} {}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{},\"tid\":{},\"args\":{{\
-                 \"issue\":{},\"writeback\":{},\"commit_gap\":{},\"stall\":\"{}\",\
-                 \"l1_hits\":{},\"l1_misses\":{},\"l2_misses\":{}}}}}",
-                ev.pc,
-                class_label(ev.class),
-                class_label(ev.class),
-                ev.dispatch,
-                dur,
-                rec.program,
-                class_index(ev.class),
-                ev.issue,
-                ev.complete,
-                ev.commit_gap,
-                classify(ev).label(),
-                ev.mem.l1_hits,
-                ev.mem.l1_misses,
-                ev.mem.l2_misses,
+        let label = class_label(ev.class);
+        events.push(Value::from([
+            ("name", Value::from(format!("pc {} {label}", ev.pc))),
+            ("cat", Value::from(label)),
+            ("ph", Value::from("X")),
+            ("ts", Value::from(ev.dispatch)),
+            (
+                "dur",
+                Value::from(ev.commit.saturating_sub(ev.dispatch).max(1)),
             ),
-            &mut first,
-        );
+            ("pid", Value::from(rec.program)),
+            ("tid", Value::from(class_index(ev.class))),
+            (
+                "args",
+                Value::from([
+                    ("issue", Value::from(ev.issue)),
+                    ("writeback", Value::from(ev.complete)),
+                    ("commit_gap", Value::from(ev.commit_gap)),
+                    ("stall", Value::from(classify(ev).label())),
+                    ("l1_hits", Value::from(ev.mem.l1_hits)),
+                    ("l1_misses", Value::from(ev.mem.l1_misses)),
+                    ("l2_misses", Value::from(ev.mem.l2_misses)),
+                ]),
+            ),
+        ]));
     }
-
-    out.push_str("],\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped_events\":");
-    out.push_str(&probe.dropped().to_string());
-    out.push_str("}}");
-    out
+    Value::from([
+        ("traceEvents", Value::from(events)),
+        ("displayTimeUnit", Value::from("ns")),
+        (
+            "otherData",
+            Value::from([("dropped_events", Value::from(probe.dropped()))]),
+        ),
+    ])
+    .dump()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Value;
     use quetzal_uarch::predecode::FuClass;
     use quetzal_uarch::{MemLevelMix, Probe, RetireEvent, StallCat};
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn trace_round_trips_through_the_parser() {

@@ -1,14 +1,13 @@
-//! Minimal in-tree JSON parser and emitter.
+//! The workspace's one JSON codec.
 //!
-//! Exists to *validate* the JSON this workspace emits (Chrome traces,
-//! `BENCH_uarch.json`) and to carry the `qzserved` wire protocol
-//! without an external dependency (DESIGN.md §5's
-//! zero-external-dependency policy). It is a strict recursive-descent
-//! parser for the JSON grammar — objects, arrays, strings with escape
-//! sequences, numbers, booleans, null — with a depth bound, plus a
-//! deterministic serialiser ([`Value::dump`]). It is not a
-//! performance-oriented deserialiser and does not preserve number
-//! fidelity beyond `f64`/`u64`.
+//! Every JSON document the workspace reads or writes is a [`Value`]:
+//! the `qzserved` wire protocol, ingest item lines, Chrome traces,
+//! `BENCH_uarch.json`, the design-space artifact and the CI checks
+//! over them (`json_gate`), with no external dependency (DESIGN.md §5).
+//! The parser is strict recursive descent over the JSON grammar with a
+//! depth bound; the serialiser ([`Value::dump`], [`Value::dump_into`])
+//! is deterministic and the only JSON string escaper in the workspace.
+//! Numbers are `f64`, so integers are exact up to 2^53.
 
 use std::collections::BTreeMap;
 
@@ -109,7 +108,8 @@ impl Value {
     /// The number as `u64`, if integral and in range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, so the bound is exclusive.
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -119,7 +119,8 @@ impl Value {
     /// The number as `i64`, if integral and in range.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
-            Value::Num(n) if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n <= i64::MAX as f64 => {
+            // `i64::MAX as f64` rounds up to 2^63, so the bound is exclusive.
+            Value::Num(n) if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n < i64::MAX as f64 => {
                 Some(*n as i64)
             }
             _ => None,
@@ -148,7 +149,9 @@ impl Value {
         out
     }
 
-    fn dump_into(&self, out: &mut String) {
+    /// Appends [`Value::dump`]'s output to `out`, allocating no string
+    /// of its own.
+    pub fn dump_into(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
@@ -265,15 +268,21 @@ impl From<Vec<Value>> for Value {
     }
 }
 
-impl From<BTreeMap<String, Value>> for Value {
-    fn from(map: BTreeMap<String, Value>) -> Value {
-        Value::Object(map)
+impl<const N: usize> From<[(&str, Value); N]> for Value {
+    fn from(fields: [(&str, Value); N]) -> Value {
+        fields.into_iter().collect()
     }
 }
 
 impl FromIterator<(String, Value)> for Value {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Value {
         Value::Object(iter.into_iter().collect())
+    }
+}
+
+impl<'a> FromIterator<(&'a str, Value)> for Value {
+    fn from_iter<I: IntoIterator<Item = (&'a str, Value)>>(iter: I) -> Value {
+        Value::Object(iter.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 }
 
@@ -599,6 +608,15 @@ mod tests {
     }
 
     #[test]
+    fn integers_one_past_the_range_are_refused() {
+        let num = |text| Value::parse(text).unwrap();
+        assert_eq!(num("18446744073709551616").as_u64(), None); // 2^64
+        assert_eq!(num("18446744073709549568").as_u64(), Some(u64::MAX - 2047));
+        assert_eq!(num("9223372036854775808").as_i64(), None); // 2^63
+        assert_eq!(num("-9223372036854775808").as_i64(), Some(i64::MIN));
+    }
+
+    #[test]
     fn object_builds_from_iterator() {
         let v: Value = [
             ("b".to_string(), Value::from(2u64)),
@@ -607,5 +625,7 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(v.dump(), r#"{"a":"x","b":2}"#);
+        let fields = Value::from([("b", Value::from(2u64)), ("a", Value::from("x"))]);
+        assert_eq!(fields, v);
     }
 }

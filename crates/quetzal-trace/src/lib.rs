@@ -14,8 +14,8 @@
 //!   rendered as text tables;
 //! * [`chrome`] — Chrome `trace_event` JSON export loadable in
 //!   Perfetto / `chrome://tracing`;
-//! * [`json`] — a strict in-tree JSON parser used to validate emitted
-//!   documents (zero-external-dependency policy, DESIGN.md §5).
+//! * [`json`] — the workspace's one JSON codec: a strict parser and a
+//!   sorted-key emitter (zero-external-dependency policy, DESIGN.md §5).
 //!
 //! The load-bearing invariant: **observation never perturbs timing**.
 //! With the default `NullProbe` the instrumentation compiles out

@@ -168,8 +168,8 @@ impl CoreConfig {
     }
 
     /// The wide 8-issue design point (8-wide dispatch/commit, doubled
-    /// FU pools, 256-entry ROB, 80-entry store window, QZ_8P) used by
-    /// the wide-config series in `BENCH_uarch.json`.
+    /// FU pools, 256-entry ROB, 80-entry store window, QZ_8P) that
+    /// the engine-equivalence and latency tests run at.
     pub fn wide8() -> CoreConfig {
         CoreConfig::a64fx_like()
             .with_issue_width(8)

@@ -43,6 +43,7 @@ use crate::batch::{BatchError, BatchRunner};
 use crate::pool::{FailureCause, MachinePool};
 use crate::{Machine, SimError};
 use manifest::{Fnv64, ManifestState, ShardFile, ShardManifest, ShardStatus};
+use quetzal_trace::json::Value;
 use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -314,23 +315,6 @@ fn io_err(context: impl Into<String>, source: io::Error) -> IngestError {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn cause_kind(cause: &FailureCause) -> &'static str {
     match cause {
         FailureCause::Sim(_) => "sim",
@@ -338,24 +322,29 @@ fn cause_kind(cause: &FailureCause) -> &'static str {
     }
 }
 
-fn ok_line(item: u64, out: &ItemOutput, recovered: Option<&'static str>) -> String {
-    match recovered {
-        None => format!(
-            "{{\"item\":{item},\"value\":{},\"cycles\":{},\"instructions\":{}}}\n",
-            out.value, out.cycles, out.instructions
-        ),
-        Some(kind) => format!(
-            "{{\"item\":{item},\"value\":{},\"cycles\":{},\"instructions\":{},\"recovered\":\"{kind}\"}}\n",
-            out.value, out.cycles, out.instructions
-        ),
-    }
+/// Appends an ok item's line, `{"cycles","instructions","item","value"}`
+/// plus `recovered` when the fresh-machine retry saved it.
+fn ok_line(lines: &mut String, item: u64, out: &ItemOutput, recovered: Option<&'static str>) {
+    let fields = [
+        ("item", Value::from(item)),
+        ("value", Value::from(out.value)),
+        ("cycles", Value::from(out.cycles)),
+        ("instructions", Value::from(out.instructions)),
+    ];
+    let recovered = recovered.map(|kind| ("recovered", Value::from(kind)));
+    Value::from_iter(fields.into_iter().chain(recovered)).dump_into(lines);
+    lines.push('\n');
 }
 
-fn failed_line(item: u64, cause: &str, message: &str) -> String {
-    format!(
-        "{{\"item\":{item},\"cause\":\"{cause}\",\"message\":\"{}\"}}\n",
-        json_escape(message)
-    )
+/// Appends a failed item's line, `{"cause","item","message"}`.
+fn failed_line(lines: &mut String, item: u64, cause: &str, message: &str) {
+    Value::from([
+        ("item", Value::from(item)),
+        ("cause", Value::from(cause)),
+        ("message", Value::from(message)),
+    ])
+    .dump_into(lines);
+    lines.push('\n');
 }
 
 /// Heartbeat state: wall-clock pacing of stderr progress frames.
@@ -485,11 +474,12 @@ fn run_shard<T: Sync>(
         let chunk_base = start + (chunk_idx * chunk_items) as u64;
         if let Some(cause) = &quarantined {
             for local in 0..chunk.len() {
-                lines.push_str(&failed_line(
+                failed_line(
+                    &mut lines,
                     chunk_base + local as u64,
                     "shard-deadline",
                     cause,
-                ));
+                );
                 failed += 1;
             }
             continue;
@@ -505,7 +495,7 @@ fn run_shard<T: Sync>(
             // budget ran, but their results are dropped: the prefix sum
             // in item order is the same at any thread count or chunk size.
             if let Some(cause) = &quarantined {
-                lines.push_str(&failed_line(item, "shard-deadline", cause));
+                failed_line(&mut lines, item, "shard-deadline", cause);
                 failed += 1;
                 continue;
             }
@@ -518,16 +508,17 @@ fn run_shard<T: Sync>(
                         recovered += 1;
                         cause_kind(&f.cause)
                     });
-                    lines.push_str(&ok_line(item, out, kind));
+                    ok_line(&mut lines, item, out, kind);
                 }
                 None => {
                     let failure = failure.expect("resultless item has a failure entry");
                     failed += 1;
-                    lines.push_str(&failed_line(
+                    failed_line(
+                        &mut lines,
                         item,
                         cause_kind(&failure.cause),
                         &failure.cause.to_string(),
-                    ));
+                    );
                 }
             }
             if let Some(budget) = config.deadline.instructions {
@@ -812,6 +803,10 @@ mod tests {
         String::from_utf8(buf).unwrap()
     }
 
+    fn is_deadline_line(line: &Value) -> bool {
+        line.get("cause").and_then(Value::as_str) == Some("shard-deadline")
+    }
+
     #[test]
     fn clean_run_renders_every_item_in_order() {
         let dir = tmp_dir("clean");
@@ -819,17 +814,17 @@ mod tests {
         assert_eq!(summary.shards, 3);
         assert_eq!((summary.items, summary.ok, summary.failed), (10, 10, 0));
         let text = concat_string(&dir, summary.shards);
-        assert_eq!(text.lines().count(), 10);
-        assert!(text
-            .lines()
-            .next()
-            .unwrap()
-            .starts_with("{\"item\":0,\"value\":0,"));
-        assert!(text
-            .lines()
-            .last()
-            .unwrap()
-            .starts_with("{\"item\":9,\"value\":27,"));
+        let lines: Vec<Value> = text.lines().map(|l| Value::parse(l).unwrap()).collect();
+        assert_eq!(lines.len(), 10);
+        for (i, line) in lines.iter().enumerate() {
+            assert_eq!(line.get("item").and_then(Value::as_u64), Some(i as u64));
+            assert_eq!(
+                line.get("value").and_then(Value::as_i64),
+                Some(3 * i as i64)
+            );
+            assert!(line.get("cycles").and_then(Value::as_u64).unwrap() > 0);
+            assert!(line.get("cause").is_none());
+        }
         // One file per shard: no separate output file, no temp file.
         let mut names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -979,7 +974,9 @@ mod tests {
         assert!(summary.failed > 0, "unrun items are recorded as failures");
         assert!(summary.ok > 0, "items before the budget still ran");
         let text = concat_string(&dir, summary.shards);
-        assert!(text.contains("\"cause\":\"shard-deadline\""));
+        assert!(text
+            .lines()
+            .any(|l| is_deadline_line(&Value::parse(l).unwrap())));
         assert_eq!(
             text.lines().count(),
             6,
@@ -1058,10 +1055,13 @@ mod tests {
             let text = concat_string(&dir, summary.shards);
             let deadline: Vec<_> = text
                 .lines()
-                .filter(|l| l.contains("\"cause\":\"shard-deadline\""))
+                .map(|l| Value::parse(l).unwrap())
+                .filter(is_deadline_line)
                 .collect();
             assert_eq!(deadline.len(), 3);
-            assert!(deadline.iter().all(|l| !l.starts_with("{\"item\":0,")));
+            assert!(deadline
+                .iter()
+                .all(|l| l.get("item").and_then(Value::as_u64) != Some(0)));
             outputs.push(text);
             std::fs::remove_dir_all(&dir).unwrap();
         }
@@ -1100,11 +1100,5 @@ mod tests {
             ManifestState::Committed(_)
         ));
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn json_escape_handles_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

@@ -16,7 +16,7 @@
 //! (ignored), or a complete file — never a silently half-trusted
 //! checkpoint. Anything that deviates from the expected shape —
 //! truncation, a bit flip in the header *or* the output, a stale format
-//! version (a `v1` directory re-runs every shard), an interrupted
+//! version (a `v1` or `v2` directory re-runs every shard), an interrupted
 //! non-atomic write — fails the trailing checksum or the field grammar
 //! and comes back as [`ManifestState::Torn`], which resumption treats
 //! exactly like "shard not done": the shard is re-run and the torn file
@@ -148,7 +148,7 @@ pub enum ManifestState {
     Committed(ShardFile),
 }
 
-const VERSION_LINE: &str = "qz-ingest-shard v2";
+const VERSION_LINE: &str = "qz-ingest-shard v3";
 
 /// Byte length of the trailing `crc <16 hex>\n` line.
 const CRC_LINE_LEN: usize = "crc ".len() + 16 + 1;
@@ -403,8 +403,8 @@ mod tests {
     /// A shard file with two output lines, so damage inside the output
     /// region is covered alongside damage to the header.
     fn sample() -> ShardFile {
-        let output = b"{\"item\":96,\"value\":1,\"cycles\":9,\"instructions\":4}\n\
-                       {\"item\":97,\"cause\":\"sim\",\"message\":\"boom\"}\n"
+        let output = b"{\"cycles\":9,\"instructions\":4,\"item\":96,\"value\":1}\n\
+                       {\"cause\":\"sim\",\"item\":97,\"message\":\"boom\"}\n"
             .to_vec();
         ShardFile {
             manifest: ShardManifest {
@@ -487,20 +487,29 @@ mod tests {
         store(&dir, &f).unwrap();
         fs::rename(shard_path(&dir, 0), shard_path(&dir, 7)).unwrap();
         assert!(matches!(load(&dir, 7), ManifestState::Torn(_)));
-        // A v1 manifest (the same header sealed by its own checksum, the
-        // output in a separate file) is stale, so torn.
+        // Every older format is stale, so torn, though it passes its own
+        // checksum: v1 sealed the header alone (its output sat in a
+        // separate file), v2 sealed header and output in today's layout
+        // but with the item lines in another key order.
         let enc = f.encode();
-        let header = &enc[..enc.len() - CRC_LINE_LEN - f.output.len()];
-        let mut v1 = String::from_utf8(header.to_vec())
-            .unwrap()
-            .replacen("qz-ingest-shard v2", "qz-ingest-shard v1", 1)
-            .into_bytes();
-        let crc = fnv64(&v1);
-        v1.extend_from_slice(format!("crc {crc:016x}\n").as_bytes());
-        fs::write(shard_path(&dir, 0), &v1).unwrap();
-        assert!(
-            matches!(load(&dir, 0), ManifestState::Torn(ManifestFault(m)) if m.contains("version"))
-        );
+        let body = &enc[..enc.len() - CRC_LINE_LEN];
+        let header = &body[..body.len() - f.output.len()];
+        let (stem, current) = VERSION_LINE.rsplit_once(" v").unwrap();
+        for old in 1..current.parse::<u32>().unwrap() {
+            for sealed in [header, body] {
+                let mut stale = String::from_utf8(sealed.to_vec())
+                    .unwrap()
+                    .replacen(VERSION_LINE, &format!("{stem} v{old}"), 1)
+                    .into_bytes();
+                let crc = fnv64(&stale);
+                stale.extend_from_slice(format!("crc {crc:016x}\n").as_bytes());
+                fs::write(shard_path(&dir, 0), &stale).unwrap();
+                assert!(
+                    matches!(load(&dir, 0), ManifestState::Torn(ManifestFault(m)) if m.contains("version")),
+                    "a v{old} file must load as torn"
+                );
+            }
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 }

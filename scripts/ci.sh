@@ -112,7 +112,7 @@ cmp "$out_dir/ds1.txt" "$out_dir/ds4.txt" \
     || { echo "FAIL: design_space table depends on QUETZAL_THREADS"; exit 1; }
 cmp "$out_dir/ds1.json" "$out_dir/ds4.json" \
     || { echo "FAIL: design_space JSON depends on QUETZAL_THREADS"; exit 1; }
-grep -q '"benchmark": "uarch-design-space"' "$out_dir/ds1.json" \
+./target/release/json_gate "$out_dir/ds1.json" 'benchmark="uarch-design-space"' \
     || { echo "FAIL: design_space wrote no JSON artifact"; exit 1; }
 
 echo "==> smoke: qzserved daemon loopback, byte-identical to offline"
@@ -145,12 +145,12 @@ cmp "$out_dir/served_align.txt" "$out_dir/offline_align.txt" \
     > "$out_dir/offline_fault.txt" 2>/dev/null
 cmp "$out_dir/served_fault.txt" "$out_dir/offline_fault.txt" \
     || { echo "FAIL: served fault report differs from offline BatchRunner"; exit 1; }
-grep -q '"cause":"rejected"' "$out_dir/served_fault.txt" \
+./target/release/json_gate "$out_dir/served_fault.txt" 'cause="rejected"' \
     || { echo "FAIL: fault smoke exercised no verifier-gated rejection"; exit 1; }
-! grep -q '"cause":"panic"' "$out_dir/served_fault.txt" \
+./target/release/json_gate "$out_dir/served_fault.txt" '!cause="panic"' \
     || { echo "FAIL: fault smoke carries an escaped panic frame"; exit 1; }
 ./target/release/qzclient stats --addr "$served_addr" > "$out_dir/served_stats.json"
-grep -q '"jobs":{"accepted":2' "$out_dir/served_stats.json" \
+./target/release/json_gate "$out_dir/served_stats.json" 'jobs.accepted=2' \
     || { echo "FAIL: /stats did not account for both smoke jobs"; exit 1; }
 ./target/release/qzclient shutdown --addr "$served_addr" > /dev/null
 wait "$served_pid" \
@@ -233,13 +233,14 @@ echo "==> smoke: trace_run probed replay + Chrome-trace JSON"
 QUETZAL_SCALE=0.25 \
     cargo run -q --release --offline -p quetzal-bench --bin trace_run -- \
     wfa vec --top 5 --chrome "$out_dir/trace.json" > "$out_dir/trace.txt"
-# trace_run validates the emitted JSON with the in-tree strict parser
-# (quetzal_trace::json) before writing and exits non-zero on failure;
-# here we only check that the analysis and the artifact both landed.
 grep -q "CPI stack" "$out_dir/trace.txt" \
     || { echo "FAIL: trace_run printed no CPI stack"; exit 1; }
 test -s "$out_dir/trace.json" \
     || { echo "FAIL: trace_run wrote no Chrome trace"; exit 1; }
+# The Chrome trace must parse with the in-tree strict parser
+# (quetzal_trace::json).
+./target/release/json_gate "$out_dir/trace.json" \
+    || { echo "FAIL: trace_run's Chrome trace is not valid JSON"; exit 1; }
 
 echo "==> committed results_run_all.txt is fresh (default scale)"
 QUETZAL_THREADS=4 \
@@ -260,5 +261,7 @@ echo "==> perf trajectory: BENCH_uarch.json (simulated MIPS, both engines)"
 #   sim-MIPS over the kernel grid, or it is dead weight.
 cargo run -q --release --offline -p quetzal-bench --bin bench_uarch \
     > BENCH_uarch.json
+./target/release/json_gate BENCH_uarch.json 'benchmark="uarch-sim-throughput"' \
+    || { echo "FAIL: BENCH_uarch.json is not the throughput artifact"; exit 1; }
 
 echo "CI OK"

@@ -207,10 +207,15 @@ fn a_flipped_output_byte_reruns_only_its_shard() {
     // Flip one byte inside shard 1's output lines, past the header.
     let path = manifest::shard_path(&ckpt, 1);
     let mut bytes = std::fs::read(&path).expect("read shard file");
-    let output_start = bytes
-        .windows(b"{\"item\":".len())
-        .position(|w| w == b"{\"item\":")
-        .expect("the shard file carries its output lines");
+    // The header ends with `output_fnv <16 hex digits>\n`; the output
+    // lines follow it.
+    let field = "\noutput_fnv ";
+    let found = String::from_utf8_lossy(&bytes).find(field);
+    let output_start = found.expect("the shard file carries its header") + field.len() + 17;
+    assert_eq!(
+        bytes[output_start], b'{',
+        "the shard file carries its output lines"
+    );
     bytes[output_start + 20] ^= 0x04;
     std::fs::write(&path, &bytes).expect("corrupt shard file");
 

@@ -111,7 +111,10 @@ fn loopback_daemon_is_byte_identical_to_offline_batchrunner() {
         "offline fault report must be worker-thread invariant"
     );
     assert!(
-        fault_ref.contains("\"cause\":\"rejected\""),
+        fault_ref.lines().any(|l| {
+            let frame = quetzal_trace::json::Value::parse(l).expect("report lines are JSON");
+            frame.get("cause").and_then(|c| c.as_str()) == Some("rejected")
+        }),
         "seed 0xF4417 must exercise verifier-gated rejection"
     );
 
