@@ -12,8 +12,9 @@ use quetzal::isa::EncSize;
 use quetzal_bench::timing::bench;
 use quetzal_genomics::dataset::DatasetSpec;
 use quetzal_genomics::distance::{levenshtein, myers_distance};
+use quetzal_genomics::fasta::{write_pairs, PairReader};
 use quetzal_genomics::packed::Packed2;
-use quetzal_genomics::Alphabet;
+use quetzal_genomics::{Alphabet, Seq};
 
 fn bench_count_alu() {
     bench("count_alu/qzcount_segment_2bit", || {
@@ -63,6 +64,21 @@ fn bench_packing() {
     });
 }
 
+fn bench_parsing() {
+    let mut file = Vec::new();
+    write_pairs(&mut file, &DatasetSpec::d100().generate_n(1, 1024))
+        .expect("writing to a Vec cannot fail");
+    bench("fasta/pair_reader_1024x100bp", || {
+        PairReader::new(black_box(&file[..]), Alphabet::Dna)
+            .map(|pair| pair.expect("generated pairs are valid").text.len())
+            .sum::<usize>()
+    });
+    let seq: Vec<u8> = (0..10_000).map(|i| b"ACGT"[i % 4]).collect();
+    bench("sequence/seq_new_10kbp", || {
+        Seq::new(black_box(&seq[..]), Alphabet::Dna)
+    });
+}
+
 fn main() {
     // `cargo bench` passes --bench (and filter args); ignore them.
     bench_count_alu();
@@ -70,4 +86,5 @@ fn main() {
     bench_qbuffer();
     bench_distances();
     bench_packing();
+    bench_parsing();
 }

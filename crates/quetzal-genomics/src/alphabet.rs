@@ -10,6 +10,12 @@
 /// The alphabet decides which QUETZAL encoding applies: DNA and RNA use
 /// the 2-bit packed encoding, proteins fall back to plain 8-bit bytes.
 ///
+/// Each alphabet carries one 256-entry canonicalisation table
+/// ([`canonical_table`](Alphabet::canonical_table)), built at compile
+/// time from its symbols. It is the crate's one validation rule:
+/// [`Seq::new`](crate::Seq::new) and [`contains`](Alphabet::contains)
+/// both read it.
+///
 /// ```
 /// use quetzal_genomics::Alphabet;
 /// assert_eq!("dna".parse(), Ok(Alphabet::Dna));
@@ -41,7 +47,7 @@ impl Alphabet {
     }
 
     /// The symbols of this alphabet, as uppercase ASCII bytes.
-    pub fn symbols(self) -> &'static [u8] {
+    pub const fn symbols(self) -> &'static [u8] {
         match self {
             Alphabet::Dna => b"ACGT",
             Alphabet::Rna => b"ACGU",
@@ -49,10 +55,40 @@ impl Alphabet {
         }
     }
 
+    /// The alphabet's canonicalisation table: each symbol, in either
+    /// case, maps to its uppercase byte, and every other byte maps to 0
+    /// (no symbol is NUL).
+    pub fn canonical_table(self) -> &'static [u8; 256] {
+        match self {
+            Alphabet::Dna => &DNA_TABLE,
+            Alphabet::Rna => &RNA_TABLE,
+            Alphabet::Protein => &PROTEIN_TABLE,
+        }
+    }
+
     /// Whether `byte` (uppercase ASCII) is a symbol of this alphabet.
     pub fn contains(self, byte: u8) -> bool {
-        self.symbols().contains(&byte)
+        // NUL maps to 0 like every other non-symbol, so it would match.
+        byte != 0 && self.canonical_table()[usize::from(byte)] == byte
     }
+}
+
+static DNA_TABLE: [u8; 256] = canonical_table(Alphabet::Dna);
+static RNA_TABLE: [u8; 256] = canonical_table(Alphabet::Rna);
+static PROTEIN_TABLE: [u8; 256] = canonical_table(Alphabet::Protein);
+
+/// Builds `alphabet`'s canonicalisation table from its symbols.
+const fn canonical_table(alphabet: Alphabet) -> [u8; 256] {
+    let symbols = alphabet.symbols();
+    let mut table = [0u8; 256];
+    let mut i = 0;
+    while i < symbols.len() {
+        let symbol = symbols[i];
+        table[symbol as usize] = symbol;
+        table[symbol.to_ascii_lowercase() as usize] = symbol;
+        i += 1;
+    }
+    table
 }
 
 impl std::str::FromStr for Alphabet {
@@ -96,6 +132,16 @@ mod tests {
         assert!(!Alphabet::Rna.contains(b'T'));
         assert!(Alphabet::Protein.contains(b'W'));
         assert!(!Alphabet::Protein.contains(b'B'));
+        for alphabet in [Alphabet::Dna, Alphabet::Rna, Alphabet::Protein] {
+            for byte in 0..=255u8 {
+                assert_eq!(
+                    alphabet.contains(byte),
+                    alphabet.symbols().contains(&byte),
+                    "{alphabet} byte {byte}"
+                );
+            }
+            assert!(!alphabet.contains(b'a'), "lowercase is not a symbol");
+        }
     }
 
     #[test]

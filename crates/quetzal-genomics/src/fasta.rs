@@ -59,9 +59,24 @@ impl From<io::Error> for FastaError {
 }
 
 /// Streaming pair-file reader: an iterator of [`SeqPair`]s that holds
-/// **one pair in memory at a time**. One `pattern<TAB>text` pair per
-/// line (spaces also accepted as the separator); `#` comments and
-/// blank lines are skipped.
+/// **one pair in memory at a time**.
+///
+/// The pair-file grammar, one line at a time:
+/// - fields are split on ASCII whitespace: tab, space, CR, VT and FF
+///   (the ASCII bytes [`char::is_whitespace`] accepts), so `pattern`
+///   and `text` may be separated by tabs or spaces, and CRLF endings
+///   and leading or trailing whitespace are ignored;
+/// - the first two fields are the pair; further fields are ignored, and
+///   a line with one field is an error;
+/// - lines that are blank or whose first field starts with `#`
+///   (comments) are skipped;
+/// - symbols are case-insensitive and stored uppercase;
+/// - a line holding a non-ASCII byte must be valid UTF-8 (an
+///   [`io::ErrorKind::InvalidData`] error otherwise) and is then split
+///   on Unicode whitespace.
+///
+/// Line numbers in errors are 1-based, and the iterator yields nothing
+/// after its first error.
 ///
 /// [`read_pairs`] is this iterator collected; the crash-safe ingestion
 /// pipeline consumes it directly so memory stays bounded by the shard
@@ -74,6 +89,8 @@ pub struct PairReader<R> {
     line: usize,
     /// A fatal error or EOF was reached; yield nothing further.
     finished: bool,
+    /// The current line's bytes; reused so a line costs no allocation.
+    buf: Vec<u8>,
 }
 
 impl<R: BufRead> PairReader<R> {
@@ -84,8 +101,24 @@ impl<R: BufRead> PairReader<R> {
             alphabet,
             line: 0,
             finished: false,
+            buf: Vec::new(),
         }
     }
+}
+
+/// The ASCII bytes that [`char::is_whitespace`] accepts, so the ASCII
+/// and UTF-8 paths split alike ([`u8::is_ascii_whitespace`] omits VT).
+fn is_space(b: &u8) -> bool {
+    matches!(b, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// A line's pattern and (if present) text fields, or `None` for a blank
+/// or `#` comment line.
+fn pair_fields<'a>(
+    mut fields: impl Iterator<Item = &'a [u8]>,
+) -> Option<(&'a [u8], Option<&'a [u8]>)> {
+    let pattern = fields.next().filter(|f| !f.starts_with(b"#"))?;
+    Some((pattern, fields.next()))
 }
 
 impl<R: BufRead> Iterator for PairReader<R> {
@@ -95,10 +128,9 @@ impl<R: BufRead> Iterator for PairReader<R> {
         if self.finished {
             return None;
         }
-        let mut buf = String::new();
         loop {
-            buf.clear();
-            match self.reader.read_line(&mut buf) {
+            self.buf.clear();
+            match self.reader.read_until(b'\n', &mut self.buf) {
                 Err(e) => {
                     self.finished = true;
                     return Some(Err(FastaError::Io(e)));
@@ -110,14 +142,24 @@ impl<R: BufRead> Iterator for PairReader<R> {
                 Ok(_) => {}
             }
             self.line += 1;
-            let line = buf.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut fields = line.split_whitespace();
-            let (p, t) = match (fields.next(), fields.next()) {
-                (Some(p), Some(t)) => (p, t),
-                _ => {
+            let fields = if self.buf.is_ascii() {
+                pair_fields(self.buf.split(is_space).filter(|f| !f.is_empty()))
+            } else {
+                match std::str::from_utf8(&self.buf) {
+                    Ok(line) => pair_fields(line.split_whitespace().map(str::as_bytes)),
+                    Err(_) => {
+                        self.finished = true;
+                        return Some(Err(FastaError::Io(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            "stream did not contain valid UTF-8",
+                        ))));
+                    }
+                }
+            };
+            let (p, t) = match fields {
+                None => continue,
+                Some((p, Some(t))) => (p, t),
+                Some((_, None)) => {
                     self.finished = true;
                     return Some(Err(FastaError::Format {
                         line: self.line,
@@ -125,8 +167,8 @@ impl<R: BufRead> Iterator for PairReader<R> {
                     }));
                 }
             };
-            let seq_of = |s: &str| {
-                Seq::new(s.as_bytes().to_vec(), self.alphabet).map_err(|source| FastaError::Seq {
+            let seq_of = |s: &[u8]| {
+                Seq::new(s, self.alphabet).map_err(|source| FastaError::Seq {
                     line: self.line,
                     source,
                 })
@@ -142,7 +184,7 @@ impl<R: BufRead> Iterator for PairReader<R> {
 }
 
 /// Reads a SneakySnake-style pair file: one `pattern<TAB>text` pair per
-/// line (spaces also accepted as the separator). This is [`PairReader`]
+/// line, in the grammar [`PairReader`] documents. This is [`PairReader`]
 /// collected — use the iterator directly when the input may not fit in
 /// memory.
 ///
@@ -169,6 +211,128 @@ pub fn write_pairs<W: Write>(mut writer: W, pairs: &[SeqPair]) -> io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `PairReader` before the byte path: a `String` per line, split on
+    /// Unicode whitespace. Kept verbatim as the reference.
+    struct ReferenceReader<R> {
+        reader: R,
+        alphabet: Alphabet,
+        line: usize,
+        finished: bool,
+    }
+
+    impl<R: BufRead> Iterator for ReferenceReader<R> {
+        type Item = Result<SeqPair, FastaError>;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            if self.finished {
+                return None;
+            }
+            let mut buf = String::new();
+            loop {
+                buf.clear();
+                match self.reader.read_line(&mut buf) {
+                    Err(e) => {
+                        self.finished = true;
+                        return Some(Err(FastaError::Io(e)));
+                    }
+                    Ok(0) => {
+                        self.finished = true;
+                        return None;
+                    }
+                    Ok(_) => {}
+                }
+                self.line += 1;
+                let line = buf.trim();
+                if line.is_empty() || line.starts_with('#') {
+                    continue;
+                }
+                let mut fields = line.split_whitespace();
+                let (p, t) = match (fields.next(), fields.next()) {
+                    (Some(p), Some(t)) => (p, t),
+                    _ => {
+                        self.finished = true;
+                        return Some(Err(FastaError::Format {
+                            line: self.line,
+                            message: "expected two whitespace-separated sequences".into(),
+                        }));
+                    }
+                };
+                let seq_of = |s: &str| {
+                    Seq::new(s.as_bytes().to_vec(), self.alphabet).map_err(|source| {
+                        FastaError::Seq {
+                            line: self.line,
+                            source,
+                        }
+                    })
+                };
+                let pair =
+                    seq_of(p).and_then(|pattern| seq_of(t).map(|text| SeqPair { pattern, text }));
+                if pair.is_err() {
+                    self.finished = true;
+                }
+                return Some(pair);
+            }
+        }
+    }
+
+    /// An item reduced to what callers can observe: the pair, or the
+    /// error's variant, line, I/O kind and message.
+    type Observed = Result<SeqPair, (&'static str, usize, Option<io::ErrorKind>, String)>;
+
+    fn observe(item: Result<SeqPair, FastaError>) -> Observed {
+        item.map_err(|e| {
+            let (variant, line, kind) = match &e {
+                FastaError::Io(io) => ("io", 0, Some(io.kind())),
+                FastaError::Seq { line, .. } => ("seq", *line, None),
+                FastaError::Format { line, .. } => ("format", *line, None),
+            };
+            (variant, line, kind, e.to_string())
+        })
+    }
+
+    #[test]
+    fn pair_reader_matches_the_string_reference() {
+        let long = format!("{}\t{}\n", "ACGT".repeat(64), "TTGA".repeat(64));
+        let corpus: Vec<Vec<u8>> = vec![
+            b"ACGT\tAGGT\r\nTTTT\tTTAT\r\n".to_vec(),
+            b"ACGT\tAGGT\nTTTT\tTTAT".to_vec(),
+            b"ACGT AGGT\nACGT\x0BAGGT\nACGT\x0CAGGT\n \t ACGT \t AGGT \t \r\n".to_vec(),
+            b"  # indented\n\t#tabbed\n\n   \n\r\nACGT\tAGGT\tEXTRA\nacgt\taggt\n".to_vec(),
+            "ACGT\u{a0}AGGT\nACGT\u{85}AGGT\nACGT\u{2003}AGGT\n".into(),
+            "ACGT\tAG\u{c9}T\n".into(),
+            b"ACGT\tAGGT\nACGT\tAG\xffT\nACGT\tAGGT\n".to_vec(),
+            b"# \xfe comment\nACGT\tAGGT\n".to_vec(),
+            b"ACGT\tAGGT\nACGT\nACGT\tAGGT\n".to_vec(),
+            b"ACGT\x1CAGGT\n".to_vec(),
+            b"ACGT\tAGNT\nACGT\tAGGT\n".to_vec(),
+            b"AC\x00T\tAGGT\n".to_vec(),
+            format!("{long}AC\tAG\n{long}GG\n").into_bytes(),
+            b"".to_vec(),
+            b"\n# only comments\n".to_vec(),
+        ];
+        for input in &corpus {
+            for alphabet in [Alphabet::Dna, Alphabet::Protein] {
+                // A 4-byte buffer makes every long line span refills.
+                for capacity in [4, 8192] {
+                    let got: Vec<Observed> = PairReader::new(
+                        io::BufReader::with_capacity(capacity, &input[..]),
+                        alphabet,
+                    )
+                    .map(observe)
+                    .collect();
+                    let reference = ReferenceReader {
+                        reader: io::BufReader::with_capacity(capacity, &input[..]),
+                        alphabet,
+                        line: 0,
+                        finished: false,
+                    };
+                    let want: Vec<Observed> = reference.map(observe).collect();
+                    assert_eq!(got, want, "{alphabet} {:?}", String::from_utf8_lossy(input));
+                }
+            }
+        }
+    }
 
     #[test]
     fn pairs_round_trip() {

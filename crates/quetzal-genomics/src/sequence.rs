@@ -53,16 +53,26 @@ impl Seq {
     /// Returns [`SeqError`] describing the first invalid byte.
     pub fn new(bytes: impl Into<Vec<u8>>, alphabet: Alphabet) -> Result<Self, SeqError> {
         let mut bytes = bytes.into();
-        for (position, b) in bytes.iter_mut().enumerate() {
-            let up = b.to_ascii_uppercase();
-            if !alphabet.contains(up) {
-                return Err(SeqError {
-                    position,
-                    byte: *b,
-                    alphabet,
-                });
-            }
-            *b = up;
+        let table = alphabet.canonical_table();
+        // Validate in one branch-free pass (an invalid byte maps to 0, the
+        // smallest entry); locate the first offender, whose original byte
+        // the error reports, only on failure.
+        let least = bytes
+            .iter()
+            .fold(u8::MAX, |least, &b| least.min(table[usize::from(b)]));
+        if least == 0 {
+            let position = bytes
+                .iter()
+                .position(|&b| table[usize::from(b)] == 0)
+                .expect("an invalid byte was seen");
+            return Err(SeqError {
+                position,
+                byte: bytes[position],
+                alphabet,
+            });
+        }
+        for b in &mut bytes {
+            *b = table[usize::from(*b)];
         }
         Ok(Seq { bytes, alphabet })
     }
@@ -156,6 +166,49 @@ mod tests {
         assert_eq!(err.position, 3);
         assert_eq!(err.byte, b'N');
         assert!(err.to_string().contains("position 3"));
+    }
+
+    /// `Seq::new`'s per-byte rule before the canonicalisation table,
+    /// kept verbatim as the reference for the table-driven one.
+    fn reference_new(bytes: &[u8], alphabet: Alphabet) -> Result<Vec<u8>, SeqError> {
+        let mut bytes = bytes.to_vec();
+        for (position, b) in bytes.iter_mut().enumerate() {
+            let up = b.to_ascii_uppercase();
+            if !alphabet.symbols().contains(&up) {
+                return Err(SeqError {
+                    position,
+                    byte: *b,
+                    alphabet,
+                });
+            }
+            *b = up;
+        }
+        Ok(bytes)
+    }
+
+    #[test]
+    fn table_matches_the_per_byte_rule_on_every_byte() {
+        for alphabet in [Alphabet::Dna, Alphabet::Rna, Alphabet::Protein] {
+            // Every symbol in both cases, so a valid run exercises the
+            // whole mapping.
+            let valid: Vec<u8> = alphabet
+                .symbols()
+                .iter()
+                .flat_map(|&s| [s, s.to_ascii_lowercase()])
+                .collect();
+            for byte in 0..=255u8 {
+                for at in [0, valid.len() / 2, valid.len()] {
+                    let mut input = valid.clone();
+                    input.insert(at, byte);
+                    let got = Seq::new(input.clone(), alphabet).map(|s| s.as_bytes().to_vec());
+                    let want = reference_new(&input, alphabet);
+                    assert_eq!(got, want, "{alphabet} byte {byte} at {at}");
+                    if let (Err(got), Err(want)) = (got, want) {
+                        assert_eq!(got.to_string(), want.to_string());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -219,6 +219,27 @@ QUETZAL_THREADS=4 ./target/release/qzingest run --input "$out_dir/pairs.tsv" \
 read -r _ quarantined _ <<< "$(ingest_counts "$out_dir/ingest-budget.log")"
 [ "${quarantined:-0}" -ge 1 ] \
     || { echo "FAIL: --shard-insts 100 quarantined no shard"; exit 1; }
+# The pair-file grammar: the same pairs with every other one lowercased,
+# CRLF endings, a comment and a blank line, and a single space as the
+# separator on every third line must ingest to the same report; a
+# trailing pair with an `N` must fail the run and name its line (49).
+awk 'BEGIN { ORS = "\r\n" }
+     NR == 3 { print "# comment"; print "" }
+     NR % 2 == 0 { $0 = tolower($0) }
+     NR % 3 == 0 { sub(/\t/, " ") }
+     { print }' "$out_dir/pairs.tsv" > "$out_dir/pairs-messy.tsv"
+QUETZAL_THREADS=1 ./target/release/qzingest run --input "$out_dir/pairs-messy.tsv" \
+    --ckpt "$out_dir/ck-messy" --output "$out_dir/ingest-messy.out" \
+    --shard 8 --quiet 2>/dev/null
+cmp "$out_dir/ingest-fresh.out" "$out_dir/ingest-messy.out" \
+    || { echo "FAIL: the reformatted pair file ingested differently"; exit 1; }
+cp "$out_dir/pairs.tsv" "$out_dir/pairs-bad.tsv"
+printf 'ACGTN\tACGTA\n' >> "$out_dir/pairs-bad.tsv"
+rc=0
+QUETZAL_THREADS=1 ./target/release/qzingest run --input "$out_dir/pairs-bad.tsv" \
+    --ckpt "$out_dir/ck-bad" --shard 8 --quiet 2> "$out_dir/ingest-bad.log" || rc=$?
+[ "$rc" -ne 0 ] && grep -q "line 49: invalid DNA symbol 'N'" "$out_dir/ingest-bad.log" \
+    || { echo "FAIL: an invalid symbol on line 49 did not fail the run by line"; exit 1; }
 
 echo "==> smoke: qz_align over the staged pair file, every algorithm"
 # The CLI aligner shares the pair path of qzingest/qzserved (windowed
