@@ -71,9 +71,9 @@ impl From<io::Error> for FastaError {
 /// - lines that are blank or whose first field starts with `#`
 ///   (comments) are skipped;
 /// - symbols are case-insensitive and stored uppercase;
-/// - a line holding a non-ASCII byte must be valid UTF-8 (an
-///   [`io::ErrorKind::InvalidData`] error otherwise) and is then split
-///   on Unicode whitespace.
+/// - a line holding a non-ASCII byte must be valid UTF-8 (a
+///   [`FastaError::Format`] naming the line otherwise) and is then
+///   split on Unicode whitespace.
 ///
 /// Line numbers in errors are 1-based, and the iterator yields nothing
 /// after its first error.
@@ -149,10 +149,10 @@ impl<R: BufRead> Iterator for PairReader<R> {
                     Ok(line) => pair_fields(line.split_whitespace().map(str::as_bytes)),
                     Err(_) => {
                         self.finished = true;
-                        return Some(Err(FastaError::Io(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "stream did not contain valid UTF-8",
-                        ))));
+                        return Some(Err(FastaError::Format {
+                            line: self.line,
+                            message: "invalid UTF-8".into(),
+                        }));
                     }
                 }
             };
@@ -327,7 +327,21 @@ mod tests {
                         line: 0,
                         finished: false,
                     };
-                    let want: Vec<Observed> = reference.map(observe).collect();
+                    // Deliberate change from the reference: a line that
+                    // is not UTF-8 is a format error on its own line,
+                    // not an I/O error with no line.
+                    let want: Vec<Observed> = (reference.map(observe))
+                        .map(|item| match item {
+                            Err(("io", _, Some(io::ErrorKind::InvalidData), _)) => {
+                                let line = (input.split(|&b| b == b'\n'))
+                                    .position(|l| std::str::from_utf8(l).is_err())
+                                    .expect("a non-UTF-8 line")
+                                    + 1;
+                                Err(("format", line, None, format!("line {line}: invalid UTF-8")))
+                            }
+                            other => other,
+                        })
+                        .collect();
                     assert_eq!(got, want, "{alphabet} {:?}", String::from_utf8_lossy(input));
                 }
             }

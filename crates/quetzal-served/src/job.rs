@@ -42,14 +42,16 @@ use quetzal::ingest::{self, pair_digest, IngestConfig, ItemOutput, ShardDeadline
 use quetzal::uarch::state::DEFAULT_PAGE_BUDGET;
 use quetzal::uarch::RunStats;
 use quetzal::verify::ResourceBound;
-use quetzal::{BatchRunner, FailureCause, FaultPlan, ItemFailure, Machine, MachinePool};
+use quetzal::{BatchRunner, FaultPlan, ItemFailure, Machine, MachinePool};
 use quetzal_algos::Tier;
 use quetzal_bench::workloads::{try_simulate_pair_outcome, Algo};
 use quetzal_genomics::dataset::SeqPair;
 use quetzal_genomics::fasta::PairReader;
 use quetzal_genomics::{Alphabet, Seq};
 use quetzal_trace::json::Value;
+use std::convert::Infallible;
 use std::io::BufReader;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::time::Duration;
 
@@ -427,13 +429,6 @@ impl JobSummary {
     }
 }
 
-fn cause_frames(cause: &FailureCause) -> (&'static str, String) {
-    match cause {
-        FailureCause::Sim(e) => ("sim", e.to_string()),
-        FailureCause::Panic(msg) => ("panic", msg.clone()),
-    }
-}
-
 /// Streams one executed item's frame.
 fn emit_slot(
     item: usize,
@@ -448,7 +443,7 @@ fn emit_slot(
             summary.instructions += stats.instructions;
             let recovered = failure.map(|f| {
                 summary.recovered += 1;
-                cause_frames(&f.cause)
+                (f.cause.kind(), f.cause.detail())
             });
             emit(Response::Item {
                 item,
@@ -459,13 +454,12 @@ fn emit_slot(
             });
         }
         None => {
-            let failure = failure.expect("resultless item has a failure entry");
-            let (cause, message) = cause_frames(&failure.cause);
+            let cause = &failure.expect("resultless item has a failure entry").cause;
             summary.failed += 1;
             emit(Response::ItemFailed {
                 item,
-                cause,
-                message,
+                cause: cause.kind(),
+                message: cause.detail(),
             });
         }
     }
@@ -486,16 +480,17 @@ fn tighter_than_watchdogs(bound: &ResourceBound) -> bool {
 /// Executes one job over a caller-owned pool, streaming per-item frames
 /// through `emit` as chunks complete and finishing with a `done` frame.
 ///
-/// Items run in submission order, `chunk` at a time; each chunk goes
-/// through the deterministic [`BatchRunner`] merge, so the frame stream
-/// is **bit-identical for every worker-thread count** — the loopback
-/// e2e test pins daemon-vs-offline equality on exactly this property.
+/// Items run in submission order, `chunk` at a time, through the chunk
+/// driver [`BatchRunner::run_chunks`] (align and fault jobs never stop
+/// it early), so the frame stream is **bit-identical for every
+/// worker-thread count and chunk size** — the loopback e2e test pins
+/// daemon-vs-offline equality on exactly this property.
 ///
 /// Fault-job programs are staged on a scratch (never pooled) machine
-/// and statically verified before execution: only admitted mutants go
-/// to the batch runner, so provably-fatal ones are rejected without a
-/// pool checkout (a chunk of nothing but rejections runs an empty
-/// batch). Their `rejected` frames keep their place in item order.
+/// and statically verified before execution: only admitted mutants pass
+/// the driver's admission, so provably-fatal ones are rejected without
+/// a pool checkout (a chunk of nothing but rejections checks nothing
+/// out). Their `rejected` frames keep their place in item order.
 pub fn execute(
     runner: &BatchRunner,
     pool: &MachinePool,
@@ -503,12 +498,11 @@ pub fn execute(
     chunk: usize,
     emit: &mut dyn FnMut(Response),
 ) -> JobSummary {
-    let chunk = chunk.max(1);
     let mut summary = JobSummary {
         items: spec.items() as u64,
         ..JobSummary::default()
     };
-    match spec {
+    let outcome = match spec {
         JobSpec::Align {
             algo,
             tier,
@@ -516,30 +510,27 @@ pub fn execute(
             ss_threshold,
             budgets,
             pairs,
-        } => {
-            for (index, slice) in pairs.chunks(chunk).enumerate() {
-                let outcome = runner.run_machines_report_pooled(pool, slice, |m, _i, pair| {
+        } => runner
+            .run_chunks(
+                pool,
+                pairs,
+                chunk,
+                |_| true,
+                |m, _i, pair| {
                     budgets.apply(m);
                     let out =
                         try_simulate_pair_outcome(m, *algo, *alphabet, *ss_threshold, pair, *tier)?;
                     Ok((out.value, out.stats))
-                });
-                match outcome {
-                    Ok(report) => {
-                        for (local, slot) in report.slots().enumerate() {
-                            emit_slot(index * chunk + local, slot, &mut summary, emit);
-                        }
+                },
+                |base, report| -> ControlFlow<Infallible> {
+                    for (local, slot) in report.slots().enumerate() {
+                        emit_slot(base + local, slot, &mut summary, emit);
                     }
-                    Err(e) => {
-                        emit(Response::Error {
-                            kind: "internal",
-                            message: e.to_string(),
-                        });
-                        break;
-                    }
-                }
-            }
-        }
+                    ControlFlow::Continue(())
+                },
+            )
+            .map(drop)
+            .map_err(|e| e.to_string()),
         JobSpec::Fault { seed, cases } => {
             let plan = FaultPlan::new(*seed);
             // Stage each case on a scratch machine (reset ≡ fresh) just
@@ -553,59 +544,51 @@ pub fn execute(
                 ..quetzal::verify::VerifyConfig::default()
             };
             let mut scratch = Machine::new(pool.config().clone());
-            let staged: Vec<(u64, Option<String>)> = cases
+            let rejections: Vec<Option<String>> = cases
                 .iter()
                 .map(|&case| {
                     scratch.reset();
                     let (program, _) = plan.stage(case, &mut scratch);
                     let report = quetzal::verify::verify_with(&program, &vconfig);
-                    let rejection = if report.verdict() == quetzal::verify::Verdict::Fatal {
-                        Some(format!(
+                    if report.verdict() == quetzal::verify::Verdict::Fatal {
+                        return Some(format!(
                             "program '{}' statically rejected with {} diagnostic(s)",
                             report.name(),
                             report.diagnostics().len()
-                        ))
+                        ));
+                    }
+                    if tighter_than_watchdogs(report.bound()) {
+                        summary.bounded += 1;
+                    } else if report.verdict() == quetzal::verify::Verdict::Warnings {
+                        summary.warnings += 1;
                     } else {
-                        if tighter_than_watchdogs(report.bound()) {
-                            summary.bounded += 1;
-                        } else if report.verdict() == quetzal::verify::Verdict::Warnings {
-                            summary.warnings += 1;
-                        } else {
-                            summary.clean += 1;
-                        }
-                        None
-                    };
-                    (case, rejection)
+                        summary.clean += 1;
+                    }
+                    None
                 })
                 .collect();
-            for (index, slice) in staged.chunks(chunk).enumerate() {
-                let admitted: Vec<u64> = slice
-                    .iter()
-                    .filter(|(_, rejection)| rejection.is_none())
-                    .map(|(case, _)| *case)
-                    .collect();
-                let outcome = runner.run_machines_report_pooled(pool, &admitted, |m, _i, case| {
-                    // Re-stage on the pooled machine: staging seeds
-                    // adversarial registers and memory, so the run
-                    // reproduces the sweep's outcome exactly. The
-                    // machine is at its default watchdogs here, so
-                    // staging never trips the sweep caps below.
-                    let (program, _) = plan.stage(*case, m);
-                    SWEEP_BUDGETS.apply(m);
-                    let stats = m.run(&program)?;
-                    Ok((0i64, stats))
-                });
-                match outcome {
-                    Ok(report) => {
-                        let mut executed = report.slots();
-                        for (local, (_, rejection)) in slice.iter().enumerate() {
-                            let item = index * chunk + local;
-                            match rejection {
-                                None => {
-                                    let slot =
-                                        executed.next().expect("one report slot per admitted case");
-                                    emit_slot(item, slot, &mut summary, emit);
-                                }
+            runner
+                .run_chunks(
+                    pool,
+                    &rejections,
+                    chunk,
+                    Option::is_none,
+                    |m, i, _| {
+                        // Re-stage on the pooled machine: staging seeds
+                        // adversarial registers and memory, so the run
+                        // reproduces the sweep's outcome exactly. The
+                        // machine is at its default watchdogs here, so
+                        // staging never trips the sweep caps below.
+                        let (program, _) = plan.stage(cases[i], m);
+                        SWEEP_BUDGETS.apply(m);
+                        let stats = m.run(&program)?;
+                        Ok((0i64, stats))
+                    },
+                    |base, report| -> ControlFlow<Infallible> {
+                        for (local, slot) in report.slots().enumerate() {
+                            let item = base + local;
+                            match &rejections[item] {
+                                None => emit_slot(item, slot, &mut summary, emit),
                                 Some(message) => {
                                     summary.rejected += 1;
                                     emit(Response::ItemFailed {
@@ -616,16 +599,11 @@ pub fn execute(
                                 }
                             }
                         }
-                    }
-                    Err(e) => {
-                        emit(Response::Error {
-                            kind: "internal",
-                            message: e.to_string(),
-                        });
-                        break;
-                    }
-                }
-            }
+                        ControlFlow::Continue(())
+                    },
+                )
+                .map(drop)
+                .map_err(|e| e.to_string())
         }
         JobSpec::Ingest {
             input,
@@ -652,14 +630,11 @@ pub fn execute(
                 retry_quarantined: *retry_quarantined,
                 ..IngestConfig::new(checkpoint_dir)
             };
-            match std::fs::File::open(input) {
-                Err(e) => emit(Response::Error {
-                    kind: "internal",
-                    message: format!("opening '{input}': {e}"),
-                }),
-                Ok(file) => {
+            std::fs::File::open(input)
+                .map_err(|e| format!("opening '{input}': {e}"))
+                .and_then(|file| {
                     let source = PairReader::new(BufReader::new(file), *alphabet);
-                    let outcome = ingest::run_ingest(
+                    ingest::run_ingest(
                         &config,
                         runner,
                         pool,
@@ -682,36 +657,29 @@ pub fn execute(
                             })
                         },
                         |report| emit(Response::ShardDone(report.clone())),
-                    );
-                    match outcome {
-                        Ok(ingested) => {
-                            summary.items = ingested.items;
-                            summary.ok = ingested.ok;
-                            summary.failed = ingested.failed;
-                            summary.recovered = ingested.recovered;
-                            summary.cycles = ingested.cycles;
-                            summary.instructions = ingested.instructions;
-                            if let Some(path) = output {
-                                if let Err(e) = ingest::concat_to_path(
-                                    Path::new(checkpoint_dir),
-                                    ingested.shards,
-                                    Path::new(path),
-                                ) {
-                                    emit(Response::Error {
-                                        kind: "internal",
-                                        message: format!("assembling '{path}': {e}"),
-                                    });
-                                }
-                            }
-                        }
-                        Err(e) => emit(Response::Error {
-                            kind: "internal",
-                            message: e.to_string(),
-                        }),
-                    }
-                }
-            }
+                    )
+                    .map_err(|e| e.to_string())
+                })
+                .and_then(|ingested| {
+                    summary.items = ingested.items;
+                    summary.ok = ingested.ok;
+                    summary.failed = ingested.failed;
+                    summary.recovered = ingested.recovered;
+                    summary.cycles = ingested.cycles;
+                    summary.instructions = ingested.instructions;
+                    let Some(path) = output else { return Ok(()) };
+                    let shards = ingested.shards;
+                    ingest::concat_to_path(Path::new(checkpoint_dir), shards, Path::new(path))
+                        .map(drop)
+                        .map_err(|e| format!("assembling '{path}': {e}"))
+                })
         }
+    };
+    if let Err(message) = outcome {
+        emit(Response::Error {
+            kind: "internal",
+            message,
+        });
     }
     emit(Response::Done(summary));
     summary
@@ -883,6 +851,44 @@ mod tests {
             .collect();
         assert_eq!(items, vec![0, 1, 2]);
         assert!(matches!(frames1.last(), Some(Response::Done(_))));
+    }
+
+    #[test]
+    fn frame_streams_are_chunk_size_invariant() {
+        // Chunks are cut from item order alone and every item runs on a
+        // cold machine, so a job streams the same frames in chunks of
+        // one item, of five, and of the whole batch or more. The fault
+        // window mixes runs, a runtime fault, warnings and rejections.
+        let config = MachineConfig::default();
+        let fault = JobSpec::Fault {
+            seed: 4,
+            cases: (0..24).collect(),
+        };
+        for spec in [align_spec(7), fault] {
+            let frames = |chunk: usize| {
+                let runner = BatchRunner::new(2);
+                let pool = MachinePool::new(&config, runner.exec_mode());
+                let mut frames = Vec::new();
+                let summary = execute(&runner, &pool, &spec, chunk, &mut |f| frames.push(f));
+                (frames, summary)
+            };
+            let (want, summary) = frames(1);
+            assert_eq!(
+                want.len(),
+                spec.items() + 1,
+                "one frame per item, then done"
+            );
+            assert_eq!(
+                summary.ok + summary.failed + summary.rejected,
+                summary.items
+            );
+            if let JobSpec::Fault { .. } = spec {
+                assert!(summary.failed > 0 && summary.rejected > 0 && summary.warnings > 0);
+            }
+            for chunk in [5, spec.items(), spec.items() + 3] {
+                assert_eq!(frames(chunk), (want.clone(), summary), "chunk {chunk}");
+            }
+        }
     }
 
     #[test]

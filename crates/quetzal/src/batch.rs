@@ -7,19 +7,24 @@
 //! work items across `QUETZAL_THREADS` worker threads, each shard
 //! simulated on its own cold [`Machine`] (core + caches + QBUFFERs).
 //!
-//! The runner has two entry points:
+//! The runner has two layers and one driver over them:
 //!
-//! * [`run`](BatchRunner::run) — the generic shard-and-merge core: a
-//!   per-shard context from `init`, a work closure per item. Simulation
-//!   callers pass `|| pool.checkout()` over a [`MachinePool`] built with
-//!   the runner's [`exec_mode`](BatchRunner::exec_mode);
+//! * [`run`](BatchRunner::run) — the generic shard-and-merge core: every
+//!   item is its own shard, with a fresh context from `init` and the
+//!   work closure. Simulation callers pass `|| pool.checkout()` over a
+//!   [`MachinePool`] built with the runner's
+//!   [`exec_mode`](BatchRunner::exec_mode);
 //! * [`run_machines_report_pooled`](BatchRunner::run_machines_report_pooled)
-//!   — pooled machines with a fault boundary per item.
+//!   — pooled machines with a fault boundary per item;
+//! * [`run_chunks`](BatchRunner::run_chunks) — the one chunk driver
+//!   over the pooled path, for served align and fault jobs and ingest
+//!   shards: each chunk's [`RunReport`] goes to a callback that may stop
+//!   the run early ([`Stopped`]).
 //!
 //! Machine lifecycle — pooling, quarantine, reset ≡ fresh, the
 //! retry-on-fresh-machine boundary — lives in [`crate::pool`]; this
-//! module owns sharding and deterministic merging. The `qzserved`
-//! daemon (`quetzal-served`) drives the same two layers over
+//! module owns sharding, chunking and deterministic merging. The
+//! `qzserved` daemon (`quetzal-served`) drives the same layers over
 //! long-lived per-tenant pools.
 //!
 //! # Determinism guarantee
@@ -27,8 +32,8 @@
 //! The output is **bit-identical for every thread count**, including 1.
 //! This holds by construction:
 //!
-//! 1. items are split into shards as a pure function of the item count
-//!    and the configured shard size — never of the thread count;
+//! 1. every item is its own shard, so sharding is a pure function of
+//!    the item count — never of the thread count;
 //! 2. every shard starts from a cold, identically configured context
 //!    (for simulations: a fresh [`Machine`], or a pooled one
 //!    [`Machine::reset`] to the indistinguishable cold-boot state), so
@@ -59,9 +64,9 @@
 //! [`Machine::reset`]'s cold-boot guarantee is only pinned for machines
 //! that completed their runs.
 //!
-//! The runner applies no budgets and no admission of its own: a work
-//! closure that wants tighter watchdogs sets them on its machine, on
-//! every attempt (reset and fault replacement restore the defaults).
+//! The runner applies no budgets of its own: a work closure that wants
+//! tighter watchdogs sets them on its machine, on every attempt (reset
+//! and fault replacement restore the defaults).
 //!
 //! ```
 //! use quetzal::BatchRunner;
@@ -76,6 +81,7 @@
 
 use crate::pool::{panic_message, retry_item};
 use crate::{ExecMode, Machine, SimError};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -92,21 +98,15 @@ pub const THREADS_ENV: &str = "QUETZAL_THREADS";
 /// lowest-numbered failing shard so the error, too, is deterministic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchError {
-    /// Index of the failing shard.
+    /// Index of the failing shard, which is its one item's index.
     pub shard: usize,
-    /// Range of item indices the shard covered.
-    pub items: (usize, usize),
     /// The panic payload, if it was a string.
     pub message: String,
 }
 
 impl std::fmt::Display for BatchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "batch shard {} (items {}..{}) panicked: {}",
-            self.shard, self.items.0, self.items.1, self.message
-        )
+        write!(f, "batch shard {} panicked: {}", self.shard, self.message)
     }
 }
 
@@ -122,7 +122,7 @@ impl std::error::Error for BatchError {}
 #[derive(Debug, Clone)]
 pub struct RunReport<R> {
     /// Per-item results, in item order; `None` iff the item failed and
-    /// the retry failed too.
+    /// the retry failed too, or was never admitted.
     pub results: Vec<Option<R>>,
     /// All failures (including recovered ones), ordered by item index.
     pub failures: Vec<ItemFailure>,
@@ -144,7 +144,8 @@ impl<R> RunReport<R> {
 
     /// Per-item `(result, failure)` slots in item order: a healthy item
     /// has a result and no failure, a recovered one both, a failed one
-    /// only its failure.
+    /// only its failure, and an item [`run_chunks`](BatchRunner::run_chunks)
+    /// did not admit neither.
     pub fn slots(&self) -> impl Iterator<Item = (Option<&R>, Option<&ItemFailure>)> {
         let mut failures = self.failures.iter().peekable();
         self.results
@@ -154,13 +155,22 @@ impl<R> RunReport<R> {
     }
 }
 
+/// Where [`BatchRunner::run_chunks`] stopped early.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Stopped<S> {
+    /// Index of the first item the driver never ran: the one after the
+    /// chunk whose callback broke.
+    pub next: usize,
+    /// The reason the callback broke with.
+    pub reason: S,
+}
+
 /// Deterministic parallel executor for slices of independent work items.
 ///
 /// See the [module docs](self) for the determinism guarantee.
 #[derive(Debug, Clone)]
 pub struct BatchRunner {
     threads: usize,
-    shard_size: usize,
     exec_mode: ExecMode,
 }
 
@@ -174,7 +184,6 @@ impl BatchRunner {
         assert!(threads > 0, "at least one worker thread");
         BatchRunner {
             threads,
-            shard_size: 1,
             exec_mode: ExecMode::default(),
         }
     }
@@ -192,20 +201,6 @@ impl BatchRunner {
                     .unwrap_or(1)
             });
         BatchRunner::new(threads)
-    }
-
-    /// Sets how many consecutive items share one shard (and therefore
-    /// one fresh context / machine). Larger shards amortise context
-    /// setup and keep simulated caches warm across a shard's items;
-    /// the default of 1 maximises parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn with_shard_size(mut self, n: usize) -> BatchRunner {
-        assert!(n > 0, "shard size must be positive");
-        self.shard_size = n;
-        self
     }
 
     /// Selects the execution engine callers build their
@@ -232,19 +227,17 @@ impl BatchRunner {
         self.exec_mode
     }
 
-    /// Runs `work` over every item, in parallel across shards.
+    /// Runs `work` over every item, in parallel, one item per shard.
     ///
-    /// `init` builds one fresh per-shard context; `work(ctx, index,
-    /// item)` processes item `index`. Items of one shard are processed
-    /// in index order on the same context. Results come back in item
+    /// `init` builds one fresh context per item; `work(ctx, index,
+    /// item)` processes item `index` on it. Results come back in item
     /// order.
     ///
     /// For simulation work the context is a machine checked out of a
-    /// [`MachinePool`] (`init = || pool.checkout()`): simulated caches
-    /// and QBUFFERs are then warm across the items *within* a shard and
-    /// cold at every shard boundary. A shard that panics drops its
-    /// checkout while unwinding, which quarantines the machine instead
-    /// of returning it to the pool.
+    /// [`MachinePool`] (`init = || pool.checkout()`), so every item
+    /// starts from cold simulated caches and QBUFFERs. An item that
+    /// panics drops its checkout while unwinding, which quarantines the
+    /// machine instead of returning it to the pool.
     ///
     /// # Errors
     ///
@@ -259,34 +252,24 @@ impl BatchRunner {
         T: Sync,
         R: Send,
     {
-        // One slot per shard: the shard's results, or the panic message.
-        type ShardSlot<R> = Mutex<Option<Result<Vec<R>, String>>>;
-        let shard_count = items.len().div_ceil(self.shard_size);
-        let mut slots: Vec<ShardSlot<R>> = Vec::new();
-        slots.resize_with(shard_count, || Mutex::new(None));
+        // One slot per item: its result, or the panic message.
+        let mut slots: Vec<Mutex<Option<Result<R, String>>>> = Vec::new();
+        slots.resize_with(items.len(), || Mutex::new(None));
         let next = AtomicUsize::new(0);
 
-        let run_shard = |shard: usize| -> Result<Vec<R>, String> {
-            let lo = shard * self.shard_size;
-            let hi = (lo + self.shard_size).min(items.len());
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut ctx = init();
-                (lo..hi)
-                    .map(|i| work(&mut ctx, i, &items[i]))
-                    .collect::<Vec<R>>()
-            }))
-            .map_err(panic_message)
-        };
-
         let worker = || loop {
-            let shard = next.fetch_add(1, Ordering::Relaxed);
-            if shard >= shard_count {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
                 break;
             }
-            let outcome = run_shard(shard);
-            *slots[shard].lock().expect("result slot") = Some(outcome);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut ctx = init();
+                work(&mut ctx, i, &items[i])
+            }))
+            .map_err(panic_message);
+            *slots[i].lock().expect("result slot") = Some(outcome);
         };
-        let workers = self.threads.min(shard_count.max(1));
+        let workers = self.threads.min(items.len().max(1));
         if workers == 1 {
             // A single worker drains the shards on the calling thread:
             // spawning even one OS thread costs hundreds of
@@ -303,7 +286,7 @@ impl BatchRunner {
             });
         }
 
-        // Deterministic merge: shard order, first failure wins.
+        // Deterministic merge: item order, first failure wins.
         let mut out = Vec::with_capacity(items.len());
         for (shard, slot) in slots.into_iter().enumerate() {
             let outcome = slot
@@ -311,16 +294,8 @@ impl BatchRunner {
                 .expect("result slot")
                 .expect("every shard was claimed by a worker");
             match outcome {
-                Ok(rs) => out.extend(rs),
-                Err(message) => {
-                    let lo = shard * self.shard_size;
-                    let hi = (lo + self.shard_size).min(items.len());
-                    return Err(BatchError {
-                        shard,
-                        items: (lo, hi),
-                        message,
-                    });
-                }
+                Ok(r) => out.push(r),
+                Err(message) => return Err(BatchError { shard, message }),
             }
         }
         Ok(out)
@@ -361,6 +336,55 @@ impl BatchRunner {
             |pooled, i, item| retry_item(pooled, i, item, &work),
         )?;
         Ok(Self::collect_report(rows))
+    }
+
+    /// Runs `items` in item order, `chunk` at a time (0 is taken as 1),
+    /// through [`run_machines_report_pooled`](Self::run_machines_report_pooled),
+    /// handing each chunk's report and first item index `base` to
+    /// `each`; report slot `k` is item `base + k`. Chunk boundaries
+    /// depend on `chunk` alone, so every report is thread-invariant.
+    ///
+    /// Items `admit` refuses keep their slot, with neither result nor
+    /// failure, and never check a machine out. A [`ControlFlow::Break`]
+    /// from `each` stops the run after that chunk.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`BatchError`] of an infrastructure panic; no later
+    /// chunk runs.
+    pub fn run_chunks<T, R, S>(
+        &self,
+        pool: &MachinePool,
+        items: &[T],
+        chunk: usize,
+        admit: impl Fn(&T) -> bool,
+        work: impl Fn(&mut Machine, usize, &T) -> Result<R, SimError> + Sync,
+        mut each: impl FnMut(usize, RunReport<R>) -> ControlFlow<S>,
+    ) -> Result<ControlFlow<Stopped<S>>, BatchError>
+    where
+        T: Sync,
+        R: Send,
+    {
+        let chunk = chunk.max(1);
+        for base in (0..items.len()).step_by(chunk) {
+            let end = (base + chunk).min(items.len());
+            let admitted: Vec<usize> = (base..end).filter(|&i| admit(&items[i])).collect();
+            let ran =
+                self.run_machines_report_pooled(pool, &admitted, |m, _, &i| work(m, i, &items[i]))?;
+            // Spread the admitted items' slots back over the whole chunk.
+            let mut results: Vec<Option<R>> = (base..end).map(|_| None).collect();
+            for (&i, result) in admitted.iter().zip(ran.results) {
+                results[i - base] = result;
+            }
+            let mut failures = ran.failures;
+            for f in &mut failures {
+                f.item = admitted[f.item] - base;
+            }
+            if let ControlFlow::Break(reason) = each(base, RunReport { results, failures }) {
+                return Ok(ControlFlow::Break(Stopped { next: end, reason }));
+            }
+        }
+        Ok(ControlFlow::Continue(()))
     }
 
     /// Splits per-item `(result, failure)` rows into a [`RunReport`].
@@ -419,14 +443,12 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_output() {
-        // Shard-local state (the accumulator) makes scheduling-dependent
-        // sharding observable; with shard size fixed, it must not be.
-        for shard in [1, 4] {
-            let want = square_batch(&BatchRunner::new(1).with_shard_size(shard), 23);
-            for threads in [2, 3, 8] {
-                let got = square_batch(&BatchRunner::new(threads).with_shard_size(shard), 23);
-                assert_eq!(want, got, "threads={threads} shard={shard}");
-            }
+        // Shard-local state (the accumulator) would make a shard that
+        // spans items observable; one item per shard, it must not be.
+        let want = square_batch(&BatchRunner::new(1), 23);
+        for threads in [2, 3, 8] {
+            let got = square_batch(&BatchRunner::new(threads), 23);
+            assert_eq!(want, got, "threads={threads}");
         }
     }
 
@@ -526,29 +548,9 @@ mod tests {
                 .unwrap_err();
             // Lowest failing shard wins regardless of scheduling.
             assert_eq!(err.shard, 3, "threads={threads}");
-            assert_eq!(err.items, (3, 4));
             assert!(err.message.contains("boom at 3"), "{}", err.message);
             assert!(err.to_string().contains("shard 3"));
         }
-    }
-
-    #[test]
-    fn shard_size_groups_items_on_one_context() {
-        let runner = BatchRunner::new(4).with_shard_size(3);
-        let items: Vec<u64> = (0..9).collect();
-        // Context counts how many items it has seen; with shard size 3
-        // the per-item counter pattern must be 1,2,3,1,2,3,1,2,3.
-        let got = runner
-            .run(
-                &items,
-                || 0u64,
-                |seen, _i, _x| {
-                    *seen += 1;
-                    *seen
-                },
-            )
-            .unwrap();
-        assert_eq!(got, vec![1, 2, 3, 1, 2, 3, 1, 2, 3]);
     }
 
     #[test]
@@ -642,7 +644,7 @@ mod tests {
         // succeed (recovered=true) and later items must be unaffected.
         let first_attempt = std::sync::atomic::AtomicBool::new(true);
         let items: Vec<i64> = (0..5).collect();
-        let runner = BatchRunner::new(1).with_shard_size(5);
+        let runner = BatchRunner::new(1);
         let pool = pool_for(&runner);
         let report = runner
             .run_machines_report_pooled(&pool, &items, |m, i, &x| {
@@ -675,7 +677,10 @@ mod tests {
         );
         let stats = pool.stats();
         assert_eq!(stats.quarantined, 1, "the machine live during the panic");
-        assert_eq!(stats.built, 2, "one shard machine plus the retry machine");
+        // Items 0 and 1 build one machine and recycle it; item 2's retry
+        // builds the second, which returns to the pool and serves
+        // items 3 and 4.
+        assert_eq!(stats.built, 2, "the first checkout plus the retry machine");
     }
 
     #[test]
@@ -708,9 +713,128 @@ mod tests {
         let _ = BatchRunner::new(0);
     }
 
+    /// One traced run of the chunk driver over items `0..10` in chunks
+    /// of 3, admitting every item but 4, breaking after the chunk at
+    /// `stop_at` (if any): the items the work closure saw, each chunk's
+    /// base and slots, the outcome, and the machines quarantined (the
+    /// thread-invariant pool tally).
+    type DriverTrace = (
+        Vec<usize>,
+        Vec<(usize, Vec<(Option<u64>, Option<ItemFailure>)>)>,
+        ControlFlow<Stopped<&'static str>>,
+        usize,
+    );
+
+    fn drive(threads: usize, stop_at: Option<usize>) -> DriverTrace {
+        let runner = BatchRunner::new(threads);
+        let pool = pool_for(&runner);
+        let items: Vec<u64> = (0..10).collect();
+        let seen = Mutex::new(Vec::new());
+        let mut chunks = Vec::new();
+        let outcome = runner
+            .run_chunks(
+                &pool,
+                &items,
+                3,
+                |&x| x != 4,
+                |m, i, &x| {
+                    seen.lock().unwrap().push(i);
+                    let mut b = ProgramBuilder::new();
+                    b.mov_imm(X0, x as i64 * 10);
+                    if x == 7 {
+                        // A deterministic typed fault on both attempts.
+                        let top = b.label();
+                        b.bind(top);
+                        b.jump(top);
+                        m.core_mut().set_budget(100);
+                    }
+                    b.halt();
+                    m.run(&b.build().unwrap())?;
+                    Ok(m.core().state().x(X0))
+                },
+                |base, report| {
+                    let slots = report.slots().map(|(r, f)| (r.copied(), f.cloned()));
+                    chunks.push((base, slots.collect()));
+                    match stop_at {
+                        Some(stop) if stop == base => ControlFlow::Break("stop"),
+                        _ => ControlFlow::Continue(()),
+                    }
+                },
+            )
+            .unwrap();
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        (seen, chunks, outcome, pool.stats().quarantined)
+    }
+
     #[test]
-    #[should_panic(expected = "shard size must be positive")]
-    fn zero_shard_size_panics() {
-        let _ = BatchRunner::new(1).with_shard_size(0);
+    fn chunk_driver_runs_in_order_and_stops_where_told() {
+        for threads in [1, 4] {
+            // No stop: every admitted item runs once, chunks arrive in
+            // order with their bases, slots are chunk-local.
+            let (seen, chunks, outcome, quarantined) = drive(threads, None);
+            assert_eq!(seen, vec![0, 1, 2, 3, 5, 6, 7, 7, 8, 9], "7 is retried");
+            let bases: Vec<usize> = chunks.iter().map(|(base, _)| *base).collect();
+            assert_eq!(bases, vec![0, 3, 6, 9]);
+            let slots: Vec<_> = chunks.iter().flat_map(|(_, s)| s.clone()).collect();
+            for (item, (result, failure)) in slots.iter().enumerate() {
+                match item {
+                    4 => assert_eq!((result, failure), (&None, &None), "not admitted"),
+                    7 => {
+                        assert_eq!(*result, None);
+                        let failure = failure.as_ref().unwrap();
+                        assert_eq!((failure.item, failure.recovered), (1, false));
+                        assert_eq!(failure.cause.kind(), "sim");
+                    }
+                    _ => assert_eq!((*result, failure), (Some(item as u64 * 10), &None)),
+                }
+            }
+            assert_eq!(outcome, ControlFlow::Continue(()));
+            assert_eq!(quarantined, 2, "both attempts at item 7");
+
+            // A stop after the second chunk: nothing past it runs, and
+            // the driver names the first unrun item.
+            let (seen, stopped_chunks, outcome, _) = drive(threads, Some(3));
+            assert_eq!(seen, vec![0, 1, 2, 3, 5]);
+            assert_eq!(stopped_chunks[..], chunks[..2]);
+            assert_eq!(
+                outcome,
+                ControlFlow::Break(Stopped {
+                    next: 6,
+                    reason: "stop"
+                })
+            );
+            for stop_at in [None, Some(3)] {
+                assert_eq!(
+                    drive(threads, stop_at),
+                    drive(1, stop_at),
+                    "threads={threads} stop_at={stop_at:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_driver_checks_nothing_out_for_unadmitted_items() {
+        let runner = BatchRunner::new(2);
+        let pool = pool_for(&runner);
+        let mut bases = Vec::new();
+        let outcome = runner
+            .run_chunks(
+                &pool,
+                &[1u64, 2, 3],
+                0,
+                |_| false,
+                |_m, _i, &x| Ok(x),
+                |base, report| {
+                    assert_eq!(report.slots().collect::<Vec<_>>(), vec![(None, None)]);
+                    bases.push(base);
+                    ControlFlow::<()>::Continue(())
+                },
+            )
+            .unwrap();
+        assert_eq!(outcome, ControlFlow::Continue(()));
+        assert_eq!(bases, vec![0, 1, 2], "a chunk of 0 is taken as 1");
+        assert_eq!(pool.stats(), PoolStats::default());
     }
 }

@@ -26,26 +26,32 @@
 //! # Degradation
 //!
 //! Failures stay typed and local at two granularities: per *item*, the
-//! pool's retry-once-on-a-fresh-machine boundary (PR 4) records a
-//! failure line and keeps the shard going; per *shard*, an optional
-//! wall-clock deadline or retired-instruction budget quarantines the
-//! remainder of the shard — items past the overrun get typed
-//! `shard-deadline` failure lines, the manifest records the quarantine
-//! cause, and the run continues with the next shard. Both are checked
-//! after every chunk. The wall-clock deadline is inherently
-//! nondeterministic and is **off by default**; the instruction budget
-//! binds on the item-ordered prefix sum of retired instructions, so it
-//! cuts at the same item on every host, thread count and chunk size.
+//! pool's retry-once-on-a-fresh-machine boundary records a failure line
+//! and keeps the shard going; per *shard*, an optional wall-clock
+//! deadline or retired-instruction budget quarantines the remainder of
+//! the shard — items past the overrun get typed `shard-deadline`
+//! failure lines, the manifest records the quarantine cause, and the
+//! run continues with the next shard.
+//!
+//! A shard's items run through [`BatchRunner::run_chunks`], the chunk
+//! driver every long item list shares, and both deadlines are stops its
+//! per-chunk callback returns. The instruction budget binds on the
+//! item-ordered prefix sum of retired instructions: the item that
+//! crosses it keeps its result and the rest of its chunk is dropped, so
+//! it cuts at the same item on every host, thread count and chunk size.
+//! The wall-clock deadline is checked after each chunk; it is inherently
+//! nondeterministic and **off by default**.
 
 pub mod manifest;
 
-use crate::batch::{BatchError, BatchRunner};
-use crate::pool::{FailureCause, MachinePool};
+use crate::batch::{BatchError, BatchRunner, Stopped};
+use crate::pool::MachinePool;
 use crate::{Machine, SimError};
 use manifest::{Fnv64, ManifestState, ShardFile, ShardManifest, ShardStatus};
 use quetzal_trace::json::Value;
 use std::fmt;
 use std::io::{self, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -105,12 +111,12 @@ pub struct ShardDeadline {
     /// documented as an operational safety valve, not a
     /// reproducibility feature.
     pub wall: Option<Duration>,
-    /// Retired-instruction budget per shard, applied after every chunk
-    /// to the item-ordered prefix sum of retired instructions: the item
-    /// whose count crosses the budget keeps its result and every later
-    /// item is a `shard-deadline` line. Deterministic: the same input
-    /// quarantines at the same item on every host, thread count and
-    /// chunk size.
+    /// Retired-instruction budget per shard, applied to each chunk's
+    /// report in item order, on the prefix sum of retired instructions:
+    /// the item whose count crosses the budget keeps its result and
+    /// every later item is a `shard-deadline` line. Deterministic: the
+    /// same input quarantines at the same item on every host, thread
+    /// count and chunk size.
     pub instructions: Option<u64>,
 }
 
@@ -315,13 +321,6 @@ fn io_err(context: impl Into<String>, source: io::Error) -> IngestError {
     }
 }
 
-fn cause_kind(cause: &FailureCause) -> &'static str {
-    match cause {
-        FailureCause::Sim(_) => "sim",
-        FailureCause::Panic(_) => "panic",
-    }
-}
-
 /// Appends an ok item's line, `{"cycles","instructions","item","value"}`
 /// plus `recovered` when the fresh-machine retry saved it.
 fn ok_line(lines: &mut String, item: u64, out: &ItemOutput, recovered: Option<&'static str>) {
@@ -467,93 +466,77 @@ fn run_shard<T: Sync>(
     let mut lines = String::new();
     let (mut ok, mut failed, mut recovered) = (0u64, 0u64, 0u64);
     let (mut cycles, mut instructions) = (0u64, 0u64);
-    let mut quarantined: Option<String> = None;
     let shard_started = Instant::now();
-    let chunk_items = config.chunk_items.max(1);
-    for (chunk_idx, chunk) in items.chunks(chunk_items).enumerate() {
-        let chunk_base = start + (chunk_idx * chunk_items) as u64;
-        if let Some(cause) = &quarantined {
-            for local in 0..chunk.len() {
-                failed_line(
-                    &mut lines,
-                    chunk_base + local as u64,
-                    "shard-deadline",
-                    cause,
-                );
+    let stop = runner
+        .run_chunks(
+            pool,
+            items,
+            config.chunk_items,
+            |_| true,
+            |m, i, item| work(m, start + i as u64, item),
+            |base, report| {
+                for (local, (slot, failure)) in report.slots().enumerate() {
+                    let item = start + (base + local) as u64;
+                    match slot {
+                        Some(out) => {
+                            ok += 1;
+                            cycles += out.cycles;
+                            instructions += out.instructions;
+                            let kind = failure.map(|f| {
+                                recovered += 1;
+                                f.cause.kind()
+                            });
+                            ok_line(&mut lines, item, out, kind);
+                        }
+                        None => {
+                            let failure = failure.expect("resultless item has a failure entry");
+                            failed += 1;
+                            let cause = &failure.cause;
+                            failed_line(&mut lines, item, cause.kind(), &cause.to_string());
+                        }
+                    }
+                    // The rest of this chunk ran, but its results are
+                    // dropped: the prefix sum in item order is the same
+                    // at any thread count or chunk size.
+                    if let Some(budget) = config.deadline.instructions.filter(|&b| instructions > b) {
+                        let done = base + local + 1;
+                        return ControlFlow::Break(format!(
+                            "instruction budget {budget} exceeded ({instructions} retired after {done} item(s))"
+                        ));
+                    }
+                }
+                match config.deadline.wall.map(|wall| (wall, shard_started.elapsed())) {
+                    Some((wall, elapsed)) if elapsed > wall => ControlFlow::Break(format!(
+                        "wall deadline {}ms exceeded ({}ms elapsed after {} item(s))",
+                        wall.as_millis(),
+                        elapsed.as_millis(),
+                        base + report.results.len()
+                    )),
+                    _ => ControlFlow::Continue(()),
+                }
+            },
+        )
+        .map_err(IngestError::Infra)?;
+    let (status, cause) = match stop {
+        ControlFlow::Break(Stopped { reason, .. }) => {
+            // Every item from the first one without a line to the end of
+            // the shard was cut off by the stop.
+            for item in start + ok + failed..start + items.len() as u64 {
+                failed_line(&mut lines, item, "shard-deadline", &reason);
                 failed += 1;
             }
-            continue;
+            (ShardStatus::Quarantined, reason)
         }
-        let report = runner
-            .run_machines_report_pooled(pool, chunk, |m, i, item| {
-                work(m, chunk_base + i as u64, item)
-            })
-            .map_err(IngestError::Infra)?;
-        for (local, (slot, failure)) in report.slots().enumerate() {
-            let item = chunk_base + local as u64;
-            // Items after the one whose retired instructions crossed the
-            // budget ran, but their results are dropped: the prefix sum
-            // in item order is the same at any thread count or chunk size.
-            if let Some(cause) = &quarantined {
-                failed_line(&mut lines, item, "shard-deadline", cause);
-                failed += 1;
-                continue;
-            }
-            match slot {
-                Some(out) => {
-                    ok += 1;
-                    cycles += out.cycles;
-                    instructions += out.instructions;
-                    let kind = failure.map(|f| {
-                        recovered += 1;
-                        cause_kind(&f.cause)
-                    });
-                    ok_line(&mut lines, item, out, kind);
-                }
-                None => {
-                    let failure = failure.expect("resultless item has a failure entry");
-                    failed += 1;
-                    failed_line(
-                        &mut lines,
-                        item,
-                        cause_kind(&failure.cause),
-                        &failure.cause.to_string(),
-                    );
-                }
-            }
-            if let Some(budget) = config.deadline.instructions {
-                if instructions > budget {
-                    let done = item - start + 1;
-                    quarantined = Some(format!(
-                        "instruction budget {budget} exceeded ({instructions} retired after {done} item(s))"
-                    ));
-                }
-            }
-        }
-        if let Some(wall) = config.deadline.wall {
-            let elapsed = shard_started.elapsed();
-            if quarantined.is_none() && elapsed > wall {
-                let done = ((chunk_idx + 1) * chunk_items).min(items.len());
-                quarantined = Some(format!(
-                    "wall deadline {}ms exceeded ({}ms elapsed after {done} item(s))",
-                    wall.as_millis(),
-                    elapsed.as_millis()
-                ));
-            }
-        }
-    }
+        ControlFlow::Continue(()) => (ShardStatus::Done, String::new()),
+    };
     let output = lines.into_bytes();
     let manifest = ShardManifest {
         shard,
         start,
         count: items.len() as u64,
         input_fnv,
-        status: if quarantined.is_some() {
-            ShardStatus::Quarantined
-        } else {
-            ShardStatus::Done
-        },
-        cause: quarantined.unwrap_or_default(),
+        status,
+        cause,
         ok,
         failed,
         recovered,

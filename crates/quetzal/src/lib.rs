@@ -52,7 +52,7 @@ pub mod fault;
 pub mod ingest;
 pub mod pool;
 
-pub use batch::{BatchError, BatchRunner, RunReport};
+pub use batch::{BatchError, BatchRunner, RunReport, Stopped};
 pub use fault::{FaultPlan, Mutation};
 pub use ingest::{
     CrashPlan, CrashSite, IngestConfig, IngestError, IngestSummary, ItemOutput, ShardDeadline,

@@ -127,6 +127,24 @@ pub enum FailureCause {
     Panic(String),
 }
 
+impl FailureCause {
+    /// The cause's spelling in served frames and ingest lines.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            FailureCause::Sim(_) => "sim",
+            FailureCause::Panic(_) => "panic",
+        }
+    }
+
+    /// The [`SimError`]'s display, or the panic payload.
+    pub fn detail(&self) -> String {
+        match self {
+            FailureCause::Sim(e) => e.to_string(),
+            FailureCause::Panic(msg) => msg.clone(),
+        }
+    }
+}
+
 impl std::fmt::Display for FailureCause {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -364,8 +382,8 @@ fn attempt<R>(
 /// The per-item fault boundary: try the item, and on failure quarantine
 /// the machine, install a brand-new one
 /// ([`PooledMachine::replace_with_fresh`]) and retry **once**. After a
-/// failed retry the machine is replaced again, so later items of the
-/// shard never run on a machine a failure touched. Returns the item's
+/// failed retry the machine is replaced again, so no machine a failure
+/// touched ever returns to the pool. Returns the item's
 /// result slot plus its failure-log entry.
 pub(crate) fn retry_item<T, R>(
     pooled: &mut PooledMachine<'_>,

@@ -115,6 +115,10 @@ cmp "$out_dir/ds1.json" "$out_dir/ds4.json" \
 ./target/release/json_gate "$out_dir/ds1.json" 'benchmark="uarch-design-space"' \
     || { echo "FAIL: design_space wrote no JSON artifact"; exit 1; }
 
+# The 48-pair file the served ingest job and the qzingest smoke share.
+./target/release/qzingest stage --dataset 100bp_1 --pairs 48 \
+    --out "$out_dir/pairs.tsv" 2>/dev/null
+
 echo "==> smoke: qzserved daemon loopback, byte-identical to offline"
 # Alignment-as-a-service: start the daemon on an ephemeral port, submit
 # the same align and fault jobs through qzclient and through the
@@ -122,7 +126,10 @@ echo "==> smoke: qzserved daemon loopback, byte-identical to offline"
 # fault job must show verifier-gated admission (typed `rejected`
 # frames) and no escaped panic (a `panic` frame is a defect by the
 # fault sweep's own standard), /stats must answer, and the shutdown
-# frame must produce a clean daemon exit.
+# frame must produce a clean daemon exit. A served ingest job with a
+# shard instruction budget must stop where qzingest stops: its frames
+# equal the offline path's, and its report equals qzingest's although
+# the daemon runs 16-item chunks and qzingest 32.
 ./target/release/qzserved --listen 127.0.0.1:0 > "$out_dir/qzserved.log" &
 served_pid=$!
 served_addr=""
@@ -152,13 +159,29 @@ cmp "$out_dir/served_fault.txt" "$out_dir/offline_fault.txt" \
 ./target/release/qzclient stats --addr "$served_addr" > "$out_dir/served_stats.json"
 ./target/release/json_gate "$out_dir/served_stats.json" 'jobs.accepted=2' \
     || { echo "FAIL: /stats did not account for both smoke jobs"; exit 1; }
+ingest_flags=(--input "$out_dir/pairs.tsv" --shard 8 --shard-insts 100)
+./target/release/qzclient ingest --addr "$served_addr" "${ingest_flags[@]}" \
+    --ckpt "$out_dir/ck-served" --output "$out_dir/served-ingest.out" \
+    > "$out_dir/served_ingest.txt" 2>/dev/null
+./target/release/qzclient ingest --offline "${ingest_flags[@]}" \
+    --ckpt "$out_dir/ck-offline" --output "$out_dir/offline-ingest.out" \
+    > "$out_dir/offline_ingest.txt" 2>/dev/null
+cmp "$out_dir/served_ingest.txt" "$out_dir/offline_ingest.txt" \
+    || { echo "FAIL: served ingest frames differ from offline BatchRunner"; exit 1; }
+./target/release/qzingest run "${ingest_flags[@]}" --ckpt "$out_dir/ck-budget-report" \
+    --output "$out_dir/ingest-budget.out" --quiet 2>/dev/null
+cmp "$out_dir/served-ingest.out" "$out_dir/ingest-budget.out" \
+    || { echo "FAIL: served ingest stopped elsewhere than qzingest"; exit 1; }
+./target/release/json_gate "$out_dir/served_ingest.txt" 'type="shard_done"' \
+    'quarantined="instruction budget 100 exceeded (2811 retired after 1 item(s))"' \
+    || { echo "FAIL: served ingest quarantined no shard by its budget"; exit 1; }
 ./target/release/qzclient shutdown --addr "$served_addr" > /dev/null
 wait "$served_pid" \
     || { echo "FAIL: qzserved did not exit cleanly after shutdown"; exit 1; }
 served_pid=""
 
 echo "==> smoke: qzingest crash/resume, byte-identical at 1 and 4 threads"
-# Crash-safe ingestion: stage a pair file, run it uninterrupted, then
+# Crash-safe ingestion: run the staged pair file uninterrupted, then
 # kill a second run at a shard boundary (real process death, exit 137)
 # and a third mid-manifest-write (torn manifest on disk), resume both,
 # and require the assembled reports byte-identical to the uninterrupted
@@ -168,8 +191,6 @@ echo "==> smoke: qzingest crash/resume, byte-identical at 1 and 4 threads"
 ingest_counts() {
     sed -nE 's/^qzingest: [0-9]+ item\(s\) in [0-9]+ shard\(s\) \(([0-9]+) resumed, ([0-9]+) quarantined, ([0-9]+) torn manifest\(s\)\).*/\1 \2 \3/p' "$1"
 }
-./target/release/qzingest stage --dataset 100bp_1 --pairs 48 \
-    --out "$out_dir/pairs.tsv" 2>/dev/null
 QUETZAL_THREADS=1 ./target/release/qzingest run --input "$out_dir/pairs.tsv" \
     --ckpt "$out_dir/ck-fresh" --output "$out_dir/ingest-fresh.out" \
     --shard 8 --quiet 2>/dev/null
@@ -249,6 +270,13 @@ for algo in wfa biwfa ss sw nw; do
         --tier quetzal+c > /dev/null 2>&1 \
         || { echo "FAIL: qz_align --algo $algo exited non-zero"; exit 1; }
 done
+# A pair file whose second line is not UTF-8 must fail naming line 2.
+printf 'ACGT\tACGT\nAC\377T\tACGT\n' > "$out_dir/pairs-utf8.tsv"
+rc=0
+./target/release/qz_align "$out_dir/pairs-utf8.tsv" --algo wfa \
+    > /dev/null 2> "$out_dir/qz_align-utf8.log" || rc=$?
+[ "$rc" -ne 0 ] && grep -q "line 2: invalid UTF-8" "$out_dir/qz_align-utf8.log" \
+    || { echo "FAIL: a non-UTF-8 line 2 did not fail qz_align by line"; exit 1; }
 
 echo "==> smoke: trace_run probed replay + Chrome-trace JSON"
 QUETZAL_SCALE=0.25 \

@@ -42,29 +42,6 @@ fn wfa_and_ss_are_thread_invariant() {
     }
 }
 
-/// Shard size must not interact with thread count: grouping pairs
-/// four-per-machine still yields identical results for 1 vs 4 threads.
-#[test]
-fn shard_size_is_thread_invariant() {
-    let wl = workload(9);
-    let cfg = MachineConfig::default();
-    let serial = run_algo_pairs(
-        &BatchRunner::new(1).with_shard_size(4),
-        &cfg,
-        Algo::Wfa,
-        &wl,
-        Tier::QuetzalC,
-    );
-    let parallel = run_algo_pairs(
-        &BatchRunner::new(4).with_shard_size(4),
-        &cfg,
-        Algo::Wfa,
-        &wl,
-        Tier::QuetzalC,
-    );
-    assert_eq!(serial, parallel);
-}
-
 /// The two-stage SS→WFA pipeline (accept set, scores, and merged
 /// statistics) is thread-invariant too.
 #[test]
