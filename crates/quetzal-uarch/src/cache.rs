@@ -21,6 +21,9 @@ use crate::stats::RunStats;
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     sets: usize,
+    /// `sets - 1` when `sets` is a power of two, so the set index is a
+    /// mask; else `None` and `line % sets` (e.g. `share_of(3)`'s L2).
+    set_mask: Option<u64>,
     ways: usize,
     line_bits: u32,
     /// `tags[set * ways + way]`; meaningful only when the matching
@@ -43,6 +46,7 @@ impl CacheArray {
         let sets = cfg.sets().max(1);
         CacheArray {
             sets,
+            set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
             ways: cfg.ways,
             line_bits: cfg.line.trailing_zeros(),
             tags: vec![0; sets * cfg.ways],
@@ -54,7 +58,10 @@ impl CacheArray {
     }
 
     fn set_of(&self, line: u64) -> usize {
-        (line % self.sets as u64) as usize
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.sets as u64) as usize,
+        }
     }
 
     /// Line address (cache-line granularity) of a byte address.
@@ -424,5 +431,29 @@ mod tests {
         assert!(a.contains(0));
         assert!(!a.contains(2));
         assert!(a.contains(4));
+    }
+
+    #[test]
+    fn set_index_is_line_mod_sets() {
+        // The mask must name the same set as `line % sets` on the
+        // power-of-two Table I levels, and the fallback must keep it on
+        // the odd-core-count L2 share.
+        let a64fx = CoreConfig::a64fx_like();
+        let cases = [
+            (a64fx.l1d, 128),
+            (a64fx.l2, 8192),
+            (a64fx.share_of(3).l2, 2730),
+        ];
+        let mut rng = quetzal_genomics::rng::SplitMix64::new(0x5E71D8);
+        for (cfg, sets) in cases {
+            let a = CacheArray::new(&cfg);
+            assert_eq!(a.sets, sets);
+            let n = sets as u64;
+            let edges = [0, 1, n - 1, n, n + 1, 7 * n, u64::MAX / n * n, u64::MAX];
+            let random = (0..10_000).map(|_| rng.next_u64());
+            for line in edges.into_iter().chain(random) {
+                assert_eq!(a.set_of(line) as u64, line % n, "sets={sets} line={line}");
+            }
+        }
     }
 }

@@ -51,14 +51,13 @@
 
 pub mod cache;
 pub mod config;
-mod functional;
 pub mod interp;
 pub mod ooo;
 pub mod predecode;
 pub mod probe;
 pub mod state;
 pub mod stats;
-pub mod wheel;
+mod wheel;
 
 pub use config::{CacheConfig, CoreConfig, MemConfig};
 pub use interp::{Core, ExecMode, SimError};
@@ -66,4 +65,3 @@ pub use predecode::{MicroOp, Predecode};
 pub use probe::{MemLevelMix, NullProbe, Probe, RetireEvent};
 pub use state::{ArchState, SimMemory};
 pub use stats::{RunStats, StallCat};
-pub use wheel::{FreeSlots, RobRing, StoreIndex};

@@ -27,7 +27,7 @@ use crate::config::CoreConfig;
 use crate::predecode::{FuClass, MicroOp, NO_DEF};
 use crate::probe::{MemLevelMix, NullProbe, Probe, RetireEvent};
 use crate::stats::{RunStats, StallCat};
-use crate::wheel::{FreeSlots, RobRing, StoreIndex};
+use crate::wheel::{FreeSlots, RobWindow, StoreIndex};
 use quetzal_isa::{InstClass, Reg};
 
 /// One dynamic instruction record produced by the functional
@@ -78,7 +78,8 @@ pub struct OooTiming<P: Probe = NullProbe> {
     front_slots: u64,
     fetch_resume: u64,
     // Functional units / ports, tracked as min-heaps of per-unit free
-    // cycles (see [`crate::wheel`]); allocation costs O(log width).
+    // cycles (see the crate-private `wheel` module); allocation costs
+    // O(log width).
     fu_scalar: FreeSlots,
     fu_vector: FreeSlots,
     load_ports: FreeSlots,
@@ -93,9 +94,9 @@ pub struct OooTiming<P: Probe = NullProbe> {
     // granule-indexed so a load consults only the stores near its
     // address instead of the whole window.
     store_buffer: StoreIndex,
-    // In-order commit. Capacity rob_size + 1: commit pushes before its
-    // conditional pop, so the ring momentarily holds one extra entry.
-    rob: RobRing,
+    // In-order commit: the commit cycles of the last `rob_size`
+    // instructions, which dispatch waits on once the ROB is full.
+    rob: RobWindow,
     commit_cycle: u64,
     commit_slots: u64,
     run_start_cycle: u64,
@@ -119,9 +120,7 @@ impl<P: Probe> OooTiming<P> {
     /// Creates a timing engine with an attached observation probe.
     pub fn with_probe(cfg: CoreConfig, probe: P) -> OooTiming<P> {
         let mem = MemSystem::new(&cfg);
-        // Commit pushes before its conditional pop, so the ring must
-        // hold one entry beyond the architectural ROB size.
-        let rob = RobRing::new(cfg.rob_size.saturating_add(1));
+        let rob = RobWindow::new(cfg.rob_size);
         OooTiming {
             // Zero-width pools in a hand-built config would deadlock
             // allocation; `FreeSlots` clamps to one unit so any config
@@ -233,15 +232,9 @@ impl<P: Probe> OooTiming<P> {
     }
 
     fn dispatch(&mut self) -> u64 {
-        let mut floor = self.fetch_resume;
-        if self.rob.len() >= self.cfg.rob_size {
-            // Oldest in-flight instruction must commit to free a slot.
-            // `rob_size >= 1` makes the deque nonempty here, but a pop on
-            // an empty deque is just "no backpressure", not a crash.
-            if let Some(oldest) = self.rob.pop_front() {
-                floor = floor.max(oldest);
-            }
-        }
+        // With the ROB full, the oldest in-flight instruction must
+        // commit to free an entry.
+        let floor = self.fetch_resume.max(self.rob.floor());
         if floor > self.front_cycle {
             self.front_cycle = floor;
             self.front_slots = 0;
@@ -279,10 +272,7 @@ impl<P: Probe> OooTiming<P> {
             self.commit_cycle += extra_commit_busy;
             self.commit_slots = 0;
         }
-        self.rob.push_back(self.commit_cycle);
-        if self.rob.len() > self.cfg.rob_size {
-            self.rob.pop_front();
-        }
+        self.rob.commit(self.commit_cycle);
         (self.commit_cycle, gap)
     }
 
@@ -822,7 +812,7 @@ mod tests {
             t.store_buffer.index_node_count() <= 2 * t.cfg.store_ring_slots,
             "forwarding index bounded by the live window"
         );
-        assert!(t.rob.len() <= t.cfg.rob_size, "rob bounded");
+        assert_eq!(t.rob.slot_count(), t.cfg.rob_size, "rob bounded");
         assert_eq!(t.bpred.len(), BPRED_ENTRIES);
         assert!(
             d.mem.capacity() <= 4,

@@ -17,9 +17,10 @@
 //!   implemented, plus a granule-keyed interval index so a load
 //!   consults only the stores that touch its address neighbourhood,
 //!   not the whole ring.
-//! * [`RobRing`] — the reorder buffer as a fixed ring (no deque
-//!   reallocation or spare-capacity bookkeeping on the per-retire
-//!   path).
+//! * [`RobWindow`] — the reorder buffer as a power-of-two window of
+//!   commit cycles indexed by retire sequence number: one masked load
+//!   at dispatch and one masked store at commit, with no queue
+//!   bookkeeping and no division on the per-retire path.
 //!
 //! # Equivalence contract
 //!
@@ -40,6 +41,16 @@
 //!   strays, a store visited twice because it and the load both
 //!   straddle a granule boundary) folds to the same result as the full
 //!   ring scan, which visited *every* live store.
+//! * The seed ROB deque popped its oldest entry at dispatch once it held
+//!   `rob_size` entries, and commit pushed one; commit's second pop
+//!   (when over `rob_size`) could never fire after dispatch's. So
+//!   instruction *k* ≥ `rob_size` is floored by exactly the commit cycle
+//!   of instruction *k* − `rob_size`, and a zero-size ROB never floors.
+//!   The window reads that commit cycle from slot
+//!   `(k − rob_size) & mask` before commit overwrites slot `k & mask`.
+//!   With at least `rob_size` slots, none of the instructions in
+//!   between maps to that slot, so it still holds instruction
+//!   *k* − `rob_size`'s commit cycle.
 
 /// Free-cycle tracker for a pool of identical functional units or
 /// ports: a binary min-heap with one entry per unit.
@@ -234,7 +245,10 @@ impl StoreIndex {
         self.unlink(n0);
         self.unlink(n1);
         self.slots[slot] = (addr, size, done);
-        self.head = (self.head + 1) % self.depth;
+        self.head += 1;
+        if self.head == self.depth {
+            self.head = 0;
+        }
         self.len = (self.len + 1).min(self.depth);
         let mut g = Self::granules(addr, size);
         let first = g.next().unwrap_or(addr >> GRANULE_SHIFT);
@@ -295,77 +309,75 @@ impl StoreIndex {
     }
 }
 
-/// The reorder buffer as a fixed ring of commit cycles: push at the
-/// tail, pop at the head, capacity fixed at construction. Replaces the
-/// seed's `VecDeque` (no growth checks or spare-capacity bookkeeping on
-/// the per-retire path).
+/// The reorder buffer as a window of commit cycles indexed by retire
+/// sequence number (see the module docs for why it matches the seed's
+/// deque). The slot count is `rob_size` rounded up to a power of two,
+/// so both the dispatch read and the commit write are a mask.
 #[derive(Debug, Clone)]
-pub struct RobRing {
+pub struct RobWindow {
+    /// Commit cycle of instruction `seq` at `slots[seq & mask]`.
     slots: Box<[u64]>,
-    head: usize,
-    len: usize,
+    mask: u64,
+    /// Architectural ROB size: how far back the dispatch floor reads.
+    size: u64,
+    /// Instructions committed since the last [`clear`](RobWindow::clear).
+    seq: u64,
 }
 
-impl RobRing {
-    /// An empty ring holding up to `capacity` entries.
-    pub fn new(capacity: usize) -> RobRing {
-        RobRing {
-            slots: vec![0; capacity.max(1)].into_boxed_slice(),
-            head: 0,
-            len: 0,
+impl RobWindow {
+    /// An empty window for a `rob_size`-entry ROB.
+    pub fn new(rob_size: usize) -> RobWindow {
+        let slots = rob_size
+            .max(1)
+            .checked_next_power_of_two()
+            .expect("ROB size too large for a power-of-two window");
+        RobWindow {
+            slots: vec![0; slots].into_boxed_slice(),
+            mask: slots as u64 - 1,
+            size: rob_size as u64,
+            seq: 0,
         }
     }
 
-    /// Live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Empties the ring.
+    /// Forgets every committed instruction (cold boot).
     pub fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
+        self.seq = 0;
     }
 
-    /// Appends at the tail.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the ring is not full; in release an overfull
-    /// push overwrites the oldest entry (the engine pops before pushing
-    /// at capacity, so this is unreachable from the retire path).
+    /// The dispatch floor of the next instruction: the commit cycle of
+    /// the instruction `rob_size` older, whose ROB entry it must wait
+    /// for, or 0 while the ROB has a free entry (and always for a
+    /// zero-size ROB).
     #[inline]
-    pub fn push_back(&mut self, v: u64) {
-        debug_assert!(self.len < self.slots.len(), "rob ring overfull");
-        if self.len == self.slots.len() {
-            self.pop_front();
+    pub fn floor(&self) -> u64 {
+        if self.size > 0 && self.seq >= self.size {
+            self.slots[((self.seq - self.size) & self.mask) as usize]
+        } else {
+            0
         }
-        let tail = (self.head + self.len) % self.slots.len();
-        self.slots[tail] = v;
-        self.len += 1;
     }
 
-    /// Removes and returns the oldest entry.
+    /// Records the next instruction's commit cycle.
     #[inline]
-    pub fn pop_front(&mut self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let v = self.slots[self.head];
-        self.head = (self.head + 1) % self.slots.len();
-        self.len -= 1;
-        Some(v)
+    pub fn commit(&mut self, cycle: u64) {
+        self.slots[(self.seq & self.mask) as usize] = cycle;
+        self.seq += 1;
+    }
+}
+
+/// Introspection for the bounded-memory test.
+#[cfg(test)]
+impl RobWindow {
+    /// Slots allocated for the window.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     /// The seed engine's min-scan pool, verbatim (the reference model).
     struct LinearPool(Vec<u64>);
@@ -506,23 +518,48 @@ mod tests {
         assert!(hits >= 1);
     }
 
+    /// The seed ROB deque, verbatim: dispatch pops the oldest entry once
+    /// `size` are live and floors on it; commit pushes, then pops again
+    /// when over `size`. Returns the dispatch floor.
+    fn deque_dispatch(q: &mut VecDeque<u64>, size: usize) -> u64 {
+        if q.len() >= size {
+            q.pop_front().unwrap_or(0)
+        } else {
+            0
+        }
+    }
+
+    fn deque_commit(q: &mut VecDeque<u64>, size: usize, cycle: u64) {
+        q.push_back(cycle);
+        if q.len() > size {
+            q.pop_front();
+        }
+    }
+
     #[test]
-    fn rob_ring_is_a_fifo() {
-        let mut r = RobRing::new(3);
-        assert!(r.is_empty());
-        assert_eq!(r.pop_front(), None);
-        r.push_back(1);
-        r.push_back(2);
-        r.push_back(3);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.pop_front(), Some(1));
-        r.push_back(4);
-        assert_eq!(r.pop_front(), Some(2));
-        assert_eq!(r.pop_front(), Some(3));
-        assert_eq!(r.pop_front(), Some(4));
-        assert!(r.is_empty());
-        r.push_back(9);
-        r.clear();
-        assert!(r.is_empty());
+    fn rob_window_floors_like_the_seed_deque() {
+        for size in (0..=9).chain([128, 129]) {
+            let mut rng = Rng(0x0B ^ size as u64);
+            let mut w = RobWindow::new(size);
+            let mut q = VecDeque::new();
+            assert!(w.slot_count() >= size && w.slot_count() < 2 * size.max(1));
+            // Two passes across a clear, with a varying run length so the
+            // clear lands at different window phases.
+            for pass in 0..2 {
+                let mut cycle = 0u64;
+                for step in 0..(3 * size + 50 + pass * 7) {
+                    assert_eq!(
+                        w.floor(),
+                        deque_dispatch(&mut q, size),
+                        "size={size} pass={pass} step={step}"
+                    );
+                    cycle += rng.below(4);
+                    w.commit(cycle);
+                    deque_commit(&mut q, size, cycle);
+                }
+                w.clear();
+                q.clear();
+            }
+        }
     }
 }

@@ -2,9 +2,10 @@
 //! verbatim reference model built from the seed's linear-scan
 //! structures.
 //!
-//! `OooTiming` now tracks FU pools as `FreeSlots` min-heaps of per-unit
-//! free cycles, the store-forwarding window behind a granule index, and
-//! the ROB as a fixed ring (`quetzal_uarch::wheel`). The golden tests
+//! `OooTiming` now tracks FU pools as min-heaps of per-unit free cycles,
+//! the store-forwarding window behind a granule index, and the ROB as a
+//! power-of-two window indexed by retire sequence number (the
+//! crate-private `wheel` module of `quetzal-uarch`). The golden tests
 //! pin it on the in-tree kernels; this suite pins it on *adversarial
 //! randomized schedules* — seeded micro-op streams with deliberately
 //! colliding addresses (clean and misaligned store-to-load forwarding,
@@ -553,6 +554,24 @@ fn stress_config_matches_reference() {
     cfg.store_fwd_penalty = 3;
     for seed in 0..4 {
         assert_engines_agree(cfg.clone(), 0x57E55 ^ seed, 2000, None);
+    }
+}
+
+#[test]
+fn odd_rob_sizes_match_reference() {
+    // Every shipped config has a power-of-two ROB, where the window's
+    // read slot `(seq - size) & mask` and write slot `seq & mask`
+    // coincide; these sizes leave them apart (and 0 never floors).
+    let mut sizes: Vec<CoreConfig> = [1, 3, 5, 129]
+        .into_iter()
+        .map(|rob| CoreConfig::a64fx_like().with_rob(rob))
+        .collect();
+    let mut zero = CoreConfig::a64fx_like();
+    zero.rob_size = 0;
+    sizes.push(zero);
+    for cfg in sizes {
+        let rob = cfg.rob_size as u64;
+        assert_engines_agree(cfg, 0x0DD0 ^ rob, 2000, None);
     }
 }
 
