@@ -75,20 +75,25 @@ CARGO_PROFILE_RELEASE_DEBUG_ASSERTIONS=true \
     cargo test -q --offline --release -p quetzal-integration \
     --test functional_equiv
 
+out_dir="$(mktemp -d)"
+trap '[ -n "${served_pid:-}" ] && kill "$served_pid" 2>/dev/null; rm -rf "$out_dir"' EXIT
+
 echo "==> qzverify: every kernel Clean, finitely bounded, and calibrated"
 # Replays the experiment grid with the build observer installed and
 # runs quetzal-verify over every program it stages. The gate fails on
 # any verdict below Clean (warnings included), on any of the 15
 # in-tree kernels missing a finite proven resource bound
 # (instructions / pages / cycles), and on any calibration run whose
-# observed dynamics exceed the proven bound.
+# observed dynamics exceed the proven bound. The table itself is a
+# golden: every proven and observed bound must match the committed
+# results_qzverify.txt byte for byte.
 QUETZAL_SCALE=0.25 \
     cargo run -q --release --offline -p quetzal-bench --bin qzverify \
-    > /dev/null
+    > "$out_dir/qzverify.txt"
+cmp results_qzverify.txt "$out_dir/qzverify.txt" \
+    || { echo "FAIL: qzverify output differs from results_qzverify.txt"; exit 1; }
 
 echo "==> smoke: run_all at reduced scale, 1 vs N threads byte-identical"
-out_dir="$(mktemp -d)"
-trap '[ -n "${served_pid:-}" ] && kill "$served_pid" 2>/dev/null; rm -rf "$out_dir"' EXIT
 QUETZAL_SCALE=0.25 QUETZAL_THREADS=1 \
     cargo run -q --release --offline -p quetzal-bench --bin run_all \
     > "$out_dir/t1.txt"
