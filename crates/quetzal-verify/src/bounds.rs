@@ -42,7 +42,7 @@ use crate::lattice::VAbs;
 use crate::octagon::Octagon;
 use quetzal_isa::cfg::{Cfg, LoopInfo, NaturalLoop, Succ};
 use quetzal_isa::{
-    BranchCond, ElemSize, InstClass, Instruction, PReg, Program, SAluOp, VAluOp, VReg, XReg,
+    BranchCond, ElemSize, InstClass, Instruction, PReg, Program, Reg, SAluOp, VAluOp, VReg, XReg,
     VLEN_BYTES,
 };
 
@@ -451,21 +451,41 @@ fn propagate_block(
     }
 }
 
+/// Every scalar register an instruction of `insts` reads or writes, as
+/// a mask with bit `r` for `x_r`: the registers the analysis's
+/// octagons track. No transfer relates any other register, so leaving
+/// them out changes no bound (see the `octagon` module docs).
+fn named_xregs(insts: &[Instruction]) -> u32 {
+    let mut regs = 0u32;
+    let mut note = |r: Reg| {
+        if let Reg::X(x) = r {
+            regs |= 1 << x.index();
+        }
+    };
+    for inst in insts {
+        inst.for_each_use(&mut note);
+        inst.for_each_def(&mut note);
+    }
+    regs
+}
+
 /// Per-block entry octagons at the relational fixpoint: ascending
 /// worklist iteration with ladder widening, then two descending
 /// (narrowing) sweeps to claw back the precision widening gave up —
 /// each sweep recomputes every entry as the join of its predecessors'
 /// refined edge states, which is still an over-approximation of the
-/// reachable states and therefore sound to adopt.
+/// reachable states and therefore sound to adopt. Every octagon ranges
+/// over the registers in `regs` ([`named_xregs`] of `insts`).
 fn octagon_fixpoint(
     cfg: &Cfg,
     insts: &[Instruction],
+    regs: u32,
     premise: Option<&Premise>,
 ) -> Vec<Option<Octagon>> {
     let n = cfg.blocks().len();
     let mut entry: Vec<Option<Octagon>> = vec![None; n];
     let mut joins = vec![0u32; n];
-    entry[0] = Some(Octagon::top());
+    entry[0] = Some(Octagon::top(regs));
     let mut worklist = vec![0usize];
     while let Some(b) = worklist.pop() {
         let Some(state) = entry[b].clone() else {
@@ -493,7 +513,7 @@ fn octagon_fixpoint(
     }
     for _ in 0..2 {
         let mut next: Vec<Option<Octagon>> = vec![None; n];
-        next[0] = Some(Octagon::top());
+        next[0] = Some(Octagon::top(regs));
         for (b, e) in entry.iter().enumerate() {
             let Some(state) = e.clone() else {
                 continue;
@@ -1452,10 +1472,11 @@ pub(crate) fn explain_loops(
 ) -> Vec<(usize, Option<u128>, Option<u128>)> {
     let insts = program.instructions();
     let LoopInfo { loops, .. } = cfg.loop_info();
-    let oct = octagon_fixpoint(cfg, insts, None);
+    let regs = named_xregs(insts);
+    let oct = octagon_fixpoint(cfg, insts, regs, None);
     let premise = staged_word_range.and_then(|range| protected_loads(cfg, insts, &oct, range));
     let oct = match &premise {
-        Some(p) => octagon_fixpoint(cfg, insts, Some(p)),
+        Some(p) => octagon_fixpoint(cfg, insts, regs, Some(p)),
         None => oct,
     };
     let premise = premise.as_ref();
@@ -1664,7 +1685,8 @@ pub(crate) fn compute(
         return ResourceBound::unbounded();
     }
 
-    let oct = octagon_fixpoint(cfg, insts, None);
+    let regs = named_xregs(insts);
+    let oct = octagon_fixpoint(cfg, insts, regs, None);
     let (oct, trips, premise) = match loop_trips(cfg, insts, &loops, &oct, ventry, None) {
         Some(trips) => (oct, trips, None),
         None => {
@@ -1673,7 +1695,7 @@ pub(crate) fn compute(
             else {
                 return ResourceBound::unbounded();
             };
-            let oct = octagon_fixpoint(cfg, insts, Some(&premise));
+            let oct = octagon_fixpoint(cfg, insts, regs, Some(&premise));
             let Some(trips) = loop_trips(cfg, insts, &loops, &oct, ventry, Some(&premise)) else {
                 return ResourceBound::unbounded();
             };
@@ -1706,7 +1728,7 @@ pub(crate) fn compute(
         let len = (block.end - block.start) as u128;
         instructions = instructions.saturating_add(len.saturating_mul(execs[b]));
         let mut block_lat: u128 = 0;
-        let mut o = oct[b].clone().unwrap_or_else(Octagon::top);
+        let mut o = oct[b].clone().unwrap_or_else(|| Octagon::top(regs));
         for pc in block.pcs() {
             block_lat += lat.latency(insts[pc].class()) as u128;
             pages = pages.saturating_add(site_pages(&o, &insts[pc], execs[b]));

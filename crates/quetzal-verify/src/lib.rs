@@ -223,20 +223,6 @@ impl Report {
         self.diagnostics.is_empty()
     }
 
-    /// Whether a finding of `kind` exists at `pc` (any severity).
-    pub fn has_kind_at(&self, kind: DiagKind, pc: usize) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.kind == kind && d.pc == pc)
-    }
-
-    /// Whether a fatal finding of `kind` exists anywhere.
-    pub fn has_fatal_kind(&self, kind: DiagKind) -> bool {
-        self.diagnostics
-            .iter()
-            .any(|d| d.kind == kind && d.severity == Severity::Fatal)
-    }
-
     /// The statically proven resource bound (sound upper bound on
     /// every dynamic execution; components are `None` when no finite
     /// bound could be derived).
@@ -838,6 +824,22 @@ mod tests {
     use quetzal_isa::reg::aliases::*;
     use quetzal_isa::{BranchCond, ProgramBuilder, QBufSel, SAluOp, VAluOp};
 
+    /// Whether a finding of `kind` exists at `pc` (any severity).
+    fn has_kind_at(report: &Report, kind: DiagKind, pc: usize) -> bool {
+        report
+            .diagnostics()
+            .iter()
+            .any(|d| d.kind == kind && d.pc == pc)
+    }
+
+    /// Whether a fatal finding of `kind` exists anywhere.
+    fn has_fatal_kind(report: &Report, kind: DiagKind) -> bool {
+        report
+            .diagnostics()
+            .iter()
+            .any(|d| d.kind == kind && d.severity == Severity::Fatal)
+    }
+
     fn clean_loop() -> Program {
         let mut b = ProgramBuilder::new();
         b.mov_imm(X0, 0);
@@ -870,14 +872,14 @@ mod tests {
         let p = Program::from_raw(vec![Instruction::MovImm { rd: X0, imm: 1 }], "truncated");
         let report = verify(&p);
         assert_eq!(report.verdict(), Verdict::Fatal);
-        assert!(report.has_fatal_kind(DiagKind::DecodeError), "{report}");
+        assert!(has_fatal_kind(&report, DiagKind::DecodeError), "{report}");
     }
 
     #[test]
     fn empty_image_is_fatal_decode() {
         let p = Program::from_raw(Vec::new(), "empty");
         let report = verify(&p);
-        assert!(report.has_fatal_kind(DiagKind::DecodeError));
+        assert!(has_fatal_kind(&report, DiagKind::DecodeError));
     }
 
     #[test]
@@ -887,9 +889,9 @@ mod tests {
             "wild",
         );
         let report = verify(&p);
-        assert!(report.has_kind_at(DiagKind::DecodeError, 0), "{report}");
+        assert!(has_kind_at(&report, DiagKind::DecodeError, 0), "{report}");
         // The dead halt is reported as unreachable, not as a fault.
-        assert!(report.has_kind_at(DiagKind::UnreachableBlock, 1));
+        assert!(has_kind_at(&report, DiagKind::UnreachableBlock, 1));
     }
 
     #[test]
@@ -898,8 +900,11 @@ mod tests {
         b.vextract(X0, V0, 9, ElemSize::B64); // B64 has 8 lanes
         b.halt();
         let report = verify(&b.build().unwrap());
-        assert!(report.has_fatal_kind(DiagKind::InvalidRegister), "{report}");
-        assert!(report.has_kind_at(DiagKind::InvalidRegister, 0));
+        assert!(
+            has_fatal_kind(&report, DiagKind::InvalidRegister),
+            "{report}"
+        );
+        assert!(has_kind_at(&report, DiagKind::InvalidRegister, 0));
     }
 
     #[test]
@@ -911,8 +916,8 @@ mod tests {
         b.qzconf(X0, X1, X2);
         b.halt();
         let report = verify(&b.build().unwrap());
-        assert!(report.has_fatal_kind(DiagKind::InvalidQzConf), "{report}");
-        assert!(report.has_kind_at(DiagKind::InvalidQzConf, 3));
+        assert!(has_fatal_kind(&report, DiagKind::InvalidQzConf), "{report}");
+        assert!(has_kind_at(&report, DiagKind::InvalidQzConf, 3));
     }
 
     #[test]
@@ -924,7 +929,7 @@ mod tests {
         b.halt();
         let report = verify(&b.build().unwrap());
         assert_eq!(report.verdict(), Verdict::Warnings, "{report}");
-        assert!(report.has_kind_at(DiagKind::InvalidQzConf, 2));
+        assert!(has_kind_at(&report, DiagKind::InvalidQzConf, 2));
     }
 
     #[test]
@@ -939,10 +944,10 @@ mod tests {
         b.halt();
         let report = verify(&b.build().unwrap());
         assert!(
-            report.has_kind_at(DiagKind::QBufferIndexOutOfRange, 5),
+            has_kind_at(&report, DiagKind::QBufferIndexOutOfRange, 5),
             "{report}"
         );
-        assert!(report.has_fatal_kind(DiagKind::QBufferIndexOutOfRange));
+        assert!(has_fatal_kind(&report, DiagKind::QBufferIndexOutOfRange));
     }
 
     #[test]
@@ -974,7 +979,7 @@ mod tests {
         b.halt();
         let report = verify(&b.build().unwrap());
         assert_eq!(report.verdict(), Verdict::Warnings);
-        assert!(report.has_kind_at(DiagKind::UndefinedRead, 0));
+        assert!(has_kind_at(&report, DiagKind::UndefinedRead, 0));
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use quetzal::fault::{random_instruction, SWEEP_BUDGETS};
 use quetzal::genomics::rng::SplitMix64;
 use quetzal::isa::Instruction;
-use quetzal::verify::{self, DiagKind, Verdict};
+use quetzal::verify::{self, DiagKind, Report, Severity, Verdict};
 use quetzal::{ExecMode, FaultPlan, Machine, MachineConfig, Program, RunStats, SimError};
 
 const DEFAULT_CASES: u64 = 12_000;
@@ -87,6 +87,22 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
         .map(|s| s.to_string())
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
+/// Whether the verifier flagged `kind` at `pc` (any severity).
+fn has_kind_at(report: &Report, kind: DiagKind, pc: usize) -> bool {
+    report
+        .diagnostics()
+        .iter()
+        .any(|d| d.kind == kind && d.pc == pc)
+}
+
+/// Whether the verifier flagged `kind` as fatal anywhere.
+fn has_fatal_kind(report: &Report, kind: DiagKind) -> bool {
+    report
+        .diagnostics()
+        .iter()
+        .any(|d| d.kind == kind && d.severity == Severity::Fatal)
 }
 
 /// How one case's functional-tier replay compared against the
@@ -262,13 +278,15 @@ fn assert_verdict_consistent(
             "{context}: verifier said Clean but runtime raised {e}\n{report}"
         );
         let flagged = match e {
-            SimError::DecodeError { .. } => report.has_fatal_kind(DiagKind::DecodeError),
+            SimError::DecodeError { .. } => has_fatal_kind(&report, DiagKind::DecodeError),
             SimError::InvalidRegister { pc, .. } => {
-                report.has_kind_at(DiagKind::InvalidRegister, *pc)
+                has_kind_at(&report, DiagKind::InvalidRegister, *pc)
             }
-            SimError::InvalidQzConf { pc, .. } => report.has_kind_at(DiagKind::InvalidQzConf, *pc),
+            SimError::InvalidQzConf { pc, .. } => {
+                has_kind_at(&report, DiagKind::InvalidQzConf, *pc)
+            }
             SimError::QBufferIndexOutOfRange { pc, .. } => {
-                report.has_kind_at(DiagKind::QBufferIndexOutOfRange, *pc)
+                has_kind_at(&report, DiagKind::QBufferIndexOutOfRange, *pc)
             }
             _ => true,
         };
