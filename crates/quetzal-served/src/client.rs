@@ -124,8 +124,9 @@ impl Client<TcpStream> {
     /// Returns the connection error.
     pub fn connect(addr: &str) -> Result<Client<TcpStream>, ClientError> {
         let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
-        // Frames are written as prefix then payload: without this, Nagle
-        // holds the payload until the daemon's delayed ACK (~40 ms).
+        // Each frame is one write, but without this Nagle holds a request
+        // sent while the last one is still unacknowledged until the
+        // daemon's delayed ACK (~40 ms).
         stream.set_nodelay(true).map_err(WireError::Io)?;
         Ok(Client { stream })
     }

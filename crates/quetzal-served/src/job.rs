@@ -2,11 +2,11 @@
 //! the offline path.
 //!
 //! [`execute`] is the *only* place a job turns into simulations: the
-//! daemon drives it per connection over a tenant's long-lived
-//! [`MachinePool`], and `qzclient --offline` (plus the loopback e2e
-//! test) drives it over a throwaway pool. Both paths therefore emit
-//! byte-identical frame streams for the same job — the equivalence the
-//! service's correctness story rests on.
+//! daemon drives its chunk-granular core per connection over a tenant's
+//! long-lived [`MachinePool`], and `qzclient --offline` (plus the
+//! loopback e2e test) drives it over a throwaway pool. Both paths
+//! therefore emit byte-identical frame streams for the same job — the
+//! equivalence the service's correctness story rests on.
 //!
 //! Two job kinds exist:
 //!
@@ -49,7 +49,6 @@ use quetzal_genomics::dataset::SeqPair;
 use quetzal_genomics::fasta::PairReader;
 use quetzal_genomics::{Alphabet, Seq};
 use quetzal_trace::json::Value;
-use std::convert::Infallible;
 use std::io::BufReader;
 use std::ops::ControlFlow;
 use std::path::Path;
@@ -429,13 +428,12 @@ impl JobSummary {
     }
 }
 
-/// Streams one executed item's frame.
-fn emit_slot(
+/// One executed item's frame.
+fn slot_frame(
     item: usize,
     (slot, failure): (Option<&(i64, RunStats)>, Option<&ItemFailure>),
     summary: &mut JobSummary,
-    emit: &mut dyn FnMut(Response),
-) {
+) -> Response {
     match slot {
         Some((value, stats)) => {
             summary.ok += 1;
@@ -445,22 +443,22 @@ fn emit_slot(
                 summary.recovered += 1;
                 (f.cause.kind(), f.cause.detail())
             });
-            emit(Response::Item {
+            Response::Item {
                 item,
                 value: *value,
                 cycles: stats.cycles,
                 instructions: stats.instructions,
                 recovered,
-            });
+            }
         }
         None => {
             let cause = &failure.expect("resultless item has a failure entry").cause;
             summary.failed += 1;
-            emit(Response::ItemFailed {
+            Response::ItemFailed {
                 item,
                 cause: cause.kind(),
                 message: cause.detail(),
-            });
+            }
         }
     }
 }
@@ -481,10 +479,10 @@ fn tighter_than_watchdogs(bound: &ResourceBound) -> bool {
 /// through `emit` as chunks complete and finishing with a `done` frame.
 ///
 /// Items run in submission order, `chunk` at a time, through the chunk
-/// driver [`BatchRunner::run_chunks`] (align and fault jobs never stop
-/// it early), so the frame stream is **bit-identical for every
-/// worker-thread count and chunk size** — the loopback e2e test pins
-/// daemon-vs-offline equality on exactly this property.
+/// driver [`BatchRunner::run_chunks`], so the frame stream is
+/// **bit-identical for every worker-thread count and chunk size** — the
+/// loopback e2e test pins daemon-vs-offline equality on exactly this
+/// property. This path never stops a job early.
 ///
 /// Fault-job programs are staged on a scratch (never pooled) machine
 /// and statically verified before execution: only admitted mutants pass
@@ -498,9 +496,40 @@ pub fn execute(
     chunk: usize,
     emit: &mut dyn FnMut(Response),
 ) -> JobSummary {
+    execute_chunks(runner, pool, spec, chunk, &mut |frames| {
+        frames.into_iter().for_each(&mut *emit);
+        ControlFlow::Continue(())
+    })
+}
+
+/// [`execute`]'s core, handing `sink` one call per chunk with all of
+/// that chunk's item frames, in item order. Each `shard_done`, the
+/// terminal `error` and `done` arrive as one-frame calls.
+///
+/// A [`ControlFlow::Break`] from `sink` stops an align or fault job at
+/// the chunk boundary (no later chunk runs), and `sink` is not called
+/// again, so a stopped job sends no `done`. Its summary's tallies count
+/// only the items that ran. An ingest job runs on to its end: its shard
+/// observer has no stop.
+pub(crate) fn execute_chunks(
+    runner: &BatchRunner,
+    pool: &MachinePool,
+    spec: &JobSpec,
+    chunk: usize,
+    sink: &mut dyn FnMut(Vec<Response>) -> ControlFlow<()>,
+) -> JobSummary {
     let mut summary = JobSummary {
         items: spec.items() as u64,
         ..JobSummary::default()
+    };
+    let mut open = true;
+    let mut send = |frames: Vec<Response>| {
+        open = open && sink(frames).is_continue();
+        if open {
+            ControlFlow::Continue(())
+        } else {
+            ControlFlow::Break(())
+        }
     };
     let outcome = match spec {
         JobSpec::Align {
@@ -522,11 +551,13 @@ pub fn execute(
                         try_simulate_pair_outcome(m, *algo, *alphabet, *ss_threshold, pair, *tier)?;
                     Ok((out.value, out.stats))
                 },
-                |base, report| -> ControlFlow<Infallible> {
-                    for (local, slot) in report.slots().enumerate() {
-                        emit_slot(base + local, slot, &mut summary, emit);
-                    }
-                    ControlFlow::Continue(())
+                |base, report| {
+                    let frames = report
+                        .slots()
+                        .enumerate()
+                        .map(|(local, slot)| slot_frame(base + local, slot, &mut summary))
+                        .collect();
+                    send(frames)
                 },
             )
             .map(drop)
@@ -584,22 +615,26 @@ pub fn execute(
                         let stats = m.run(&program)?;
                         Ok((0i64, stats))
                     },
-                    |base, report| -> ControlFlow<Infallible> {
-                        for (local, slot) in report.slots().enumerate() {
-                            let item = base + local;
-                            match &rejections[item] {
-                                None => emit_slot(item, slot, &mut summary, emit),
-                                Some(message) => {
-                                    summary.rejected += 1;
-                                    emit(Response::ItemFailed {
-                                        item,
-                                        cause: "rejected",
-                                        message: message.clone(),
-                                    });
+                    |base, report| {
+                        let frames = report
+                            .slots()
+                            .enumerate()
+                            .map(|(local, slot)| {
+                                let item = base + local;
+                                match &rejections[item] {
+                                    None => slot_frame(item, slot, &mut summary),
+                                    Some(message) => {
+                                        summary.rejected += 1;
+                                        Response::ItemFailed {
+                                            item,
+                                            cause: "rejected",
+                                            message: message.clone(),
+                                        }
+                                    }
                                 }
-                            }
-                        }
-                        ControlFlow::Continue(())
+                            })
+                            .collect();
+                        send(frames)
                     },
                 )
                 .map(drop)
@@ -656,7 +691,9 @@ pub fn execute(
                                 instructions: out.stats.instructions,
                             })
                         },
-                        |report| emit(Response::ShardDone(report.clone())),
+                        |report| {
+                            let _ = send(vec![Response::ShardDone(report.clone())]);
+                        },
                     )
                     .map_err(|e| e.to_string())
                 })
@@ -676,12 +713,12 @@ pub fn execute(
         }
     };
     if let Err(message) = outcome {
-        emit(Response::Error {
+        let _ = send(vec![Response::Error {
             kind: "internal",
             message,
-        });
+        }]);
     }
-    emit(Response::Done(summary));
+    let _ = send(vec![Response::Done(summary)]);
     summary
 }
 

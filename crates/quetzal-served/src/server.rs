@@ -4,7 +4,8 @@
 //! # Scheduling model
 //!
 //! One OS thread per connection; a connection's `submit` runs
-//! synchronously on that thread, streaming frames as chunks complete.
+//! synchronously on that thread, writing each completed chunk's frames
+//! with one write. A failed write stops the job at that chunk boundary.
 //! There is **no unbounded queue anywhere**: admission is gated by a
 //! per-tenant in-flight quota, and a saturated tenant answers with a
 //! typed [`Response::Busy`] frame — the client resubmits, the daemon
@@ -36,6 +37,7 @@ use quetzal_trace::json::Value;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -234,18 +236,19 @@ impl Shared {
         let runner = BatchRunner::new(self.config.threads).with_exec_mode(self.config.exec_mode);
         let start = Instant::now();
         let mut write_err: Option<WireError> = None;
-        let summary = job::execute(
+        let (mut bytes, mut text) = (Vec::new(), String::new());
+        let summary = job::execute_chunks(
             &runner,
             &tenant.pool,
             spec,
             self.config.chunk,
-            &mut |frame| {
-                // First write failure wins; the job still runs to completion
-                // so its counters (and quarantines) stay accurate.
-                if write_err.is_none() {
-                    if let Err(e) = wire::write_value(writer, &frame.to_value()) {
-                        write_err = Some(e);
-                    }
+            &mut |frames| match write_frames(writer, &frames, &mut bytes, &mut text) {
+                Ok(()) => ControlFlow::Continue(()),
+                // The reader is gone: stop at this chunk boundary rather
+                // than hold the tenant's pool and quota for nobody.
+                Err(e) => {
+                    write_err = Some(e);
+                    ControlFlow::Break(())
                 }
             },
         );
@@ -425,10 +428,29 @@ impl Daemon {
     }
 }
 
+/// Writes `frames` with one `write_all`, rendering them into the
+/// reused `bytes` and `text` buffers.
+fn write_frames(
+    writer: &mut impl Write,
+    frames: &[Response],
+    bytes: &mut Vec<u8>,
+    text: &mut String,
+) -> Result<(), WireError> {
+    bytes.clear();
+    for frame in frames {
+        text.clear();
+        frame.to_value().dump_into(text);
+        wire::append_frame(bytes, text.as_bytes())?;
+    }
+    writer.write_all(bytes)?;
+    writer.flush()?;
+    Ok(())
+}
+
 fn serve_tcp(shared: &Shared, stream: TcpStream, listen_addr: SocketAddr) {
-    // Each frame goes out as two writes (length prefix, then payload);
-    // with Nagle on, the payload waits for the peer's delayed ACK of
-    // the prefix, stalling every frame by ~40 ms.
+    // Every write is whole frames (a job's chunk is one write), but with
+    // Nagle on a small write that follows an unacknowledged one (the
+    // next chunk, or `done`) waits for the peer's delayed ACK, ~40 ms.
     let _ = stream.set_nodelay(true);
     // The deadline only bounds reads: response streaming on the write
     // half (a long submit's frames) is never cut short by it.
@@ -448,9 +470,21 @@ fn serve_tcp(shared: &Shared, stream: TcpStream, listen_addr: SocketAddr) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::Budgets;
+    use quetzal_algos::Tier;
+    use quetzal_bench::workloads::Algo;
+    use quetzal_genomics::dataset::DatasetSpec;
 
     fn shared(config: DaemonConfig) -> Shared {
         Shared::new(config)
+    }
+
+    fn parse_frames(mut bytes: &[u8]) -> Vec<Response> {
+        let mut frames = Vec::new();
+        while let Ok(Some(v)) = wire::read_value(&mut bytes) {
+            frames.push(Response::from_value(&v).expect("daemon emits valid frames"));
+        }
+        frames
     }
 
     /// Runs raw request bytes through an in-memory connection and
@@ -459,12 +493,7 @@ mod tests {
         let mut reader = input;
         let mut out = Vec::new();
         let _ = shared.serve_connection(&mut reader, &mut out);
-        let mut frames = Vec::new();
-        let mut r = out.as_slice();
-        while let Ok(Some(v)) = wire::read_value(&mut r) {
-            frames.push(Response::from_value(&v).expect("daemon emits valid frames"));
-        }
-        frames
+        parse_frames(&out)
     }
 
     fn frame_bytes(requests: &[Request]) -> Vec<u8> {
@@ -591,11 +620,7 @@ mod tests {
         let mut out = Vec::new();
         let outcome = s.serve_connection(&mut reader, &mut out);
         assert!(matches!(outcome, ConnOutcome::Closed));
-        let mut frames = Vec::new();
-        let mut r = out.as_slice();
-        while let Ok(Some(v)) = wire::read_value(&mut r) {
-            frames.push(Response::from_value(&v).expect("daemon emits valid frames"));
-        }
+        let frames = parse_frames(&out);
         // The ping before the stall was served normally; the stall gets
         // a typed idle-timeout error, not a generic bad-frame.
         assert!(matches!(frames[0], Response::Pong));
@@ -611,6 +636,112 @@ mod tests {
             s.stats.protocol_errors.load(Ordering::Relaxed),
             0,
             "a deadline expiry is not a protocol error"
+        );
+    }
+
+    /// An in-memory connection writer that counts `write` calls and
+    /// fails every call after the first `fail_after`, like a socket
+    /// whose reader hung up.
+    struct CountingWriter {
+        out: Vec<u8>,
+        writes: usize,
+        fail_after: usize,
+    }
+
+    impl CountingWriter {
+        fn new(fail_after: usize) -> CountingWriter {
+            CountingWriter {
+                out: Vec::new(),
+                writes: 0,
+                fail_after,
+            }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.writes == self.fail_after {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::BrokenPipe,
+                    "reader hung up",
+                ));
+            }
+            self.writes += 1;
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A submit frame for a 40-pair align job: three chunks of 16, 16
+    /// and 8 at the default chunk size.
+    fn submit_40_pairs() -> (JobSpec, Vec<u8>) {
+        let dataset = DatasetSpec::d100();
+        let job = JobSpec::Align {
+            algo: Algo::Ss,
+            tier: Tier::QuetzalC,
+            alphabet: dataset.alphabet,
+            ss_threshold: 8,
+            budgets: Budgets::default(),
+            pairs: dataset.generate_n(7, 40),
+        };
+        let input = frame_bytes(&[Request::Submit {
+            tenant: "t".to_string(),
+            job: job.clone(),
+        }]);
+        (job, input)
+    }
+
+    #[test]
+    fn a_served_chunk_is_one_write() {
+        let s = shared(DaemonConfig::default());
+        assert_eq!(s.config.chunk, 16);
+        let (job, input) = submit_40_pairs();
+        let mut writer = CountingWriter::new(usize::MAX);
+        s.serve_connection(&mut input.as_slice(), &mut writer);
+        assert_eq!(writer.writes, 5, "accepted, three chunks and done");
+        let frames = parse_frames(&writer.out);
+        assert_eq!(
+            frames[0],
+            Response::Accepted {
+                tenant: "t".to_string(),
+                items: 40,
+            }
+        );
+        let runner = BatchRunner::new(1);
+        let pool = MachinePool::new(&MachineConfig::default(), runner.exec_mode());
+        let mut offline = Vec::new();
+        job::execute(&runner, &pool, &job, 16, &mut |f| offline.push(f));
+        assert_eq!(frames[1..], offline[..]);
+    }
+
+    #[test]
+    fn an_abandoned_job_stops_at_the_next_chunk_boundary() {
+        let s = shared(DaemonConfig::default());
+        let (_, input) = submit_40_pairs();
+        // `accepted` and the first chunk land; the second chunk's write
+        // fails, so the third chunk must never run.
+        let mut writer = CountingWriter::new(2);
+        let outcome = s.serve_connection(&mut input.as_slice(), &mut writer);
+        assert!(matches!(outcome, ConnOutcome::Closed));
+        assert_eq!(parse_frames(&writer.out).len(), 1 + 16);
+        let totals = *s.stats.totals.lock().unwrap();
+        assert_eq!(
+            totals.ok + totals.failed,
+            32,
+            "two chunks ran, the third did not"
+        );
+        assert_eq!(s.inflight_jobs.load(Ordering::SeqCst), 0);
+        let tenants = s.tenant_stats();
+        assert_eq!(tenants[0].inflight, 0, "the tenant's quota is free again");
+        let pool = tenants[0].pool;
+        assert_eq!(
+            pool.built,
+            (pool.free + pool.quarantined) as u64,
+            "every checked-out machine came back: {pool:?}"
         );
     }
 }

@@ -159,20 +159,35 @@ pub fn read_value(r: &mut impl Read) -> Result<Option<Value>, WireError> {
     Ok(Some(value))
 }
 
-/// Writes one frame.
+/// Appends one frame (length prefix, then payload) to `out`, so a
+/// sender can put any number of frames on the wire with one write.
+///
+/// # Errors
+///
+/// Returns `Oversized` for a payload over [`MAX_FRAME`] (a caller bug),
+/// leaving `out` as it was.
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), WireError> {
+    if payload.len() > MAX_FRAME {
+        return Err(WireError::Oversized {
+            claimed: payload.len(),
+        });
+    }
+    out.reserve(4 + payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(payload);
+    Ok(())
+}
+
+/// Writes one frame with a single `write_all`.
 ///
 /// # Errors
 ///
 /// Returns [`WireError::Io`] on transport failure (payloads over
 /// [`MAX_FRAME`] are a caller bug and surface as `Oversized`).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
-    if payload.len() > MAX_FRAME {
-        return Err(WireError::Oversized {
-            claimed: payload.len(),
-        });
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload)?;
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -200,6 +215,25 @@ mod tests {
         assert_eq!(read_value(&mut r).unwrap(), Some(v));
         assert_eq!(read_value(&mut r).unwrap(), Some(Value::Array(vec![])));
         assert_eq!(read_value(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn appended_frames_read_back_in_order() {
+        let mut buf = Vec::new();
+        append_frame(&mut buf, b"[1]").unwrap();
+        append_frame(&mut buf, b"{}").unwrap();
+        let oversized = vec![b' '; MAX_FRAME + 1];
+        let err = append_frame(&mut buf, &oversized).unwrap_err();
+        assert!(matches!(err, WireError::Oversized { claimed } if claimed == MAX_FRAME + 1));
+        assert_eq!(
+            buf.len(),
+            (4 + 3) + (4 + 2),
+            "a refused frame appends nothing"
+        );
+        let mut r = buf.as_slice();
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"[1]"[..]));
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"{}"[..]));
+        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
     }
 
     #[test]

@@ -199,24 +199,33 @@ fn dump_number(n: f64, out: &mut String) {
     }
 }
 
+/// Escapes `"`, `\` and control bytes, copying each run of bytes
+/// between them with one `push_str`. Only ASCII bytes are escaped, so
+/// every cut falls on a char boundary.
 fn dump_string(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("write to String");
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0c => Some("\\f"),
+            0x00..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => write!(out, "\\u{b:04x}").expect("write to String"),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -393,6 +402,17 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte at once. Those bytes are ASCII, hence char boundaries
+            // of the source `&str`.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            let chunk = std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
+            out.push_str(chunk);
+            self.pos += run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -439,20 +459,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                b if b < 0x20 => return Err(self.err("raw control character in string")),
-                _ => {
-                    // Re-borrow the source so multi-byte UTF-8 sequences
-                    // pass through intact.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] >= 0x80 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -614,6 +621,209 @@ mod tests {
         assert_eq!(num("18446744073709549568").as_u64(), Some(u64::MAX - 2047));
         assert_eq!(num("9223372036854775808").as_i64(), None); // 2^63
         assert_eq!(num("-9223372036854775808").as_i64(), Some(i64::MIN));
+    }
+
+    /// The per-`char` escaper the run-copying `dump_string` replaced:
+    /// the oracle for its bytes.
+    fn oracle_dump_string(s: &str, out: &mut String) {
+        use std::fmt::Write as _;
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    write!(out, "\\u{:04x}", c as u32).expect("write to String");
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// The per-byte string parser the run-copying `Parser::string`
+    /// replaced: the oracle for its values, errors and end positions.
+    fn oracle_string(p: &mut Parser) -> Result<String, ParseError> {
+        p.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let Some(b) = p.peek() else {
+                return Err(p.err("unterminated string"));
+            };
+            p.pos += 1;
+            match b {
+                b'"' => return Ok(out),
+                b'\\' => {
+                    let Some(esc) = p.peek() else {
+                        return Err(p.err("unterminated escape"));
+                    };
+                    p.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let cp = p.hex4()?;
+                            let c = if (0xD800..0xDC00).contains(&cp) {
+                                if p.peek() != Some(b'\\') {
+                                    return Err(p.err("lone high surrogate"));
+                                }
+                                p.pos += 1;
+                                p.expect(b'u')?;
+                                let lo = p.hex4()?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err(p.err("invalid low surrogate"));
+                                }
+                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+                                char::from_u32(c).ok_or_else(|| p.err("bad code point"))?
+                            } else if (0xDC00..0xE000).contains(&cp) {
+                                return Err(p.err("lone low surrogate"));
+                            } else {
+                                char::from_u32(cp).ok_or_else(|| p.err("bad code point"))?
+                            };
+                            out.push(c);
+                        }
+                        _ => return Err(p.err("invalid escape")),
+                    }
+                }
+                b if b < 0x20 => return Err(p.err("raw control character in string")),
+                _ => {
+                    let start = p.pos - 1;
+                    let mut end = p.pos;
+                    while end < p.bytes.len() && p.bytes[end] >= 0x80 {
+                        end += 1;
+                    }
+                    let chunk = std::str::from_utf8(&p.bytes[start..end])
+                        .map_err(|_| p.err("invalid UTF-8"))?;
+                    out.push_str(chunk);
+                    p.pos = end;
+                }
+            }
+        }
+    }
+
+    /// Both string parsers over one literal: their results and the
+    /// positions they stopped at.
+    fn both_parsers(literal: &str) -> [(Result<String, ParseError>, usize); 2] {
+        let parser = || Parser {
+            bytes: literal.as_bytes(),
+            pos: 0,
+        };
+        let (mut new, mut old) = (parser(), parser());
+        [(new.string(), new.pos), (oracle_string(&mut old), old.pos)]
+    }
+
+    /// SplitMix64, so the differential inputs repeat exactly.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A random char from one of the classes the codec treats apart:
+    /// ASCII letters, every control byte, the escaped and unescaped
+    /// punctuation, DEL, and 2-, 3- and 4-byte UTF-8.
+    fn random_char(state: &mut u64) -> char {
+        let pick =
+            |state: &mut u64, lo: u32, hi: u32| lo + (next(state) % u64::from(hi - lo)) as u32;
+        let cp = match next(state) % 8 {
+            0 | 1 => pick(state, u32::from(b'a'), u32::from(b'z') + 1),
+            2 => pick(state, 0, 0x20),
+            3 => [b'"', b'\\', b'/', 0x7f][(next(state) % 4) as usize].into(),
+            4 => pick(state, 0x80, 0x800),
+            5 => pick(state, 0x800, 0xD800),
+            6 => pick(state, 0xE000, 0x1_0000),
+            _ => pick(state, 0x1_0000, 0x11_0000),
+        };
+        char::from_u32(cp).expect("no class holds a surrogate")
+    }
+
+    #[test]
+    fn run_copying_codec_matches_the_per_char_oracle() {
+        let mut state = 0x5EED;
+        for _ in 0..2000 {
+            let len = (next(&mut state) % 40) as usize;
+            let s: String = (0..len).map(|_| random_char(&mut state)).collect();
+            let (mut dumped, mut want) = (String::new(), String::new());
+            dump_string(&s, &mut dumped);
+            oracle_dump_string(&s, &mut want);
+            assert_eq!(dumped, want, "dump of {s:?}");
+            assert_eq!(Value::parse(&dumped), Ok(Value::Str(s.clone())));
+            let [new, old] = both_parsers(&dumped);
+            assert_eq!(new, old, "parse of {dumped:?}");
+        }
+    }
+
+    #[test]
+    fn escaped_and_malformed_strings_parse_as_the_oracle_does() {
+        // Literals in escaped form: every short escape, `\uXXXX` in both
+        // hex cases over the BMP, and surrogate pairs.
+        let mut state = 0xE5C;
+        let mut parsed = 0;
+        for _ in 0..1000 {
+            let mut literal = String::from("\"");
+            for _ in 0..(next(&mut state) % 12) {
+                match next(&mut state) % 5 {
+                    0 => {
+                        let esc = ["\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t"];
+                        literal.push_str(esc[(next(&mut state) % 8) as usize]);
+                    }
+                    1 => {
+                        let cp = next(&mut state) % 0xD800;
+                        literal.push_str(&format!("\\u{cp:04x}"));
+                    }
+                    2 => {
+                        let cp = 0xE000 + next(&mut state) % 0x2000;
+                        literal.push_str(&format!("\\u{cp:04X}"));
+                    }
+                    3 => {
+                        let hi = 0xD800 + next(&mut state) % 0x400;
+                        let lo = 0xDC00 + next(&mut state) % 0x400;
+                        literal.push_str(&format!("\\u{hi:04x}\\u{lo:04X}"));
+                    }
+                    _ => literal.push(random_char(&mut state)),
+                }
+            }
+            literal.push('"');
+            let [new, old] = both_parsers(&literal);
+            // Raw control characters make some literals malformed; the
+            // oracle decides which, and the errors must agree too.
+            assert_eq!(new, old, "parse of {literal:?}");
+            parsed += usize::from(old.0.is_ok());
+        }
+        assert!((100..900).contains(&parsed), "{parsed} of 1000 parsed");
+        for bad in [
+            "\"\\q\"",
+            "\"\u{1}\"",
+            "\"abc\u{1f}def\"",
+            "\"\\ud800\"",
+            "\"\\ud800x\"",
+            "\"\\ud800\\n\"",
+            "\"\\ud800\\u0041\"",
+            "\"\\udc00\"",
+            "\"\\u12\"",
+            "\"\\u12g4\"",
+            "\"é😀",
+            "\"abc\\",
+            "\"",
+            "x\"",
+        ] {
+            let [new, old] = both_parsers(bad);
+            assert!(old.0.is_err(), "the oracle accepted {bad:?}");
+            assert_eq!(new, old, "parse of {bad:?}");
+        }
     }
 
     #[test]

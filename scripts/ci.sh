@@ -145,9 +145,9 @@ for _ in $(seq 1 100); do
 done
 [ -n "$served_addr" ] \
     || { echo "FAIL: qzserved never reported a listen address"; exit 1; }
-./target/release/qzclient submit --addr "$served_addr" --pairs 4 \
+./target/release/qzclient submit --addr "$served_addr" --pairs 40 \
     > "$out_dir/served_align.txt" 2>/dev/null
-./target/release/qzclient submit --offline --pairs 4 \
+./target/release/qzclient submit --offline --pairs 40 \
     > "$out_dir/offline_align.txt" 2>/dev/null
 cmp "$out_dir/served_align.txt" "$out_dir/offline_align.txt" \
     || { echo "FAIL: served align report differs from offline BatchRunner"; exit 1; }

@@ -95,7 +95,8 @@ fn i64_at<'v>(
 
 #[test]
 fn loopback_daemon_is_byte_identical_to_offline_batchrunner() {
-    let align = align_spec(6);
+    // 40 pairs stream as chunks of 16, 16 and 8, one write each.
+    let align = align_spec(40);
     let fault = fault_spec(0xF4417, 0..24);
 
     let (align_ref, _) = offline_report(&align, 1);
@@ -460,11 +461,11 @@ fn served_fault_outcomes_match_the_sweep_replay() {
 
 #[test]
 fn ping_round_trip_is_not_stalled_by_nagle() {
-    // The daemon writes each frame as a length prefix then a payload.
-    // Without TCP_NODELAY on the accepted stream, Nagle holds the
-    // payload until the client's delayed ACK of the prefix: ~40 ms per
-    // frame on Linux loopback. A plain client that sends each request
-    // in a single write must see sub-millisecond-scale pings instead.
+    // Without TCP_NODELAY on the accepted stream, Nagle holds a small
+    // write that follows an unacknowledged one until the client's
+    // delayed ACK: ~40 ms per frame on Linux loopback. A plain client
+    // that sends each request in a single write must see
+    // sub-millisecond-scale pings instead.
     let (addr, handle) = start_daemon(DaemonConfig::default());
     let mut conn = TcpStream::connect(&addr).unwrap();
     let payload = Request::Ping.to_value().dump();
